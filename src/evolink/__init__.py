@@ -14,6 +14,7 @@ from .ekg import (
     build_ekg,
     sample_negatives,
 )
+from .candidates import Candidates
 from .embed import (
     EmbedHyperparams,
     EmbeddingStore,

@@ -1,0 +1,194 @@
+"""Candidate pairs as columns, their truth labels, and decision metrics.
+
+Blocking, labelling, feature extraction and scoring all work on
+``Candidates``: parallel arrays of A-side rows, B-side rows and, once known,
+labels, scores and probabilities. ``CandidatePair`` is the row type users
+see; a ``Candidates`` iterates as a sequence of them, and any sequence of
+them converts to a ``Candidates`` once, on entry to a public function.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterator
+
+import numpy as np
+
+from .errors import ConfigError
+from .ingest import LinkedPairSet, RecordSet
+
+
+@dataclass(frozen=True)
+class CandidatePair:
+    a_entity: int
+    b_entity: int
+    label: bool | None = None
+    probability: float | None = None
+
+    def __post_init__(self):
+        if self.probability is not None and not 0.0 <= self.probability <= 1.0:
+            raise ConfigError(f"probability {self.probability} outside [0, 1]")
+
+
+@dataclass(frozen=True, eq=False)
+class Candidates(Sequence):
+    """Pair ``i`` is row ``a[i]`` of ``records_a`` against row ``b[i]`` of ``records_b``.
+
+    ``label`` (bool), ``score`` (the match score g, NaN where the records
+    share no present attribute) and ``probability`` are None until a stage
+    sets them, and otherwise have one entry per pair.
+    """
+
+    records_a: RecordSet = field(repr=False)
+    records_b: RecordSet = field(repr=False)
+    a: np.ndarray
+    b: np.ndarray
+    label: np.ndarray | None = None
+    score: np.ndarray | None = None
+    probability: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, pairs, records_a: RecordSet, records_b: RecordSet) -> "Candidates":
+        """Candidates over these record sets from Candidates, CandidatePairs
+        or (a_id, b_id) tuples; unknown entity ids raise LoadError."""
+        if (
+            isinstance(pairs, Candidates)
+            and pairs.records_a is records_a
+            and pairs.records_b is records_b
+        ):
+            return pairs
+        a_ids, b_ids, labels = [], [], []
+        for pair in pairs:
+            if isinstance(pair, CandidatePair):
+                a_ids.append(pair.a_entity)
+                b_ids.append(pair.b_entity)
+                labels.append(pair.label)
+            else:
+                a_id, b_id = pair
+                a_ids.append(a_id)
+                b_ids.append(b_id)
+                labels.append(None)
+        unlabelled = sum(label is None for label in labels)
+        if unlabelled not in (0, len(labels)):
+            raise ConfigError("pairs mix labelled and unlabelled candidates")
+        return cls(
+            records_a,
+            records_b,
+            records_a.rows(a_ids),
+            records_b.rows(b_ids),
+            None if unlabelled else np.array(labels, dtype=bool),
+        )
+
+    @property
+    def a_ids(self) -> np.ndarray:
+        return self.records_a.id_array[self.a]
+
+    @property
+    def b_ids(self) -> np.ndarray:
+        return self.records_b.id_array[self.b]
+
+    def take(self, index) -> "Candidates":
+        """The pairs picked by a slice, boolean mask or integer index array."""
+
+        def pick(column):
+            return None if column is None else column[index]
+
+        return replace(
+            self,
+            a=self.a[index],
+            b=self.b[index],
+            label=pick(self.label),
+            score=pick(self.score),
+            probability=pick(self.probability),
+        )
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __getitem__(self, i: int) -> CandidatePair:
+        label = None if self.label is None else bool(self.label[i])
+        prob = None if self.probability is None else float(self.probability[i])
+        return CandidatePair(
+            int(self.records_a.id_array[self.a[i]]),
+            int(self.records_b.id_array[self.b[i]]),
+            label,
+            prob,
+        )
+
+    def __iter__(self) -> Iterator[CandidatePair]:
+        n = len(self)
+        labels = [None] * n if self.label is None else self.label.tolist()
+        probs = [None] * n if self.probability is None else self.probability.tolist()
+        return map(
+            CandidatePair, self.a_ids.tolist(), self.b_ids.tolist(), labels, probs
+        )
+
+
+def _ranks(ids, known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each id in the sorted, non-empty ``known``, and whether it is there."""
+    pos = np.minimum(np.searchsorted(known, ids), len(known) - 1)
+    return pos, known[pos] == ids
+
+
+def truth_labels(a_ids, b_ids, truth: LinkedPairSet) -> tuple[np.ndarray, int]:
+    """Which (a_ids[i], b_ids[i]) pairs are true links, and how many true
+    links none of the pairs covers."""
+    truth_ids = np.array(truth.pairs, dtype=np.int64).reshape(-1, 2)
+    if not len(truth_ids):
+        return np.zeros(len(a_ids), dtype=bool), 0
+    # rank ids among the truth's own ids, so that one int64 key names a pair
+    known_a, known_b = np.unique(truth_ids[:, 0]), np.unique(truth_ids[:, 1])
+    rank_a, in_a = _ranks(a_ids, known_a)
+    rank_b, in_b = _ranks(b_ids, known_b)
+    truth_keys = np.sort(
+        _ranks(truth_ids[:, 0], known_a)[0] * len(known_b)
+        + _ranks(truth_ids[:, 1], known_b)[0]
+    )
+    slot, hit = _ranks(rank_a * len(known_b) + rank_b, truth_keys)
+    labels = in_a & in_b & hit
+    lost = len(truth_keys) - len(np.unique(slot[labels]))
+    return labels, lost
+
+
+@dataclass(frozen=True)
+class Metrics:
+    accuracy: float
+    precision: float
+    recall: float
+    f_score: float
+    tp: int
+    fp: int
+    tn: int
+    fn: int
+
+    @classmethod
+    def from_counts(cls, tp: int, fp: int, tn: int, fn: int) -> "Metrics":
+        total = tp + fp + tn + fn
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        accuracy = (tp + tn) / total if total else 0.0
+        return cls(accuracy, precision, recall, f, tp, fp, tn, fn)
+
+    @classmethod
+    def from_decisions(
+        cls, predicted: np.ndarray, actual: np.ndarray, extra_false_negatives: int = 0
+    ) -> "Metrics":
+        """Confusion counts of boolean decisions against boolean truth.
+
+        ``extra_false_negatives`` charges true links that have no decision at
+        all (for example, links blocking removed from the candidates).
+        """
+        tp = int(np.count_nonzero(predicted & actual))
+        fp = int(np.count_nonzero(predicted)) - tp
+        fn = int(np.count_nonzero(actual)) - tp
+        tn = len(predicted) - tp - fp - fn
+        return cls.from_counts(tp, fp, tn, fn + extra_false_negatives)
+
+    def row(self) -> str:
+        return (
+            f"accuracy={self.accuracy:.4f} precision={self.precision:.4f} "
+            f"recall={self.recall:.4f} f_score={self.f_score:.4f} "
+            f"tp={self.tp} fp={self.fp} tn={self.tn} fn={self.fn}"
+        )

@@ -19,7 +19,10 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import pipeline
+from .candidates import Candidates, Metrics, truth_labels
 from .errors import EvolinkError
 from .ingest import (
     SynthConfig,
@@ -31,9 +34,11 @@ from .ingest import (
     write_records_csv,
 )
 from .model_io import ModelBundle, load_model, save_model
-from .weights import classify, feature_matrix, sigmoid
+from .weights import classify
 
 CSV_FORMAT = TextFormat(delimiter=",")
+# Pairs scored and written at a time by `predict`; bounds its working memory.
+PREDICT_CHUNK = 1 << 16
 
 
 def _digest(path: Path) -> str:
@@ -147,20 +152,22 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_pairs_csv(path: Path) -> list[pipeline.CandidatePair]:
-    pairs = []
+def _load_pairs_csv(path: Path) -> tuple[list[int], list[int]]:
+    a_ids, b_ids = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if len(row) < 2:
                 raise EvolinkError(f"{path}: line {lineno}: expected two id columns")
             try:
-                pairs.append(pipeline.CandidatePair(int(row[0]), int(row[1])))
+                a_id, b_id = int(row[0]), int(row[1])
             except ValueError:
                 if lineno == 1:
                     continue  # header
                 raise EvolinkError(f"{path}: line {lineno}: bad entity id") from None
-    return pairs
+            a_ids.append(a_id)
+            b_ids.append(b_id)
+    return a_ids, b_ids
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -175,9 +182,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     )
 
     if args.pairs:
-        pairs = _load_pairs_csv(Path(args.pairs))
+        a_ids, b_ids = _load_pairs_csv(Path(args.pairs))
+        candidates = Candidates(
+            records_a, records_b, records_a.rows(a_ids), records_b.rows(b_ids)
+        )
     else:
-        pairs = pipeline.block_candidates(
+        candidates = pipeline.block_candidates(
             records_a, records_b, bundle.schema.blocking_attribute
         )
 
@@ -188,70 +198,86 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if tau is None:
         tau = 0.5
 
-    features, defined = (None, None)
-    if pairs:
-        features, defined = feature_matrix(
-            pairs, records_a, records_b, bundle.store, bundle.embed_hp.norm, n_known
-        )
-
     out_path = Path(args.out)
     with open(out_path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["a_id", "b_id", "g", "P", "decision"])
-        for i, pair in enumerate(pairs):
-            if defined is not None and defined[i]:
-                g = float(features[i] @ weights.weights)
-                prob = sigmoid(g)
-            else:
-                g, prob = float("nan"), 0.0
-            decision = "match" if classify(prob, tau) else "non-match"
-            writer.writerow([pair.a_entity, pair.b_entity, repr(g), repr(prob), decision])
-    print(f"scored {len(pairs)} pairs -> {out_path}")
+        for start in range(0, len(candidates), PREDICT_CHUNK):
+            scored = pipeline.score_pairs(
+                candidates.take(slice(start, start + PREDICT_CHUNK)),
+                records_a, records_b, bundle.store, weights,
+                bundle.embed_hp.norm, n_known,
+            )
+            decisions = np.where(classify(scored.probability, tau), "match", "non-match")
+            writer.writerows(zip(
+                scored.a_ids.tolist(),
+                scored.b_ids.tolist(),
+                map(repr, scored.score.tolist()),
+                map(repr, scored.probability.tolist()),
+                decisions.tolist(),
+            ))
+    print(f"scored {len(candidates)} pairs -> {out_path}")
     return 0
 
 
+def _repeated_pair(a_ids: np.ndarray, b_ids: np.ndarray) -> tuple[int, int] | None:
+    """(row, earlier row) of the first row whose (a, b) pair an earlier row has."""
+    order = np.lexsort((b_ids, a_ids))  # stable: equal pairs keep row order
+    a_sorted, b_sorted = a_ids[order], b_ids[order]
+    same = np.flatnonzero((a_sorted[1:] == a_sorted[:-1]) & (b_sorted[1:] == b_sorted[:-1]))
+    if not len(same):
+        return None
+    first = np.argmin(order[same + 1])
+    return int(order[same[first] + 1]), int(order[same[first]])
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    predictions: list[tuple[int, int, bool]] = []
+    a_ids: list[int] = []
+    b_ids: list[int] = []
+    decisions: list[str] = []
+    header_lines = 0
     with open(args.predictions, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if lineno == 1 and row and row[0] == "a_id":
+                header_lines = 1
                 continue
             if len(row) < 5:
                 raise EvolinkError(f"{args.predictions}: line {lineno}: expected 5 columns")
             try:
-                predictions.append((int(row[0]), int(row[1]), row[4] == "match"))
+                a_ids.append(int(row[0]))
+                b_ids.append(int(row[1]))
             except ValueError:
                 raise EvolinkError(
                     f"{args.predictions}: line {lineno}: bad entity id"
                 ) from None
+            decisions.append(row[4])
 
     truth = load_links(args.truth, CSV_FORMAT, provenance="truth")
+    try:
+        a_ids, b_ids = np.array(a_ids, dtype=np.int64), np.array(b_ids, dtype=np.int64)
+        truth_ids = np.array(truth.pairs, dtype=np.int64)
+    except OverflowError:
+        raise EvolinkError("entity ids must fit in 64 bits") from None
 
-    if predictions and len(truth):
-        pred_ids = {i for a, b, _ in predictions for i in (a, b)}
-        truth_ids = {i for pair in truth for i in pair}
-        if not pred_ids & truth_ids:
-            raise EvolinkError(
-                "entity ids in the truth file never appear in the predictions; "
-                "the files do not match"
-            )
+    repeated = _repeated_pair(a_ids, b_ids)
+    if repeated is not None:
+        row, earlier = repeated
+        raise EvolinkError(
+            f"{args.predictions}: line {row + 1 + header_lines}: pair "
+            f"{a_ids[row]},{b_ids[row]} repeats line {earlier + 1 + header_lines}"
+        )
+    if len(a_ids) and len(truth) and not (
+        np.isin(a_ids, truth_ids).any() or np.isin(b_ids, truth_ids).any()
+    ):
+        raise EvolinkError(
+            "entity ids in the truth file never appear in the predictions; "
+            "the files do not match"
+        )
 
-    truth_set = set(truth.pairs)
-    covered = set()
-    tp = fp = tn = fn = 0
-    for a, b, match in predictions:
-        covered.add((a, b))
-        if match and (a, b) in truth_set:
-            tp += 1
-        elif match:
-            fp += 1
-        elif (a, b) in truth_set:
-            fn += 1
-        else:
-            tn += 1
-    fn += sum(1 for t in truth_set if t not in covered)
-    metrics = pipeline.Metrics.from_counts(tp, fp, tn, fn)
+    labels, lost = truth_labels(a_ids, b_ids, truth)
+    matches = np.fromiter(map("match".__eq__, decisions), dtype=bool, count=len(decisions))
+    metrics = Metrics.from_decisions(matches, labels, lost)
     print(metrics.row())
     return 0
 

@@ -110,6 +110,12 @@ class ValueDictionary:
     def attribute_of(self, value_id: int) -> int:
         return self._entries[value_id][0]
 
+    def attribute_array(self) -> np.ndarray:
+        """The attribute of every value id, indexed by value id."""
+        return np.fromiter(
+            (attr for attr, _ in self._entries), dtype=np.int64, count=len(self._entries)
+        )
+
     def values_of(self, attribute: int) -> tuple[int, ...]:
         """The domain of one attribute, in ascending id order."""
         return tuple(sorted(self._by_string[attribute].values()))
@@ -130,24 +136,55 @@ class Record:
 
 @dataclass(frozen=True)
 class RecordSet:
+    """Records plus their columns, built once.
+
+    ``value_matrix`` is (n_records, n_attributes) int64 with -1 for a missing
+    value; ``id_array`` holds the entity id of each row.
+    """
+
     schema: Schema
     dictionary: ValueDictionary
     records: tuple[Record, ...]
-    _by_id: dict = field(init=False, repr=False, compare=False)
+    value_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    id_array: np.ndarray = field(init=False, repr=False, compare=False)
+    _row_of: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        by_id: dict[int, Record] = {}
-        for rec in self.records:
-            if rec.entity_id in by_id:
+        n_attrs = self.schema.n_attributes
+        row_of: dict[int, int] = {}
+        attrs: list[int] = []
+        vids: list[int] = []
+        counts: list[int] = []
+        for row, rec in enumerate(self.records):
+            if rec.entity_id in row_of:
                 raise LoadError(f"duplicate entity id {rec.entity_id}")
-            for attr, vid in rec.values.items():
-                if self.dictionary.attribute_of(vid) != attr:
-                    raise DomainError(
-                        f"record {rec.entity_id}: value id {vid} does not "
-                        f"belong to attribute {attr}"
-                    )
-            by_id[rec.entity_id] = rec
-        object.__setattr__(self, "_by_id", by_id)
+            row_of[rec.entity_id] = row
+            attrs.extend(rec.values)
+            vids.extend(rec.values.values())
+            counts.append(len(rec.values))
+        try:
+            ids = np.array(list(row_of), dtype=np.int64)
+        except OverflowError:
+            raise LoadError("entity ids must fit in 64 bits") from None
+
+        attr_col = np.array(attrs, dtype=np.int64)
+        vid_col = np.array(vids, dtype=np.int64)
+        rows = np.repeat(np.arange(len(self.records)), counts)
+        owner = self.dictionary.attribute_array()
+        known = (vid_col >= 0) & (vid_col < len(owner))
+        bad = ~known | (attr_col < 0) | (attr_col >= n_attrs)
+        bad[known] |= owner[vid_col[known]] != attr_col[known]
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DomainError(
+                f"record {self.records[rows[i]].entity_id}: value id {vids[i]} "
+                f"does not belong to attribute {attrs[i]}"
+            )
+        matrix = np.full((len(self.records), n_attrs), -1, dtype=np.int64)
+        matrix[rows, attr_col] = vid_col
+        object.__setattr__(self, "value_matrix", matrix)
+        object.__setattr__(self, "id_array", ids)
+        object.__setattr__(self, "_row_of", row_of)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -156,16 +193,26 @@ class RecordSet:
         return iter(self.records)
 
     def __contains__(self, entity_id: int) -> bool:
-        return entity_id in self._by_id
+        return entity_id in self._row_of
 
     def get(self, entity_id: int) -> Record:
         try:
-            return self._by_id[entity_id]
+            return self.records[self._row_of[entity_id]]
         except KeyError:
             raise LoadError(f"unknown entity id {entity_id}") from None
 
+    def rows(self, entity_ids) -> np.ndarray:
+        """The row of each entity id; an unknown id raises LoadError."""
+        try:
+            return np.fromiter(
+                map(self._row_of.__getitem__, entity_ids), dtype=np.int64,
+                count=len(entity_ids),
+            )
+        except KeyError as exc:
+            raise LoadError(f"unknown entity id {exc.args[0]}") from None
+
     def entity_ids(self) -> frozenset[int]:
-        return frozenset(self._by_id)
+        return frozenset(self._row_of)
 
 
 @dataclass(frozen=True)
@@ -294,15 +341,17 @@ def write_records_csv(
     records: RecordSet, path: str | Path, delimiter: str = ",", id_column: str = "entity_id"
 ) -> None:
     """Write records with a header row; missing attributes become empty cells."""
+    # indexed by value id; the trailing "" is what a missing value's -1 picks
+    strings = [text for _, _, text in records.dictionary.entries()] + [""]
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow([id_column, *records.schema.attributes])
-        for rec in records:
-            row = [str(rec.entity_id)]
-            for attr in range(records.schema.n_attributes):
-                vid = rec.values.get(attr)
-                row.append("" if vid is None else records.dictionary.value_string(vid))
-            writer.writerow(row)
+        writer.writerows(
+            [entity_id, *map(strings.__getitem__, row)]
+            for entity_id, row in zip(
+                records.id_array.tolist(), records.value_matrix.tolist()
+            )
+        )
 
 
 def write_links_csv(links: LinkedPairSet, path: str | Path, delimiter: str = ",") -> None:

@@ -21,6 +21,13 @@ from .ingest import Schema, ValueDictionary
 from .weights import WeightVector
 
 FORMAT_TAG = "evolink-model/1"
+HEADER_KEYS = (
+    "dim", "attributes", "blocking_attribute", "values", "embed", "weights",
+    "rl_margin", "loss_sign", "tau",
+)
+EMBED_KEYS = (
+    "dim", "margin", "learning_rate", "epochs", "batch_size", "negatives", "norm", "seed",
+)
 
 
 @dataclass
@@ -80,8 +87,16 @@ def load_model(path: str | Path) -> ModelBundle:
         header = json.loads(raw[:newline].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise LoadError(f"{path}: bad model header ({exc})") from None
-    if header.get("format") != FORMAT_TAG:
-        raise LoadError(f"{path}: not a model file (format {header.get('format')!r})")
+    if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
+        found = header.get("format") if isinstance(header, dict) else None
+        raise LoadError(f"{path}: not a model file (format {found!r})")
+    embed = header.get("embed")
+    missing = [k for k in HEADER_KEYS if k not in header]
+    missing += [
+        f"embed.{k}" for k in EMBED_KEYS if not isinstance(embed, dict) or k not in embed
+    ]
+    if missing:
+        raise LoadError(f"{path}: model header lacks key {missing[0]!r}")
 
     schema = Schema(tuple(header["attributes"]), header["blocking_attribute"])
     dictionary = ValueDictionary(schema.n_attributes)
@@ -103,17 +118,7 @@ def load_model(path: str | Path) -> ModelBundle:
     value_vectors = flat[: n_values * dim].reshape(n_values, dim).copy()
     attribute_vectors = flat[n_values * dim :].reshape(n_attrs, dim).copy()
 
-    e = header["embed"]
-    embed_hp = EmbedHyperparams(
-        dim=e["dim"],
-        margin=e["margin"],
-        learning_rate=e["learning_rate"],
-        epochs=e["epochs"],
-        batch_size=e["batch_size"],
-        negatives=e["negatives"],
-        norm=e["norm"],
-        seed=e["seed"],
-    )
+    embed_hp = EmbedHyperparams(**{k: embed[k] for k in EMBED_KEYS})
     weights = (
         None
         if header["weights"] is None

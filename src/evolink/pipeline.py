@@ -21,6 +21,7 @@ import numpy as np
 
 from . import ekg as ekg_mod
 from . import weights as weights_mod
+from .candidates import CandidatePair, Candidates, Metrics, truth_labels
 from .embed import EmbeddingStore, EmbedHyperparams, train_embeddings
 from .errors import BlockingCapError, ConfigError, StageError
 from .ingest import (
@@ -36,7 +37,7 @@ from .ingest import (
     partition,
 )
 from .model_io import ModelBundle
-from .weights import RLHyperparams, WeightVector, select_threshold, train_weights
+from .weights import RLHyperparams, WeightVector, select_threshold, sigmoid, train_weights
 
 log = logging.getLogger(__name__)
 
@@ -48,56 +49,19 @@ REFERENCE_RESULTS = (
 DEFAULT_CROSS_PRODUCT_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
-class CandidatePair:
-    a_entity: int
-    b_entity: int
-    label: bool | None = None
-    probability: float | None = None
-
-    def __post_init__(self):
-        if self.probability is not None and not 0.0 <= self.probability <= 1.0:
-            raise ConfigError(f"probability {self.probability} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class Metrics:
-    accuracy: float
-    precision: float
-    recall: float
-    f_score: float
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @classmethod
-    def from_counts(cls, tp: int, fp: int, tn: int, fn: int) -> "Metrics":
-        total = tp + fp + tn + fn
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        accuracy = (tp + tn) / total if total else 0.0
-        return cls(accuracy, precision, recall, f, tp, fp, tn, fn)
-
-    def row(self) -> str:
-        return (
-            f"accuracy={self.accuracy:.4f} precision={self.precision:.4f} "
-            f"recall={self.recall:.4f} f_score={self.f_score:.4f} "
-            f"tp={self.tp} fp={self.fp} tn={self.tn} fn={self.fn}"
-        )
-
-
 def block_candidates(
     records_a: RecordSet,
     records_b: RecordSet,
     blocking_attribute: int | None = None,
     cross_product_cap: int = DEFAULT_CROSS_PRODUCT_CAP,
-) -> list[CandidatePair]:
+) -> Candidates:
     """All A x B pairs whose blocking values are present and equal.
 
     Without a blocking attribute the full cross product is returned, guarded
-    by the size cap. Records missing the blocking value join no pair.
+    by the size cap. Records missing the blocking value join no pair. Pairs
+    come in A-record order, and in B-record order for one A record; weight
+    training subsamples negatives by position, so this order is part of the
+    result.
     """
     if records_a.dictionary is not records_b.dictionary:
         raise ConfigError("record sets must share one value dictionary")
@@ -108,40 +72,50 @@ def block_candidates(
                 f"cross product of {total} pairs exceeds the cap of "
                 f"{cross_product_cap}; configure a blocking attribute"
             )
-        return [
-            CandidatePair(a.entity_id, b.entity_id)
-            for a in records_a
-            for b in records_b
-        ]
+        a = np.repeat(np.arange(len(records_a)), len(records_b))
+        b = np.tile(np.arange(len(records_b)), len(records_a))
+        return Candidates(records_a, records_b, a, b)
 
-    groups: dict[int, list[int]] = {}
-    for b in records_b:
-        vid = b.values.get(blocking_attribute)
-        if vid is not None:
-            groups.setdefault(vid, []).append(b.entity_id)
-    pairs: list[CandidatePair] = []
-    for a in records_a:
-        vid = a.values.get(blocking_attribute)
-        if vid is None:
-            continue
-        for b_id in groups.get(vid, ()):
-            pairs.append(CandidatePair(a.entity_id, b_id))
-    return pairs
+    key_a = records_a.value_matrix[:, blocking_attribute]
+    key_b = records_b.value_matrix[:, blocking_attribute]
+    # B rows grouped by blocking value, in record order inside each group
+    b_present = np.flatnonzero(key_b >= 0)
+    b_grouped = b_present[np.argsort(key_b[b_present], kind="stable")]
+    b_keys = key_b[b_grouped]
+    a_rows = np.flatnonzero(key_a >= 0)
+    starts = np.searchsorted(b_keys, key_a[a_rows], side="left")
+    counts = np.searchsorted(b_keys, key_a[a_rows], side="right") - starts
+    a = np.repeat(a_rows, counts)
+    # position of each pair inside its A record's run, then into b_grouped
+    run_starts = np.cumsum(counts) - counts
+    offsets = np.arange(len(a)) - np.repeat(run_starts, counts)
+    b = b_grouped[np.repeat(starts, counts) + offsets]
+    return Candidates(records_a, records_b, a, b)
 
 
 class LabeledCandidates(NamedTuple):
-    pairs: list[CandidatePair]
+    pairs: Sequence[CandidatePair]  # Candidates when labelled from Candidates
     lost_links: int  # true links no candidate pair covers (blocking loss)
 
 
+def _entity_ids(pairs: Sequence[CandidatePair]) -> tuple[np.ndarray, np.ndarray]:
+    if isinstance(pairs, Candidates):
+        return pairs.a_ids, pairs.b_ids
+    a_ids = np.fromiter((p.a_entity for p in pairs), dtype=np.int64, count=len(pairs))
+    b_ids = np.fromiter((p.b_entity for p in pairs), dtype=np.int64, count=len(pairs))
+    return a_ids, b_ids
+
+
 def label_pairs(pairs: Sequence[CandidatePair], truth: LinkedPairSet) -> LabeledCandidates:
-    """Mark candidates against the truth set; count links blocking lost."""
-    truth_set = set(truth.pairs)
-    labeled = [
-        replace(p, label=(p.a_entity, p.b_entity) in truth_set) for p in pairs
-    ]
-    covered = {(p.a_entity, p.b_entity) for p in pairs}
-    lost = sum(1 for t in truth.pairs if t not in covered)
+    """Mark candidates against the truth set; count links blocking lost.
+
+    Candidates come back as Candidates; any other sequence, which carries no
+    record rows, comes back as a list of labelled CandidatePairs.
+    """
+    labels, lost = truth_labels(*_entity_ids(pairs), truth)
+    if isinstance(pairs, Candidates):
+        return LabeledCandidates(replace(pairs, label=labels), lost)
+    labeled = [replace(p, label=x) for p, x in zip(pairs, labels.tolist())]
     return LabeledCandidates(labeled, lost)
 
 
@@ -153,18 +127,36 @@ def score_pairs(
     w: WeightVector,
     p: int = 2,
     n_known_values: int | None = None,
-) -> list[CandidatePair]:
-    """Attach match probabilities; pairs with no shared attribute get 0.0."""
-    if not pairs:
-        return []
+) -> Candidates:
+    """Attach match scores and probabilities.
+
+    Pairs with no shared attribute get score NaN and probability 0.0.
+    """
+    cands = Candidates.of(pairs, records_a, records_b)
     features, defined = weights_mod.feature_matrix(
-        pairs, records_a, records_b, store, p, n_known_values
+        cands, records_a, records_b, store, p, n_known_values
     )
-    scores = features @ w.weights
-    probs = 1.0 / (1.0 + np.exp(-scores))
-    probs = np.clip(probs, 1e-15, 1.0 - 1e-15)
+    # one dot product per row rather than a matrix-vector product: each score
+    # then equals g_score's bit for bit, whatever the number of rows
+    scores = np.matmul(features[:, None, :], w.weights[:, None])[:, 0, 0]
+    scores[~defined] = np.nan
+    probs = sigmoid(scores)
     probs[~defined] = 0.0
-    return [replace(pair, probability=float(pr)) for pair, pr in zip(pairs, probs)]
+    return replace(cands, score=scores, probability=probs)
+
+
+def _labels_and_probabilities(pairs: Sequence[CandidatePair]) -> tuple[np.ndarray, np.ndarray]:
+    if isinstance(pairs, Candidates) and pairs.label is not None and pairs.probability is not None:
+        return pairs.label, pairs.probability
+    labels, probs = [], []
+    for pair in pairs:
+        if pair.label is None or pair.probability is None:
+            raise ConfigError(
+                f"pair ({pair.a_entity},{pair.b_entity}) lacks label or probability"
+            )
+        labels.append(pair.label)
+        probs.append(pair.probability)
+    return np.array(labels, dtype=bool), np.array(probs, dtype=float)
 
 
 def evaluate(
@@ -175,22 +167,8 @@ def evaluate(
     ``extra_false_negatives`` charges true links that blocking removed from
     the candidate set (they are unrecoverable misses).
     """
-    tp = fp = tn = fn = 0
-    for pair in pairs:
-        if pair.label is None or pair.probability is None:
-            raise ConfigError(
-                f"pair ({pair.a_entity},{pair.b_entity}) lacks label or probability"
-            )
-        match = pair.probability >= tau
-        if match and pair.label:
-            tp += 1
-        elif match:
-            fp += 1
-        elif pair.label:
-            fn += 1
-        else:
-            tn += 1
-    return Metrics.from_counts(tp, fp, tn, fn + extra_false_negatives)
+    labels, probs = _labels_and_probabilities(pairs)
+    return Metrics.from_decisions(probs >= tau, labels, extra_false_negatives)
 
 
 def exact_match_probabilities(
@@ -198,23 +176,21 @@ def exact_match_probabilities(
     records_a: RecordSet,
     records_b: RecordSet,
     attributes: Sequence[int],
-) -> list[CandidatePair]:
+) -> Candidates:
     """Baseline scorer: probability 1.0 iff every listed attribute is present
     and equal on both sides, else 0.0."""
-    out = []
-    for pair in pairs:
-        a = records_a.get(pair.a_entity)
-        b = records_b.get(pair.b_entity)
-        hit = all(
-            a.values.get(attr) is not None and a.values.get(attr) == b.values.get(attr)
-            for attr in attributes
-        )
-        out.append(replace(pair, probability=1.0 if hit else 0.0))
-    return out
+    cands = Candidates.of(pairs, records_a, records_b)
+    columns = list(attributes)
+    a_vals = records_a.value_matrix[cands.a][:, columns]
+    b_vals = records_b.value_matrix[cands.b][:, columns]
+    hit = ((a_vals >= 0) & (a_vals == b_vals)).all(axis=1)
+    return replace(cands, probability=hit.astype(float))
 
 
-def all_negative_probabilities(pairs: Sequence[CandidatePair]) -> list[CandidatePair]:
+def all_negative_probabilities(pairs: Sequence[CandidatePair]) -> Sequence[CandidatePair]:
     """Baseline that never links anything."""
+    if isinstance(pairs, Candidates):
+        return replace(pairs, probability=np.zeros(len(pairs)))
     return [replace(p, probability=0.0) for p in pairs]
 
 
@@ -346,7 +322,7 @@ class ExperimentResult:
     report: ExperimentReport
     bundle: ModelBundle
     splits: tuple[Split, Split, Split]
-    test_pairs: list[CandidatePair]
+    test_pairs: Candidates
 
 
 @contextmanager
@@ -408,7 +384,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     with _stage("block"):
         blocking: dict[str, BlockingDiagnostics] = {}
-        labeled: dict[str, list[CandidatePair]] = {}
+        labeled: dict[str, Candidates] = {}
         for name, split in (("train", train), ("validation", validation), ("test", test)):
             pairs = block_candidates(
                 split.records_a,
@@ -462,8 +438,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             w = WeightVector.ones(schema.n_attributes)
             weights_loss: list[float] = []
         else:
-            t_plus = [p for p in labeled["train"] if p.label]
-            t_minus = [p for p in labeled["train"] if not p.label]
+            train_pairs = labeled["train"]
+            t_plus = train_pairs.take(train_pairs.label)
+            t_minus = train_pairs.take(~train_pairs.label)
             w, weights_loss = train_weights(
                 t_plus, t_minus, train.records_a, train.records_b, store, rl_hp,
                 p=embed_hp.norm,
@@ -474,9 +451,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             labeled["validation"], validation.records_a, validation.records_b,
             store, w, p=embed_hp.norm,
         )
-        tau, validation_f = select_threshold(
-            [p.probability for p in scored_val], [p.label for p in scored_val]
-        )
+        tau, validation_f = select_threshold(scored_val.probability, scored_val.label)
 
     with _stage("evaluate"):
         scored_test = score_pairs(

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .candidates import Candidates, Metrics
 from .embed import EmbeddingStore, GradientCheckResult, _distances
 from .errors import ConfigError, TrainingError, UndefinedPairError
 from .ingest import Record, RecordSet
@@ -67,13 +68,17 @@ def mismatch_indicator(v: int, u: int) -> int:
     return 0 if v == u else 1
 
 
-def sigmoid(g: float) -> float:
-    if g >= 0:
-        p = 1.0 / (1.0 + math.exp(-g))
-    else:
-        e = math.exp(g)
-        p = e / (1.0 + e)
-    return min(max(p, _P_FLOOR), 1.0 - _P_FLOOR)
+def sigmoid(g):
+    """Logistic function clipped to [1e-15, 1 - 1e-15], elementwise.
+
+    Takes a float or an array and returns the same kind. Below g of about
+    -709, exp(-g) overflows to inf and P to 0 before the clip; that limit is
+    the intended one, so the overflow is not reported.
+    """
+    with np.errstate(over="ignore"):
+        prob = 1.0 / (1.0 + np.exp(-np.asarray(g, dtype=float)))
+    prob = np.clip(prob, _P_FLOOR, 1.0 - _P_FLOOR)
+    return float(prob) if prob.ndim == 0 else prob
 
 
 def pair_terms(
@@ -83,6 +88,8 @@ def pair_terms(
 
     Equal values and attributes missing on either side contribute zero.
     Returns None when the records share no present attribute at all.
+    Test oracle for ``feature_matrix``, which computes the same floats for
+    many pairs at once.
     """
     terms = np.zeros(store.attribute_vectors.shape[0])
     shared = False
@@ -104,7 +111,10 @@ def pair_terms(
 def g_score(
     head: Record, tail: Record, store: EmbeddingStore, w: WeightVector, p: int = 2
 ) -> float:
-    """Weighted sum of mismatch terms over the shared present attributes."""
+    """Weighted sum of mismatch terms over the shared present attributes.
+
+    Test oracle for the scores of ``pipeline.score_pairs``.
+    """
     terms = pair_terms(head, tail, store, p)
     if terms is None:
         raise UndefinedPairError(
@@ -116,16 +126,11 @@ def g_score(
 def link_probability(
     head: Record, tail: Record, store: EmbeddingStore, w: WeightVector, p: int = 2
 ) -> float:
-    """Sigmoid of the match score; 0.5 for identical records."""
+    """Sigmoid of the match score; 0.5 for identical records.
+
+    Test oracle for the probabilities of ``pipeline.score_pairs``.
+    """
     return sigmoid(g_score(head, tail, store, w, p))
-
-
-def _pair_ids(pair) -> tuple[int, int]:
-    a = getattr(pair, "a_entity", None)
-    if a is not None:
-        return a, pair.b_entity
-    a, b = pair
-    return a, b
 
 
 def feature_matrix(
@@ -136,31 +141,23 @@ def feature_matrix(
     p: int = 2,
     n_known_values: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized pair_terms over many pairs.
+    """pair_terms over many pairs (Candidates, CandidatePairs or id tuples).
 
     Returns (features, defined) where features is (n_pairs, n_attributes)
     and defined marks pairs with at least one shared present attribute.
     Value ids at or beyond ``n_known_values`` have no trained vector; their
     mismatches get the worst score the unit-ball geometry allows.
     """
-    n_attrs = store.attribute_vectors.shape[0]
-    n = len(pairs)
-    a_vals = np.full((n, n_attrs), -1, dtype=np.int64)
-    b_vals = np.full((n, n_attrs), -1, dtype=np.int64)
-    for i, pair in enumerate(pairs):
-        a_id, b_id = _pair_ids(pair)
-        for attr, vid in records_a.get(a_id).values.items():
-            a_vals[i, attr] = vid
-        for attr, vid in records_b.get(b_id).values.items():
-            b_vals[i, attr] = vid
-
+    cands = Candidates.of(pairs, records_a, records_b)
+    a_vals = records_a.value_matrix[cands.a]
+    b_vals = records_b.value_matrix[cands.b]
     shared = (a_vals >= 0) & (b_vals >= 0)
     mismatch = shared & (a_vals != b_vals)
-    features = np.zeros((n, n_attrs))
+    features = np.zeros(a_vals.shape)
     limit = store.value_vectors.shape[0] if n_known_values is None else n_known_values
     value_bound = math.sqrt(store.dim) if p == 1 else 1.0
 
-    for attr in range(n_attrs):
+    for attr in range(a_vals.shape[1]):
         rows = np.flatnonzero(mismatch[:, attr])
         if not len(rows):
             continue
@@ -168,14 +165,16 @@ def feature_matrix(
         u = b_vals[rows, attr]
         known = (v < limit) & (u < limit)
         if known.any():
-            kr = rows[known]
+            # a term depends only on its (v, u) pair: compute each distinct one once
+            combos, inverse = np.unique(v[known] * limit + u[known], return_inverse=True)
+            heads, tails = np.divmod(combos, limit)
             residual = (
-                store.value_vectors[a_vals[kr, attr]]
+                store.value_vectors[heads]
                 + store.attribute_vectors[attr]
-                - store.value_vectors[b_vals[kr, attr]]
+                - store.value_vectors[tails]
             )
-            features[kr, attr] = -_distances(residual, p)
-        if (~known).any():
+            features[rows[known], attr] = -_distances(residual, p)[inverse]
+        if not known.all():
             attr_norm = float(
                 _distances(store.attribute_vectors[attr][None, :], p)[0]
             )
@@ -192,8 +191,10 @@ def _epoch_loss_and_gradient(
 ) -> tuple[float, np.ndarray]:
     g_pos = features_pos @ w
     g_neg = features_neg @ w
-    p_pos = 1.0 / (1.0 + np.exp(-g_pos))
-    p_neg = 1.0 / (1.0 + np.exp(-g_neg))
+    # unclipped, unlike sigmoid(): the trained weights depend on these exact floats
+    with np.errstate(over="ignore"):
+        p_pos = 1.0 / (1.0 + np.exp(-g_pos))
+        p_neg = 1.0 / (1.0 + np.exp(-g_neg))
     grad = np.zeros_like(w)
 
     if hp.loss_sign == "corrected":
@@ -231,6 +232,9 @@ def train_weights(
     p: int = 2,
 ) -> tuple[WeightVector, list[float]]:
     """Learn attribute weights over labeled candidate pairs; embeddings frozen.
+
+    ``t_plus`` and ``t_minus`` are Candidates (row arrays) or sequences of
+    CandidatePair.
 
     Starts from all-ones weights, so training can only move away from the
     uniform-weight solution when that lowers the loss. Negatives are
@@ -333,8 +337,8 @@ def weight_gradient_check(
     return GradientCheckResult(max_err, checked, 0)
 
 
-def classify(probability: float, tau: float) -> bool:
-    """Match decision: probability at or above the threshold."""
+def classify(probability, tau: float):
+    """Match decision: probability at or above the threshold (elementwise on arrays)."""
     if not 0.0 < tau < 1.0:
         raise ConfigError("tau: must be in (0, 1)")
     return probability >= tau
@@ -355,13 +359,7 @@ def select_threshold(
     truth = np.asarray(labels, dtype=bool)
     best_tau, best_f = THRESHOLD_GRID[0], -1.0
     for tau in THRESHOLD_GRID:
-        predicted = probs >= tau
-        tp = int(np.count_nonzero(predicted & truth))
-        fp = int(np.count_nonzero(predicted & ~truth))
-        fn = int(np.count_nonzero(~predicted & truth))
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        f = Metrics.from_decisions(probs >= tau, truth).f_score
         if f >= best_f:
             best_tau, best_f = tau, f
     return best_tau, best_f

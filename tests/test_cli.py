@@ -196,6 +196,35 @@ class TestPredict:
         (row,) = read_csv(out)[1:]
         assert row[4] == "non-match"
 
+    def test_chunked_output_equals_one_call(self, tmp_path, data_dir, run_dir, monkeypatch):
+        import evolink.cli as cli_mod
+
+        args = ["predict", "--model", str(run_dir / "model.bin"),
+                str(data_dir / "A.csv"), str(data_dir / "B.csv"), "--out"]
+        whole = tmp_path / "whole.csv"
+        assert main([*args, str(whole)]) == 0
+        n_pairs = len(read_csv(whole)) - 1
+        chunk = next(c for c in (7, 11, 13) if n_pairs % c)
+        assert n_pairs > 3 * chunk
+        monkeypatch.setattr(cli_mod, "PREDICT_CHUNK", chunk)
+        chunked = tmp_path / "chunked.csv"
+        assert main([*args, str(chunked)]) == 0
+        assert chunked.read_bytes() == whole.read_bytes()
+
+    def test_model_missing_header_key_exits_2(self, tmp_path, data_dir, run_dir, capsys):
+        raw = (run_dir / "model.bin").read_bytes()
+        newline = raw.index(b"\n")
+        header = json.loads(raw[:newline])
+        del header["tau"]
+        broken = tmp_path / "broken.bin"
+        broken.write_bytes(json.dumps(header).encode() + raw[newline:])
+        code = main([
+            "predict", "--model", str(broken),
+            str(data_dir / "A.csv"), str(data_dir / "B.csv"), "--out", str(tmp_path / "p.csv"),
+        ])
+        assert code == 2
+        assert "'tau'" in capsys.readouterr().err
+
     def test_schema_mismatch_exits_2(self, tmp_path, run_dir, capsys):
         alien = tmp_path / "alien.csv"
         alien.write_text("entity_id,height,width\n1,2,3\n", encoding="utf-8")
@@ -247,6 +276,13 @@ class TestEvaluate:
         assert "precision=0.9000" in out
         assert "recall=0.7500" in out
         assert "f_score=0.8182" in out
+
+    def test_repeated_prediction_row_exits_2(self, tmp_path, capsys):
+        rows = [[0, 10, "0", "0.9", "match"], [1, 11, "0", "0.1", "non-match"],
+                [0, 10, "0", "0.9", "match"]]
+        pred, truth = self.write_files(tmp_path, rows, [[0, 10]])
+        assert main(["evaluate", str(pred), str(truth)]) == 2
+        assert "line 4: pair 0,10 repeats line 2" in capsys.readouterr().err
 
     def test_disjoint_ids_exit_2(self, tmp_path, capsys):
         rows = [[0, 10, "0", "0.9", "match"]]

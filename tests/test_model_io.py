@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from evolink.embed import EmbedHyperparams, init_embeddings
 from evolink.errors import LoadError
-from evolink.model_io import ModelBundle, load_model, save_model
+from evolink.model_io import EMBED_KEYS, HEADER_KEYS, ModelBundle, load_model, save_model
 from evolink.weights import WeightVector
 
 
@@ -78,4 +80,22 @@ class TestErrors:
         path = tmp_path / "empty.bin"
         path.write_bytes(b"no newline here")
         with pytest.raises(LoadError, match="header"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "key", [*HEADER_KEYS, *(f"embed.{k}" for k in EMBED_KEYS)]
+    )
+    def test_missing_header_key_named(self, civil_toy, tmp_path, key):
+        path = tmp_path / "model.bin"
+        save_model(path, toy_bundle(civil_toy))
+        raw = path.read_bytes()
+        newline = raw.index(b"\n")
+        header = json.loads(raw[:newline])
+        *parents, last = key.split(".")
+        node = header
+        for part in parents:
+            node = node[part]
+        del node[last]
+        path.write_bytes(json.dumps(header).encode() + raw[newline:])
+        with pytest.raises(LoadError, match=f"lacks key '{key}'"):
             load_model(path)

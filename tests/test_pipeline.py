@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -266,3 +267,129 @@ class TestMetricsType:
         m = Metrics.from_counts(0, 0, 5, 0)
         assert m.precision == 0.0 and m.recall == 0.0 and m.f_score == 0.0
         assert m.accuracy == 1.0
+
+
+def random_record_sets(rng, n_a, n_b, n_values=(5, 4, 3), missing=0.2, b_offset=0):
+    """Two record sets over three attributes with shuffled, non-contiguous ids.
+
+    Blocking values of B are drawn ``b_offset`` values up from A's, so an
+    offset of at least the vocabulary size leaves every block empty.
+    """
+    schema = Schema(("key", "x", "y"), blocking_attribute=0)
+    d = ValueDictionary(3)
+    vocab = [[d.intern(attr, f"v{i}") for i in range(n + b_offset)] for attr, n in enumerate(n_values)]
+
+    def build(n, id_base, offset):
+        ids = id_base + 3 * rng.permutation(n)
+        records = []
+        for entity_id in ids.tolist():
+            values = {}
+            for attr, n_vals in enumerate(n_values):
+                if rng.random() >= missing:
+                    shift = offset if attr == 0 else 0
+                    values[attr] = vocab[attr][shift + int(rng.integers(n_vals))]
+            records.append(Record(entity_id, values))
+        return RecordSet(schema, d, tuple(records))
+
+    return build(n_a, 0, 0), build(n_b, 100_000, b_offset)
+
+
+def brute_force_blocks(a, b, attr):
+    return [
+        (ra.entity_id, rb.entity_id)
+        for ra in a
+        for rb in b
+        if ra.values.get(attr) is not None and ra.values.get(attr) == rb.values.get(attr)
+    ]
+
+
+class TestColumnarEquivalence:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_blocked_pairs_and_order_match_double_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = random_record_sets(rng, 60, 45, missing=0.25)
+        pairs = block_candidates(a, b, 0)
+        assert [(p.a_entity, p.b_entity) for p in pairs] == brute_force_blocks(a, b, 0)
+
+    def test_cross_product_order(self):
+        rng = np.random.default_rng(1)
+        a, b = random_record_sets(rng, 7, 5)
+        pairs = block_candidates(a, b, None)
+        assert [(p.a_entity, p.b_entity) for p in pairs] == [
+            (ra.entity_id, rb.entity_id) for ra in a for rb in b
+        ]
+
+    def test_empty_blocks_give_zero_candidates(self):
+        rng = np.random.default_rng(2)
+        a, b = random_record_sets(rng, 30, 30, b_offset=5)
+        pairs = block_candidates(a, b, 0)
+        assert len(pairs) == 0 and list(pairs) == []
+        truth = LinkedPairSet(((a.records[0].entity_id, b.records[0].entity_id),), "test")
+        labeled = label_pairs(pairs, truth)
+        assert len(labeled.pairs) == 0 and labeled.lost_links == 1
+        m = evaluate(all_negative_probabilities(labeled.pairs), 0.5, labeled.lost_links)
+        assert (m.tp, m.fp, m.tn, m.fn) == (0, 0, 0, 1)
+
+        from evolink.embed import EmbeddingStore
+        from evolink.pipeline import score_pairs
+        from evolink.weights import WeightVector
+
+        store = EmbeddingStore(np.zeros((len(a.dictionary), 2)), np.ones((3, 2)), 2)
+        scored = score_pairs(labeled.pairs, a, b, store, WeightVector.ones(3))
+        assert scored.score.shape == scored.probability.shape == (0,)
+        m = evaluate(scored, 0.5, labeled.lost_links)
+        assert (m.tp, m.fp, m.tn, m.fn) == (0, 0, 0, 1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_labels_and_lost_links_match_set_lookup(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = random_record_sets(rng, 50, 40)
+        pairs = block_candidates(a, b, 0)
+        blocked = [(p.a_entity, p.b_entity) for p in pairs]
+        some = [blocked[i] for i in rng.choice(len(blocked), 12, replace=False)]
+        unblocked = [(ra.entity_id, rb.entity_id) for ra in a for rb in b][::37]
+        truth = LinkedPairSet(tuple(sorted(set(some) | set(unblocked))), "test")
+        truth_set = set(truth.pairs)
+        expected_lost = sum(1 for t in truth.pairs if t not in set(blocked))
+        for given in (pairs, list(pairs)):
+            labeled = label_pairs(given, truth)
+            assert [p.label for p in labeled.pairs] == [t in truth_set for t in blocked]
+            assert labeled.lost_links == expected_lost
+
+    def test_score_pairs_match_scalar_oracles(self):
+        from evolink.embed import EmbeddingStore
+        from evolink.pipeline import score_pairs
+        from evolink.weights import WeightVector, g_score, link_probability
+
+        rng = np.random.default_rng(9)
+        a, b = random_record_sets(rng, 40, 40, missing=0.5)
+        n_values = len(a.dictionary)
+        store = EmbeddingStore(rng.normal(size=(n_values, 6)), rng.normal(size=(3, 6)), 6)
+        w = WeightVector(rng.uniform(0.2, 3.0, size=3))
+        pairs = block_candidates(a, b, None)
+        scored = score_pairs(pairs, a, b, store, w)
+        undefined = 0
+        for i, pair in enumerate(scored):
+            head, tail = a.get(pair.a_entity), b.get(pair.b_entity)
+            if not set(head.values) & set(tail.values):
+                undefined += 1
+                assert np.isnan(scored.score[i]) and pair.probability == 0.0
+                continue
+            assert scored.score[i] == g_score(head, tail, store, w)
+            assert pair.probability == link_probability(head, tail, store, w)
+        assert undefined > 0
+
+    def test_exact_match_baseline_matches_scalar_rule(self):
+        rng = np.random.default_rng(4)
+        a, b = random_record_sets(rng, 30, 30, missing=0.3)
+        pairs = block_candidates(a, b, None)
+        out = exact_match_probabilities(pairs, a, b, [0, 2])
+        expected = []
+        for p in pairs:
+            ra, rb = a.get(p.a_entity), b.get(p.b_entity)
+            hit = all(
+                ra.values.get(k) is not None and ra.values.get(k) == rb.values.get(k)
+                for k in (0, 2)
+            )
+            expected.append(1.0 if hit else 0.0)
+        assert [p.probability for p in out] == expected

@@ -15,6 +15,7 @@ from evolink.weights import (
     g_score,
     link_probability,
     mismatch_indicator,
+    pair_terms,
     select_threshold,
     sigmoid,
     train_weights,
@@ -325,3 +326,77 @@ class TestClassifyAndThreshold:
         tau, f = select_threshold(probs, labels)
         assert f == 1.0
         assert tau == 0.9
+
+
+class TestFeatureMatrixEquivalence:
+    @pytest.mark.parametrize("p", (1, 2))
+    def test_rows_match_pair_terms_with_unknown_values(self, p):
+        rng = np.random.default_rng(17 + p)
+        schema = Schema(("a", "b", "c"))
+        d = ValueDictionary(3)
+        vocab = [[d.intern(attr, f"v{i}") for i in range(6)] for attr in range(3)]
+        n_known = len(d)
+        novel = [[d.intern(attr, f"new{i}") for i in range(2)] for attr in range(3)]
+        store = EmbeddingStore(
+            rng.normal(size=(len(d), 5)), rng.normal(size=(3, 5)), 5
+        )
+
+        def build(n, id_base):
+            records = []
+            for i in range(n):
+                values = {}
+                for attr in range(3):
+                    draw = rng.random()
+                    if draw < 0.2:
+                        continue  # missing
+                    pool = novel[attr] if draw < 0.3 else vocab[attr]
+                    values[attr] = pool[int(rng.integers(len(pool)))]
+                records.append(Record(id_base + 7 * i, values))
+            return RecordSet(schema, d, tuple(rng.permutation(records).tolist()))
+
+        records_a, records_b = build(30, 0), build(25, 5000)
+        pairs = [CandidatePair(ra.entity_id, rb.entity_id) for ra in records_a for rb in records_b]
+        features, defined = feature_matrix(pairs, records_a, records_b, store, p, n_known)
+        bound = np.sqrt(5) if p == 1 else 1.0
+        unknown_checked = 0
+        for i, pair in enumerate(pairs):
+            head, tail = records_a.get(pair.a_entity), records_b.get(pair.b_entity)
+            terms = pair_terms(head, tail, store, p)
+            assert defined[i] == (terms is not None)
+            if terms is None:
+                assert not features[i].any()
+                continue
+            for attr in range(3):
+                v, u = head.values.get(attr), tail.values.get(attr)
+                if v is not None and u is not None and v != u and max(v, u) >= n_known:
+                    attr_norm = np.linalg.norm(store.attribute_vectors[attr], ord=p)
+                    assert features[i, attr] == pytest.approx(-(2 * bound + attr_norm))
+                    unknown_checked += 1
+                else:
+                    assert features[i, attr] == terms[attr]
+        assert unknown_checked > 0
+
+    def test_accepts_id_tuples_and_rejects_unknown_ids(self):
+        from evolink.errors import LoadError
+
+        store, records_a, records_b, *_ = two_attribute_setup()
+        by_pair, _ = feature_matrix([CandidatePair(0, 1)], records_a, records_b, store)
+        by_tuple, _ = feature_matrix([(0, 1)], records_a, records_b, store)
+        assert np.array_equal(by_pair, by_tuple)
+        with pytest.raises(LoadError, match="unknown entity id 99"):
+            feature_matrix([(0, 99)], records_a, records_b, store)
+
+
+class TestOverflow:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_negative_score_clips_without_warning(self):
+        assert sigmoid(-1000.0) == 1e-15
+        assert sigmoid(np.array([-1000.0, 0.0, 1000.0])).tolist() == [1e-15, 0.5, 1 - 1e-15]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_epoch_loss_does_not_warn_on_overflow(self):
+        from evolink.weights import _epoch_loss_and_gradient
+
+        features = np.array([[-1000.0, 0.0], [-0.5, -0.2]])
+        total, grad = _epoch_loss_and_gradient(features, features, np.ones(2), RLHyperparams())
+        assert np.isfinite(total) and np.isfinite(grad).all()
