@@ -39,6 +39,8 @@ from .weights import classify
 CSV_FORMAT = TextFormat(delimiter=",")
 # Pairs scored and written at a time by `predict`; bounds its working memory.
 PREDICT_CHUNK = 1 << 16
+# One predictions row: ids, then g and P at full precision (repr), then the decision.
+PREDICTION_ROW = "%d,%d,%r,%r,%s\n"
 
 
 def _digest(path: Path) -> str:
@@ -200,8 +202,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     out_path = Path(args.out)
     with open(out_path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["a_id", "b_id", "g", "P", "decision"])
+        fh.write("a_id,b_id,g,P,decision\n")
         for start in range(0, len(candidates), PREDICT_CHUNK):
             scored = pipeline.score_pairs(
                 candidates.take(slice(start, start + PREDICT_CHUNK)),
@@ -209,13 +210,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 bundle.embed_hp.norm, n_known,
             )
             decisions = np.where(classify(scored.probability, tau), "match", "non-match")
-            writer.writerows(zip(
+            # the bytes csv.writer would write: no field ever needs quoting
+            fh.write("".join(map(PREDICTION_ROW.__mod__, zip(
                 scored.a_ids.tolist(),
                 scored.b_ids.tolist(),
-                map(repr, scored.score.tolist()),
-                map(repr, scored.probability.tolist()),
+                scored.score.tolist(),
+                scored.probability.tolist(),
                 decisions.tolist(),
-            ))
+            ))))
     print(f"scored {len(candidates)} pairs -> {out_path}")
     return 0
 

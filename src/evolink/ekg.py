@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -192,6 +192,93 @@ def build_ekg(
     )
 
 
+class NegativeSampler:
+    """Corrupted tails for a fixed list of positive evolution triples.
+
+    A positive's pool is its attribute's domain, in ascending id order, minus
+    every tail observed for its (attribute, head). No pool is stored: a draw
+    takes a rank r in [0, pool size) and maps it to the r-th unobserved
+    domain value. For each key, ``skips`` holds the domain position of each
+    observed tail minus its own index (the number of unobserved values before
+    it), offset so that all keys form one ascending array. The r-th
+    unobserved value then sits at domain position r plus the count of the
+    key's skips <= r, which one ``searchsorted`` finds for a whole batch.
+    Memory is O(domains + observed tails), whatever the number of heads.
+    """
+
+    def __init__(self, ekg: EvolutionKG, triples: Sequence[EvolutionTriple]):
+        # one entry per distinct (attribute, head) key, in first-seen order
+        key_of: dict[tuple[int, int], int] = {}
+        rows_key = np.array(
+            [key_of.setdefault((t.attribute, t.head_value), len(key_of)) for t in triples],
+            dtype=np.int64,
+        )
+        domains = {
+            attr: np.array(ekg.values.values_of(attr), dtype=np.int64)
+            for attr in sorted({attr for attr, _ in key_of})
+        }
+        domain_start = dict(zip(domains, np.cumsum([0, *map(len, domains.values())])))
+        self._domain = np.concatenate([np.zeros(0, np.int64), *domains.values()])
+
+        key_dom, key_pool, key_base, key_seg = [], [], [], []
+        skips = [np.zeros(0, np.int64)]
+        base = seg = 0
+        for attr, head in key_of:
+            domain = domains[attr]
+            observed = np.sort(
+                np.fromiter(ekg.observed_tails(attr, head), dtype=np.int64)
+            )
+            pool = len(domain) - len(observed)
+            # observed tails lie inside the domain (checked by from_triples)
+            skips.append(
+                np.searchsorted(domain, observed) - np.arange(len(observed)) + base
+            )
+            key_dom.append(domain_start[attr])
+            key_pool.append(pool)
+            key_base.append(base)
+            key_seg.append(seg)
+            seg += len(observed)
+            # skips lie in [base, base + pool] and a rank plus base below base +
+            # pool, so a search counts all earlier keys' skips and no later key's
+            base += pool
+        self._skips = np.concatenate(skips)
+
+        def per_row(per_key: list[int]) -> np.ndarray:
+            return np.array(per_key, dtype=np.int64)[rows_key]
+
+        self.pool_sizes = per_row(key_pool)
+        self._dom_start = per_row(key_dom)
+        self._base = per_row(key_base)
+        self._seg_start = per_row(key_seg)
+
+    def draw(self, rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+        """(len(rows), k) tails for the positives at ``rows``.
+
+        Each rank comes from one ``rng.integers`` call per column over all rows.
+        A row whose pool holds at least k values gets k distinct tails: its
+        i-th rank is drawn from the pool size minus i and shifted past the
+        ranks it already chose. A smaller pool is drawn with replacement.
+        With k == 1 this is exactly ``pool[rng.integers(0, pool_size)]``.
+        Every row must have a non-empty pool.
+        """
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        sizes = self.pool_sizes[rows]
+        distinct = sizes >= k
+        ranks = np.empty((len(rows), k), dtype=np.int64)
+        for i in range(k):
+            r = rng.integers(0, np.where(distinct, sizes - i, sizes))
+            # chosen ranks in ascending order: each one at or below r moves r up
+            for c in np.sort(ranks[:, :i], axis=1).T:
+                r += distinct & (r >= c)
+            ranks[:, i] = r
+        rows = np.repeat(rows, k)
+        ranks = ranks.ravel()
+        seen = np.searchsorted(self._skips, ranks + self._base[rows], side="right")
+        position = ranks + seen - self._seg_start[rows]
+        return self._domain[self._dom_start[rows] + position].reshape(-1, k)
+
+
 def sample_negatives(
     ekg: EvolutionKG,
     triple: EvolutionTriple,
@@ -202,19 +289,19 @@ def sample_negatives(
 
     Candidates are the attribute's domain minus every tail observed for this
     head, so a sampled triple can never be a real evolution triple. Draws are
-    uniform without replacement (with replacement once k exceeds the pool).
+    uniform without replacement (with replacement once k exceeds the pool),
+    through the same ``NegativeSampler`` that embedding training uses.
     Returns None when the pool is empty: the caller drops this positive.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    observed = ekg.observed_tails(triple.attribute, triple.head_value)
-    pool = [v for v in ekg.values.values_of(triple.attribute) if v not in observed]
-    if not pool:
+    sampler = NegativeSampler(ekg, [triple])
+    if not sampler.pool_sizes[0]:
         return None
-    idx = rng.choice(len(pool), size=k, replace=k > len(pool))
+    tails = sampler.draw(np.zeros(1, dtype=np.int64), k, rng)[0]
     return [
-        EvolutionTriple(triple.head_value, pool[int(i)], triple.attribute)
-        for i in np.atleast_1d(idx)
+        EvolutionTriple(triple.head_value, tail, triple.attribute)
+        for tail in tails.tolist()
     ]
 
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ekg import EvolutionKG, EvolutionTriple
+from .ekg import EvolutionKG, EvolutionTriple, NegativeSampler
 from .errors import ConfigError, DomainError, TrainingError
 from .ingest import ValueDictionary
 
@@ -53,7 +53,8 @@ class EmbedHyperparams:
     batch_size: int = 128
     negatives: int = 1
     norm: int = 2
-    seed: int = 0
+    # None: unset; an experiment derives it from its own seed, a bare call uses 0
+    seed: int | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -74,7 +75,7 @@ class EmbedHyperparams:
 
 def init_embeddings(ekg: EvolutionKG, hp: EmbedHyperparams) -> EmbeddingStore:
     """Uniform init in [-6/sqrt(d), 6/sqrt(d)]; value vectors unit-normalized."""
-    rng = np.random.default_rng(hp.seed)
+    rng = np.random.default_rng(hp.seed or 0)
     bound = 6.0 / math.sqrt(hp.dim)
     value_vectors = rng.uniform(-bound, bound, size=(len(ekg.values), hp.dim))
     norms = np.linalg.norm(value_vectors, axis=1, keepdims=True)
@@ -127,6 +128,20 @@ def ea_score(
     return -float(np.sqrt((residual * residual).sum()))
 
 
+def scatter_rows(index: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the rows that share an index: (distinct indices, one summed row each).
+
+    Equal, bit for bit, to ``np.add.at`` into zeros at the distinct indices:
+    ``np.bincount`` adds its weights one by one in input order, as ``add.at``
+    does. (``np.add.reduceat`` sums pairwise and is not exact.)
+    """
+    distinct, inverse = np.unique(index, return_inverse=True)
+    dim = rows.shape[1]
+    cells = (inverse.reshape(-1, 1) * dim + np.arange(dim)).ravel()
+    summed = np.bincount(cells, weights=rows.ravel(), minlength=len(distinct) * dim)
+    return distinct, summed.reshape(len(distinct), dim)
+
+
 def train_embeddings(
     ekg: EvolutionKG, hp: EmbedHyperparams
 ) -> tuple[EmbeddingStore, list[float]]:
@@ -142,38 +157,19 @@ def train_embeddings(
     if not positives:
         raise TrainingError("no evolution triples to train on")
 
-    pools: list[np.ndarray] = []
-    kept: list[EvolutionTriple] = []
-    pool_cache: dict[tuple[int, int], np.ndarray] = {}
-    for t in positives:
-        key = (t.attribute, t.head_value)
-        pool = pool_cache.get(key)
-        if pool is None:
-            observed = ekg.observed_tails(*key)
-            pool = np.array(
-                [v for v in ekg.values.values_of(t.attribute) if v not in observed],
-                dtype=np.int64,
-            )
-            pool_cache[key] = pool
-        if len(pool):
-            kept.append(t)
-            pools.append(pool)
-    if not kept:
+    sampler = NegativeSampler(ekg, positives)
+    kept_rows = np.flatnonzero(sampler.pool_sizes)
+    if not len(kept_rows):
         raise TrainingError("every evolution triple has an empty negative pool")
 
-    heads = np.array([t.head_value for t in kept], dtype=np.int64)
-    tails = np.array([t.tail_value for t in kept], dtype=np.int64)
-    attrs = np.array([t.attribute for t in kept], dtype=np.int64)
-    pool_sizes = np.array([len(p) for p in pools], dtype=np.int64)
+    heads, tails, attrs = np.array(positives, dtype=np.int64)[kept_rows].T
 
     store = init_embeddings(ekg, hp)
     values = store.value_vectors
     attributes = store.attribute_vectors
-    value_grad = np.zeros_like(values)
-    attr_grad = np.zeros_like(attributes)
 
-    rng = np.random.default_rng([hp.seed, 1])
-    n = len(kept)
+    rng = np.random.default_rng([hp.seed or 0, 1])
+    n = len(kept_rows)
     history: list[float] = []
 
     # non-finite intermediates are caught by the per-epoch loss check
@@ -184,23 +180,7 @@ def train_embeddings(
             for start in range(0, n, hp.batch_size):
                 batch = perm[start : start + hp.batch_size]
                 reps = np.repeat(batch, hp.negatives)
-                if hp.negatives == 1:
-                    draw = rng.integers(0, pool_sizes[batch])
-                    neg_tails = np.fromiter(
-                        (pools[j][d] for j, d in zip(batch, draw)),
-                        dtype=np.int64,
-                        count=len(batch),
-                    )
-                else:
-                    # per positive, draw without replacement while the pool allows
-                    chunks = []
-                    for j in batch:
-                        size = pool_sizes[j]
-                        idx = rng.choice(
-                            size, size=hp.negatives, replace=hp.negatives > size
-                        )
-                        chunks.append(pools[j][idx])
-                    neg_tails = np.concatenate(chunks)
+                neg_tails = sampler.draw(kept_rows[batch], hp.negatives, rng).ravel()
                 h, t, a = heads[reps], tails[reps], attrs[reps]
 
                 r_pos = values[h] + attributes[a] - values[t]
@@ -219,17 +199,13 @@ def train_embeddings(
                 g_neg[~active] = 0.0
                 diff = g_pos - g_neg
 
-                np.add.at(value_grad, h, diff)
-                np.add.at(value_grad, t, -g_pos)
-                np.add.at(value_grad, neg_tails, g_neg)
-                np.add.at(attr_grad, a, diff)
-
-                touched_values = np.unique(np.concatenate([h, t, neg_tails]))
-                touched_attrs = np.unique(a)
-                values[touched_values] -= hp.learning_rate * value_grad[touched_values]
-                attributes[touched_attrs] -= hp.learning_rate * attr_grad[touched_attrs]
-                value_grad[touched_values] = 0.0
-                attr_grad[touched_attrs] = 0.0
+                touched_values, value_grad = scatter_rows(
+                    np.concatenate([h, t, neg_tails]),
+                    np.concatenate([diff, -g_pos, g_neg]),
+                )
+                touched_attrs, attr_grad = scatter_rows(a, diff)
+                values[touched_values] -= hp.learning_rate * value_grad
+                attributes[touched_attrs] -= hp.learning_rate * attr_grad
 
                 norms = np.linalg.norm(values[touched_values], axis=1)
                 over = norms > 1.0

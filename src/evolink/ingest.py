@@ -11,6 +11,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -68,8 +69,12 @@ class TextFormat:
     null_markers: tuple[str, ...] = DEFAULT_NULL_MARKERS
     id_column: str = "entity_id"
 
+    @cached_property
+    def standardized_nulls(self) -> frozenset[str]:
+        return frozenset(standardize(m) for m in self.null_markers)
+
     def is_null(self, standardized_cell: str) -> bool:
-        return standardized_cell in {standardize(m) for m in self.null_markers}
+        return standardized_cell in self.standardized_nulls
 
 
 class ValueDictionary:
@@ -287,6 +292,10 @@ def load_records(
                 f"{path}: header {header_names} does not match schema {wanted}"
             )
 
+        nulls = fmt.standardized_nulls
+        # per column: raw cell -> value id, or None for a null; first sightings
+        # intern in file order, so value ids do not depend on the memo
+        memos: list[dict[str, int | None]] = [{} for _ in attr_cols]
         records: list[Record] = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -304,11 +313,15 @@ def load_records(
             else:
                 entity_id = start_entity_id + len(records)
             values: dict[int, int] = {}
-            for attr, col in enumerate(attr_cols):
-                cell = standardize(row[col])
-                if fmt.is_null(cell):
-                    continue
-                values[attr] = dictionary.intern(attr, cell)
+            for attr, (col, memo) in enumerate(zip(attr_cols, memos)):
+                raw = row[col]
+                try:
+                    vid = memo[raw]
+                except KeyError:
+                    cell = standardize(raw)
+                    vid = memo[raw] = None if cell in nulls else dictionary.intern(attr, cell)
+                if vid is not None:
+                    values[attr] = vid
             records.append(Record(entity_id, values))
 
     return RecordSet(schema, dictionary, tuple(records)), dictionary

@@ -222,8 +222,8 @@ class ExperimentConfig:
             "master": self.seed,
             "synthetic": self.seed,
             "partition": self.seed + 1,
-            "embed": self.embed.seed if self.embed.seed else self.seed + 2,
-            "weights": self.rl.seed if self.rl.seed else self.seed + 3,
+            "embed": self.seed + 2 if self.embed.seed is None else self.embed.seed,
+            "weights": self.seed + 3 if self.rl.seed is None else self.rl.seed,
         }
 
     @classmethod
@@ -263,6 +263,7 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def to_dict(self) -> dict:
+        # an unset stage seed is written as 0, as reports always showed it
         return {
             "source": dict(self.source),
             "ratios": list(self.ratios),
@@ -276,7 +277,7 @@ class ExperimentConfig:
                 "batch_size": self.embed.batch_size,
                 "negatives": self.embed.negatives,
                 "norm": self.embed.norm,
-                "seed": self.embed.seed,
+                "seed": self.embed.seed or 0,
             },
             "rl": {
                 "margin": self.rl.margin,
@@ -285,7 +286,7 @@ class ExperimentConfig:
                 "loss_sign": self.rl.loss_sign,
                 "negative_ratio": self.rl.negative_ratio,
                 "nonnegative": self.rl.nonnegative,
-                "seed": self.rl.seed,
+                "seed": self.rl.seed or 0,
             },
             "seed": self.seed,
             "cross_product_cap": self.cross_product_cap,
@@ -505,8 +506,15 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    # config.json holds the stage seeds the run used, so training from it
+    # reproduces the run; report.txt shows the config as given
+    resolved = {
+        **report.config,
+        "embed": {**report.config["embed"], "seed": report.seeds["embed"]},
+        "rl": {**report.config["rl"], "seed": report.seeds["weights"]},
+    }
     (out / "config.json").write_text(
-        json.dumps(report.config, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     _write_loss_csv(out / "loss_embed.csv", report.embed_loss)
     _write_loss_csv(out / "loss_weights.csv", report.weights_loss)

@@ -48,7 +48,8 @@ class RLHyperparams:
     loss_sign: str = "corrected"  # or "as_written"
     negative_ratio: float | None = 10.0  # negatives per positive each epoch
     nonnegative: bool = False
-    seed: int = 0
+    # None: unset; an experiment derives it from its own seed, a bare call uses 0
+    seed: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.margin < 1.0:
@@ -252,7 +253,7 @@ def train_weights(
     if not len(feats_pos) or not len(feats_neg):
         raise TrainingError("no scorable pairs (no shared present attributes)")
 
-    rng = np.random.default_rng(hp.seed)
+    rng = np.random.default_rng(hp.seed or 0)
     w = np.ones(store.attribute_vectors.shape[0])
     history: list[float] = []
     cap = None

@@ -211,6 +211,36 @@ class TestPredict:
         assert main([*args, str(chunked)]) == 0
         assert chunked.read_bytes() == whole.read_bytes()
 
+    def test_file_equals_csv_writer_rows(self, tmp_path, data_dir, run_dir):
+        import io
+
+        from evolink import pipeline
+        from evolink.ingest import TextFormat, load_records
+
+        out = tmp_path / "preds.csv"
+        assert main([
+            "predict", "--model", str(run_dir / "model.bin"),
+            str(data_dir / "A.csv"), str(data_dir / "B.csv"), "--out", str(out),
+        ]) == 0
+
+        bundle = load_model(run_dir / "model.bin")
+        fmt = TextFormat(delimiter=",")
+        records_a, d = load_records(data_dir / "A.csv", bundle.schema, fmt, bundle.dictionary)
+        records_b, _ = load_records(data_dir / "B.csv", bundle.schema, fmt, d)
+        scored = pipeline.score_pairs(
+            pipeline.block_candidates(records_a, records_b, bundle.schema.blocking_attribute),
+            records_a, records_b, bundle.store, bundle.weights, bundle.embed_hp.norm,
+            len(bundle.store.value_vectors),
+        )
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["a_id", "b_id", "g", "P", "decision"])
+        for a, b, g, p in zip(scored.a_ids.tolist(), scored.b_ids.tolist(),
+                              scored.score.tolist(), scored.probability.tolist()):
+            writer.writerow([a, b, repr(g), repr(p), "match" if p >= bundle.tau else "non-match"])
+        assert len(scored) > 0
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
+
     def test_model_missing_header_key_exits_2(self, tmp_path, data_dir, run_dir, capsys):
         raw = (run_dir / "model.bin").read_bytes()
         newline = raw.index(b"\n")

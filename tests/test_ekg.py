@@ -5,6 +5,7 @@ from evolink.ekg import (
     AttributeTriple,
     EvolutionKG,
     EvolutionTriple,
+    NegativeSampler,
     RelationalTriple,
     build_ekg,
     export_text,
@@ -196,6 +197,99 @@ class TestSampleNegatives:
         triple = sorted(civil_toy["kg"].evolution)[0]
         with pytest.raises(ValueError):
             sample_negatives(civil_toy["kg"], triple, 0, rng)
+
+
+def random_multi_attribute_kg(rng):
+    """Random evolution over two or three attributes of random domain sizes."""
+    n_attrs = int(rng.integers(2, 4))
+    d = ValueDictionary(n_attrs)
+    # interleave the attributes so that each domain's ids are not contiguous
+    sizes = rng.integers(1, 12, size=n_attrs)
+    for i in range(int(sizes.max())):
+        for attr in range(n_attrs):
+            if i < sizes[attr]:
+                d.intern(attr, f"a{attr}v{i}")
+    domains = [list(d.values_of(attr)) for attr in range(n_attrs)]
+    evolution = set()
+    for _ in range(int(rng.integers(1, 25))):
+        attr = int(rng.integers(n_attrs))
+        head, tail = rng.choice(domains[attr], size=2)
+        evolution.add(EvolutionTriple(int(head), int(tail), attr))
+    kg = EvolutionKG.from_triples(
+        entities=[], values=d, attribute_triples=[], evolution=evolution
+    )
+    return kg, sorted(evolution)
+
+
+def list_pool(kg, triple):
+    """The pool as a plain list: the attribute's domain minus observed tails."""
+    observed = kg.observed_tails(triple.attribute, triple.head_value)
+    return [v for v in kg.values.values_of(triple.attribute) if v not in observed]
+
+
+class TestNegativeSampler:
+    def test_pool_sizes_match_list_pools(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            kg, triples = random_multi_attribute_kg(rng)
+            sampler = NegativeSampler(kg, triples)
+            assert sampler.pool_sizes.tolist() == [len(list_pool(kg, t)) for t in triples]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 12])
+    def test_draws_stay_in_pool_distinct_while_pool_allows(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(40):
+            kg, triples = random_multi_attribute_kg(rng)
+            sampler = NegativeSampler(kg, triples)
+            rows = np.flatnonzero(sampler.pool_sizes)
+            if not len(rows):
+                continue
+            rows = rng.choice(rows, size=3 * len(rows))  # repeated rows too
+            tails = sampler.draw(rows, k, rng)
+            assert tails.shape == (len(rows), k)
+            for row, drawn in zip(rows.tolist(), tails.tolist()):
+                pool = list_pool(kg, triples[row])
+                assert set(drawn) <= set(pool)
+                if len(pool) >= k:
+                    assert len(set(drawn)) == k
+                if len(pool) == k:
+                    assert sorted(drawn) == pool
+
+    def test_with_replacement_beyond_pool(self):
+        kg, ids = single_attribute_kg(4, [(0, 1)])
+        sampler = NegativeSampler(kg, [EvolutionTriple(ids[0], ids[1], 0)])
+        tails = sampler.draw(np.zeros(200, dtype=np.int64), 7, np.random.default_rng(3))
+        assert set(tails.ravel().tolist()) == {ids[0], ids[2], ids[3]}
+
+    def test_deterministic_given_rng_state(self):
+        kg, triples = random_multi_attribute_kg(np.random.default_rng(8))
+        sampler = NegativeSampler(kg, triples)
+        rows = np.flatnonzero(sampler.pool_sizes)
+        one = sampler.draw(rows, 3, np.random.default_rng(4))
+        two = sampler.draw(rows, 3, np.random.default_rng(4))
+        np.testing.assert_array_equal(one, two)
+
+    def test_single_draw_is_list_pool_at_uniform_rank(self):
+        # k == 1 keeps the stream of one rng.integers(0, pool_size) per row
+        rng = np.random.default_rng(21)
+        for seed in range(40):
+            kg, triples = random_multi_attribute_kg(rng)
+            sampler = NegativeSampler(kg, triples)
+            rows = np.flatnonzero(sampler.pool_sizes)
+            if not len(rows):
+                continue
+            tails = sampler.draw(rows, 1, np.random.default_rng(seed))[:, 0]
+            ranks = np.random.default_rng(seed).integers(0, sampler.pool_sizes[rows])
+            expected = [
+                list_pool(kg, triples[row])[r] for row, r in zip(rows.tolist(), ranks.tolist())
+            ]
+            assert tails.tolist() == expected
+
+    def test_k_validated(self, civil_toy, rng):
+        kg = civil_toy["kg"]
+        sampler = NegativeSampler(kg, sorted(kg.evolution))
+        with pytest.raises(ValueError):
+            sampler.draw(np.zeros(1, dtype=np.int64), 0, rng)
 
 
 class TestRelationsAndExport:

@@ -9,6 +9,7 @@ from evolink.embed import (
     gradient_check,
     init_embeddings,
     margin_loss,
+    scatter_rows,
     train_embeddings,
 )
 from evolink.errors import ConfigError, DomainError, TrainingError
@@ -168,6 +169,24 @@ def active_pair(rng, dim=8, margin=1.0, p=2):
         neg = EvolutionTriple(int(ids[0]), int(ids[2]), 0)
         if margin_loss(store, pos, neg, margin, p) > 0.05:
             return store, pos, neg
+
+
+class TestScatterRows:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_add_at_bit_for_bit(self, seed):
+        # three blocks, as in training: indices repeat inside and across them
+        rng = np.random.default_rng(seed)
+        blocks = [rng.integers(0, 9, size=n) for n in (17, 17, 34)]
+        grads = [rng.normal(size=(len(b), 5)) * 10.0 ** rng.integers(-8, 8, size=(len(b), 1))
+                 for b in blocks]
+        grads[1] = -grads[1]
+        index, rows = np.concatenate(blocks), np.concatenate(grads)
+        expected = np.zeros((9, 5))
+        for b, g in zip(blocks, grads):
+            np.add.at(expected, b, g)
+        distinct, summed = scatter_rows(index, rows)
+        np.testing.assert_array_equal(distinct, np.unique(index))
+        assert summed.tobytes() == expected[distinct].tobytes()
 
 
 class TestGradientCheck:

@@ -101,6 +101,21 @@ class TestLoadRecords:
         (rec,) = records
         assert set(rec.values) == {0}
 
+    def test_repeated_cells_keep_first_seen_ids(self, tmp_path):
+        path = write(
+            tmp_path, "a.csv",
+            "name;birth_year;civil_status\n"
+            "Maria;1867; NA\n"
+            "jose;1867;single\n"
+            "maria ;na;Single\n"
+            "Maria;;single\n",
+        )
+        records, d = load_records(path, THREE_COL)
+        assert [dict(r.values) for r in records] == [
+            {0: 0, 1: 1}, {0: 2, 1: 1, 2: 3}, {0: 0, 2: 3}, {0: 0, 2: 3},
+        ]
+        assert [text for _, _, text in d.entries()] == ["maria", "1867", "jose", "single"]
+
     def test_wrong_column_count_names_line(self, tmp_path):
         path = write(
             tmp_path, "a.csv",

@@ -247,6 +247,25 @@ class TestRunExperiment:
         assert counts["relations"] in (0, 1)  # present only if both ids fall in train
         assert enriched.report.metrics == plain.report.metrics
 
+    def test_explicit_zero_stage_seeds_are_used(self):
+        unset = small_config()
+        assert (unset.stage_seeds["embed"], unset.stage_seeds["weights"]) == (7, 8)
+        config = small_config(
+            embed={**small_config().to_dict()["embed"], "seed": 0},
+            rl={"epochs": 60, "seed": 0},
+        )
+        assert (config.stage_seeds["embed"], config.stage_seeds["weights"]) == (0, 0)
+        result = run_experiment(config)
+        assert result.bundle.embed_hp.seed == 0
+        assert result.report.seeds["weights"] == 0
+
+    def test_config_json_reproduces_derived_stage_seeds(self, tmp_path):
+        config = small_config()
+        result = run_experiment(config)
+        write_report(result.report, tmp_path)
+        again = ExperimentConfig.from_json(tmp_path / "config.json")
+        assert again.stage_seeds == config.stage_seeds == result.report.seeds
+
     def test_stage_error_names_stage(self):
         config = small_config(
             source={"kind": "files", "attributes": ["x"], "a": "/nope/a.csv",
