@@ -10,7 +10,6 @@ from .ekg import (
     AttributeTriple,
     EvolutionKG,
     EvolutionTriple,
-    RelationalTriple,
     build_ekg,
     sample_negatives,
 )

@@ -236,7 +236,7 @@ def _repeated_pair(a_ids: np.ndarray, b_ids: np.ndarray) -> tuple[int, int] | No
 def cmd_evaluate(args: argparse.Namespace) -> int:
     a_ids: list[int] = []
     b_ids: list[int] = []
-    decisions: list[str] = []
+    decisions: list[bool] = []
     header_lines = 0
     with open(args.predictions, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -253,7 +253,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 raise EvolinkError(
                     f"{args.predictions}: line {lineno}: bad entity id"
                 ) from None
-            decisions.append(row[4])
+            if row[4] not in ("match", "non-match"):
+                raise EvolinkError(
+                    f"{args.predictions}: line {lineno}: unknown decision {row[4]!r}"
+                )
+            decisions.append(row[4] == "match")
 
     truth = load_links(args.truth, CSV_FORMAT, provenance="truth")
     try:
@@ -278,8 +282,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
 
     labels, lost = truth_labels(a_ids, b_ids, truth)
-    matches = np.fromiter(map("match".__eq__, decisions), dtype=bool, count=len(decisions))
-    metrics = Metrics.from_decisions(matches, labels, lost)
+    metrics = Metrics.from_decisions(np.array(decisions, dtype=bool), labels, lost)
     print(metrics.row())
     return 0
 

@@ -1,28 +1,22 @@
 """The evolution knowledge graph: construction, indexing, negative sampling.
 
-Nodes are entities and attribute values; edges are relational triples
-(entity-entity), attribute triples (entity-value), and evolution triples
+The graph keeps what embedding training reads: the evolution triples
 (value-value within one attribute domain, recording an observed change
-between two linked records).
+between two linked records), their tails-per-head index and the value
+dictionary. Entities and attribute triples (entity-value) are only
+counted, for the report.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError, LoadError
-from .ingest import LinkedPairSet, RecordSet, TextFormat, ValueDictionary
-
-
-class RelationalTriple(NamedTuple):
-    head: int
-    tail: int
-    relation: int
+from .ingest import LinkedPairSet, RecordSet, ValueDictionary
 
 
 class AttributeTriple(NamedTuple):
@@ -39,15 +33,12 @@ class EvolutionTriple(NamedTuple):
 
 @dataclass(frozen=True)
 class EvolutionKG:
-    """Immutable triple stores plus the tails-per-head evolution index."""
+    """Immutable evolution triples plus the sizes the report shows."""
 
-    entities: frozenset[int]
     values: ValueDictionary
-    relation_names: tuple[str, ...]
-    relational: frozenset[RelationalTriple]
-    attribute_triples: frozenset[AttributeTriple]
     evolution: frozenset[EvolutionTriple]
-    evolution_index: Mapping[tuple[int, int], frozenset[int]] = field(repr=False)
+    n_entities: int = 0
+    n_attribute_triples: int = 0
 
     @classmethod
     def from_triples(
@@ -56,33 +47,14 @@ class EvolutionKG:
         values: ValueDictionary,
         attribute_triples: Iterable[AttributeTriple],
         evolution: Iterable[EvolutionTriple],
-        relational: Iterable[RelationalTriple] = (),
-        relation_names: Iterable[str] = (),
     ) -> "EvolutionKG":
-        entities = frozenset(entities)
-        attribute_triples = frozenset(attribute_triples)
-        evolution = frozenset(evolution)
-        relational = frozenset(relational)
-        relation_names = tuple(relation_names)
+        """A graph over given triples; entities and attribute triples are only counted.
 
+        Every evolution triple must join two values of its own attribute's
+        domain, which ``NegativeSampler`` relies on.
+        """
+        evolution = frozenset(evolution)
         n_values = len(values)
-        seen: set[tuple[int, int]] = set()
-        for t in attribute_triples:
-            if t.entity not in entities:
-                raise DomainError(f"attribute triple references unknown entity {t.entity}")
-            if not 0 <= t.value < n_values:
-                raise DomainError(f"attribute triple references unknown value {t.value}")
-            if values.attribute_of(t.value) != t.attribute:
-                raise DomainError(
-                    f"attribute triple ({t.entity},{t.value},{t.attribute}): value "
-                    f"belongs to attribute {values.attribute_of(t.value)}"
-                )
-            key = (t.entity, t.attribute)
-            if key in seen:
-                raise DomainError(
-                    f"entity {t.entity} has two attribute triples for attribute {t.attribute}"
-                )
-            seen.add(key)
         for t in evolution:
             for v in (t.head_value, t.tail_value):
                 if not 0 <= v < n_values:
@@ -92,28 +64,17 @@ class EvolutionKG:
                         f"evolution triple {t}: value {v} outside attribute "
                         f"{t.attribute} domain"
                     )
-        for t in relational:
-            if t.head == t.tail:
-                raise DomainError(f"relational triple with head == tail ({t.head})")
-            if t.head not in entities or t.tail not in entities:
-                raise DomainError(f"relational triple references unknown entity: {t}")
-            if not 0 <= t.relation < len(relation_names):
-                raise DomainError(f"relational triple uses unregistered relation {t.relation}")
-
-        index: dict[tuple[int, int], set[int]] = {}
-        for t in evolution:
-            index.setdefault((t.attribute, t.head_value), set()).add(t.tail_value)
-        frozen_index = {k: frozenset(v) for k, v in index.items()}
-
         return cls(
-            entities=entities,
-            values=values,
-            relation_names=relation_names,
-            relational=relational,
-            attribute_triples=attribute_triples,
-            evolution=evolution,
-            evolution_index=frozen_index,
+            values, evolution, len(frozenset(entities)), len(frozenset(attribute_triples))
         )
+
+    @cached_property
+    def evolution_index(self) -> Mapping[tuple[int, int], frozenset[int]]:
+        """(attribute, head value) -> every tail value observed for it."""
+        index: dict[tuple[int, int], set[int]] = {}
+        for t in self.evolution:
+            index.setdefault((t.attribute, t.head_value), set()).add(t.tail_value)
+        return {k: frozenset(v) for k, v in index.items()}
 
     def observed_tails(self, attribute: int, head_value: int) -> frozenset[int]:
         """E(head): every tail value seen evolving from head under attribute."""
@@ -121,12 +82,13 @@ class EvolutionKG:
 
     def counts(self) -> dict[str, int]:
         return {
-            "entities": len(self.entities),
+            "entities": self.n_entities,
             "attributes": self.values.n_attributes,
             "values": len(self.values),
-            "relations": len(self.relation_names),
-            "attribute_triples": len(self.attribute_triples),
-            "relational_triples": len(self.relational),
+            # no relational triples are loaded: no training step reads them
+            "relations": 0,
+            "attribute_triples": self.n_attribute_triples,
+            "relational_triples": 0,
             "evolution_triples": len(self.evolution),
         }
 
@@ -137,58 +99,48 @@ def build_ekg(
     train_links: LinkedPairSet,
     include_identity_triples: bool = False,
     include_reverse_triples: bool = False,
-    relational: Iterable[RelationalTriple] = (),
-    relation_names: Iterable[str] = (),
 ) -> EvolutionKG:
     """Assemble the graph from two record sets and their training links.
 
     Evolution triples are directed A -> B (earlier -> later record) and
-    deduplicated. Identical values on a linked pair produce a triple only
-    when ``include_identity_triples`` is set; ``include_reverse_triples``
-    adds the B -> A direction as well (the degenerate, direction-blind
-    graph variant).
+    deduplicated: one per attribute whose values on a linked pair are both
+    present and differ. Identical values produce a triple only when
+    ``include_identity_triples`` is set; ``include_reverse_triples`` adds
+    the B -> A direction as well (the degenerate, direction-blind graph
+    variant).
     """
     if records_a.dictionary is not records_b.dictionary:
         raise DomainError("record sets must share one value dictionary")
-    overlap = records_a.entity_ids() & records_b.entity_ids()
-    if overlap:
-        raise DomainError(f"entity ids appear in both record sets: {sorted(overlap)[:5]}")
+    overlap = np.intersect1d(records_a.id_array, records_b.id_array)
+    if len(overlap):
+        raise DomainError(f"entity ids appear in both record sets: {overlap[:5].tolist()}")
 
-    entities = records_a.entity_ids() | records_b.entity_ids()
+    linked = []
+    for records, ids, side in (
+        (records_a, [a for a, _ in train_links], "A"),
+        (records_b, [b for _, b in train_links], "B"),
+    ):
+        try:
+            linked.append(records.value_matrix[records.rows(ids)])
+        except LoadError as exc:
+            raise LoadError(f"link endpoint missing from record set {side}: {exc}") from None
+    head, tail = linked
+    keep = (head >= 0) & (tail >= 0)
+    if not include_identity_triples:
+        keep &= head != tail
+    triples = np.column_stack([head[keep], tail[keep], np.nonzero(keep)[1]])
+    if include_reverse_triples:
+        triples = np.concatenate([triples, triples[:, [1, 0, 2]]])
 
-    attribute_triples = [
-        AttributeTriple(rec.entity_id, vid, attr)
-        for records in (records_a, records_b)
-        for rec in records
-        for attr, vid in sorted(rec.values.items())
-    ]
-
-    evolution: set[EvolutionTriple] = set()
-    for a_id, b_id in train_links:
-        if a_id not in records_a:
-            raise LoadError(f"link endpoint {a_id} missing from record set A")
-        if b_id not in records_b:
-            raise LoadError(f"link endpoint {b_id} missing from record set B")
-        head, tail = records_a.get(a_id), records_b.get(b_id)
-        for attr, v_h in head.values.items():
-            v_t = tail.values.get(attr)
-            if v_t is None:
-                continue
-            if v_h == v_t:
-                if include_identity_triples:
-                    evolution.add(EvolutionTriple(v_h, v_t, attr))
-                continue
-            evolution.add(EvolutionTriple(v_h, v_t, attr))
-            if include_reverse_triples:
-                evolution.add(EvolutionTriple(v_t, v_h, attr))
-
-    return EvolutionKG.from_triples(
-        entities=entities,
+    return EvolutionKG(
         values=records_a.dictionary,
-        attribute_triples=attribute_triples,
-        evolution=evolution,
-        relational=relational,
-        relation_names=relation_names,
+        evolution=frozenset(
+            map(EvolutionTriple._make, np.unique(triples, axis=0).tolist())
+        ),
+        n_entities=len(records_a) + len(records_b),
+        n_attribute_triples=int(
+            (records_a.value_matrix >= 0).sum() + (records_b.value_matrix >= 0).sum()
+        ),
     )
 
 
@@ -303,54 +255,3 @@ def sample_negatives(
         EvolutionTriple(triple.head_value, tail, triple.attribute)
         for tail in tails.tolist()
     ]
-
-
-def load_relations(
-    path: str | Path,
-    known_entities: Iterable[int],
-    fmt: TextFormat = TextFormat(),
-) -> tuple[tuple[RelationalTriple, ...], tuple[str, ...]]:
-    """Read optional (head_entity, tail_entity, relation_name) rows."""
-    known = frozenset(known_entities)
-    names: list[str] = []
-    by_name: dict[str, int] = {}
-    triples: list[RelationalTriple] = []
-    with open(path, newline="", encoding=fmt.encoding) as fh:
-        for lineno, row in enumerate(csv.reader(fh, delimiter=fmt.delimiter), start=1):
-            if len(row) != 3:
-                raise LoadError(f"{path}: line {lineno}: expected 3 columns")
-            try:
-                head, tail = int(row[0]), int(row[1])
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise LoadError(f"{path}: line {lineno}: bad entity id") from None
-            if head not in known or tail not in known:
-                raise LoadError(f"{path}: line {lineno}: unknown entity id")
-            name = row[2].strip()
-            if name not in by_name:
-                by_name[name] = len(names)
-                names.append(name)
-            triples.append(RelationalTriple(head, tail, by_name[name]))
-    return tuple(triples), tuple(names)
-
-
-def export_text(ekg: EvolutionKG) -> str:
-    """Dump the five stores, one element per line, for debugging."""
-    lines = [f"entity\t{e}" for e in sorted(ekg.entities)]
-    lines += [
-        f"value\t{vid}\t{attr}\t{text}" for vid, attr, text in ekg.values.entries()
-    ]
-    lines += [
-        f"rt\t{t.head}\t{t.tail}\t{ekg.relation_names[t.relation]}"
-        for t in sorted(ekg.relational)
-    ]
-    lines += [
-        f"at\t{t.entity}\t{t.value}\t{t.attribute}"
-        for t in sorted(ekg.attribute_triples)
-    ]
-    lines += [
-        f"et\t{t.head_value}\t{t.tail_value}\t{t.attribute}"
-        for t in sorted(ekg.evolution)
-    ]
-    return "\n".join(lines) + "\n"

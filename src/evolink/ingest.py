@@ -10,10 +10,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,9 +72,6 @@ class TextFormat:
     @cached_property
     def standardized_nulls(self) -> frozenset[str]:
         return frozenset(standardize(m) for m in self.null_markers)
-
-    def is_null(self, standardized_cell: str) -> bool:
-        return standardized_cell in self.standardized_nulls
 
 
 class ValueDictionary:
@@ -139,60 +136,83 @@ class Record:
     values: Mapping[int, int]
 
 
-@dataclass(frozen=True)
 class RecordSet:
-    """Records plus their columns, built once.
+    """Records stored as columns, with an entity-id -> row map.
 
-    ``value_matrix`` is (n_records, n_attributes) int64 with -1 for a missing
-    value; ``id_array`` holds the entity id of each row.
+    ``id_array`` holds the entity id of each row; ``value_matrix`` is
+    (n_records, n_attributes) int64 with -1 for a missing value. ``Record``
+    objects are made on first use (``get``, iteration, ``records``), for
+    the scalar reference functions and tests.
     """
 
-    schema: Schema
-    dictionary: ValueDictionary
-    records: tuple[Record, ...]
-    value_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    id_array: np.ndarray = field(init=False, repr=False, compare=False)
-    _row_of: dict = field(init=False, repr=False, compare=False)
+    def __init__(
+        self, schema: Schema, dictionary: ValueDictionary, records: Iterable[Record] = ()
+    ):
+        records = tuple(records)
+        cells = [
+            (row, attr, vid)
+            for row, rec in enumerate(records)
+            for attr, vid in rec.values.items()
+        ]
+        rows, attrs, vids = np.array(cells, dtype=np.int64).reshape(-1, 3).T
+        self._store(schema, dictionary, [rec.entity_id for rec in records], rows, attrs, vids)
 
-    def __post_init__(self):
-        n_attrs = self.schema.n_attributes
-        row_of: dict[int, int] = {}
-        attrs: list[int] = []
-        vids: list[int] = []
-        counts: list[int] = []
-        for row, rec in enumerate(self.records):
-            if rec.entity_id in row_of:
-                raise LoadError(f"duplicate entity id {rec.entity_id}")
-            row_of[rec.entity_id] = row
-            attrs.extend(rec.values)
-            vids.extend(rec.values.values())
-            counts.append(len(rec.values))
+    @classmethod
+    def from_columns(
+        cls, schema: Schema, dictionary: ValueDictionary, id_array, value_matrix
+    ) -> "RecordSet":
+        """A record set over given columns, checked as the constructor checks records."""
+        value_matrix = np.asarray(value_matrix, dtype=np.int64)
+        if value_matrix.shape != (len(id_array), schema.n_attributes):
+            raise DomainError(
+                f"value matrix of shape {value_matrix.shape} does not hold "
+                f"{len(id_array)} records of {schema.n_attributes} attributes"
+            )
+        rows, attrs = np.nonzero(value_matrix != -1)
+        records = cls.__new__(cls)
+        records._store(schema, dictionary, id_array, rows, attrs, value_matrix[rows, attrs])
+        return records
+
+    def _store(self, schema, dictionary, ids, rows, attrs, vids) -> None:
+        """Check the present cells (int64 arrays of row, attribute and value id),
+        then keep them as columns."""
         try:
-            ids = np.array(list(row_of), dtype=np.int64)
+            ids = np.array(ids, dtype=np.int64)
         except OverflowError:
             raise LoadError("entity ids must fit in 64 bits") from None
-
-        attr_col = np.array(attrs, dtype=np.int64)
-        vid_col = np.array(vids, dtype=np.int64)
-        rows = np.repeat(np.arange(len(self.records)), counts)
-        owner = self.dictionary.attribute_array()
-        known = (vid_col >= 0) & (vid_col < len(owner))
-        bad = ~known | (attr_col < 0) | (attr_col >= n_attrs)
-        bad[known] |= owner[vid_col[known]] != attr_col[known]
+        owner = dictionary.attribute_array()
+        known = (vids >= 0) & (vids < len(owner))
+        bad = ~known | (attrs < 0) | (attrs >= schema.n_attributes)
+        bad[known] |= owner[vids[known]] != attrs[known]
         if bad.any():
             i = int(np.argmax(bad))
             raise DomainError(
-                f"record {self.records[rows[i]].entity_id}: value id {vids[i]} "
+                f"record {ids[rows[i]]}: value id {vids[i]} "
                 f"does not belong to attribute {attrs[i]}"
             )
-        matrix = np.full((len(self.records), n_attrs), -1, dtype=np.int64)
-        matrix[rows, attr_col] = vid_col
-        object.__setattr__(self, "value_matrix", matrix)
-        object.__setattr__(self, "id_array", ids)
-        object.__setattr__(self, "_row_of", row_of)
+        row_of = dict(zip(ids.tolist(), range(len(ids))))
+        if len(row_of) < len(ids):
+            repeat = np.ones(len(ids), dtype=bool)
+            repeat[np.unique(ids, return_index=True)[1]] = False
+            raise LoadError(f"duplicate entity id {ids[np.argmax(repeat)]}")
+        matrix = np.full((len(ids), schema.n_attributes), -1, dtype=np.int64)
+        matrix[rows, attrs] = vids
+        self.schema = schema
+        self.dictionary = dictionary
+        self.id_array = ids
+        self.value_matrix = matrix
+        self._row_of = row_of
+
+    @cached_property
+    def records(self) -> tuple[Record, ...]:
+        """Every row as a ``Record``, made on first use."""
+        return tuple(
+            Record(entity_id, {attr: vid for attr, vid in enumerate(row) if vid >= 0})
+            for entity_id, row in zip(self.id_array.tolist(), self.value_matrix.tolist())
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.id_array)
 
     def __iter__(self) -> Iterator[Record]:
         return iter(self.records)
@@ -216,8 +236,11 @@ class RecordSet:
         except KeyError as exc:
             raise LoadError(f"unknown entity id {exc.args[0]}") from None
 
-    def entity_ids(self) -> frozenset[int]:
-        return frozenset(self._row_of)
+    def take(self, rows) -> "RecordSet":
+        """The records at ``rows`` (an index array), in that order."""
+        return RecordSet.from_columns(
+            self.schema, self.dictionary, self.id_array[rows], self.value_matrix[rows]
+        )
 
 
 @dataclass(frozen=True)
@@ -293,10 +316,11 @@ def load_records(
             )
 
         nulls = fmt.standardized_nulls
-        # per column: raw cell -> value id, or None for a null; first sightings
+        # per column: raw cell -> value id, or -1 for a null; first sightings
         # intern in file order, so value ids do not depend on the memo
-        memos: list[dict[str, int | None]] = [{} for _ in attr_cols]
-        records: list[Record] = []
+        memos: list[dict[str, int]] = [{} for _ in attr_cols]
+        ids: list[int] = []
+        cells: list[list[int]] = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise LoadError(
@@ -311,20 +335,21 @@ def load_records(
                         f"{path}: line {lineno}: bad entity id {row[id_col]!r}"
                     ) from None
             else:
-                entity_id = start_entity_id + len(records)
-            values: dict[int, int] = {}
+                entity_id = start_entity_id + len(ids)
+            ids.append(entity_id)
+            row_cells = []
             for attr, (col, memo) in enumerate(zip(attr_cols, memos)):
                 raw = row[col]
                 try:
                     vid = memo[raw]
                 except KeyError:
                     cell = standardize(raw)
-                    vid = memo[raw] = None if cell in nulls else dictionary.intern(attr, cell)
-                if vid is not None:
-                    values[attr] = vid
-            records.append(Record(entity_id, values))
+                    vid = memo[raw] = -1 if cell in nulls else dictionary.intern(attr, cell)
+                row_cells.append(vid)
+            cells.append(row_cells)
 
-    return RecordSet(schema, dictionary, tuple(records)), dictionary
+    matrix = np.array(cells, dtype=np.int64).reshape(len(ids), schema.n_attributes)
+    return RecordSet.from_columns(schema, dictionary, ids, matrix), dictionary
 
 
 def load_links(
@@ -410,48 +435,29 @@ def partition(
         raise ConfigError("links: empty link set")
 
     rng = np.random.default_rng(seed)
-    names = ("train", "validation", "test")
 
-    pair_list = list(links.pairs)
-    order = rng.permutation(len(pair_list))
-    counts = _allocate(len(pair_list), ratios)
-    split_pairs: list[list[tuple[int, int]]] = []
-    start = 0
-    for c in counts:
-        split_pairs.append([pair_list[i] for i in order[start : start + c]])
-        start += c
+    def spread(items: list) -> list[list]:
+        """The items shuffled, then cut into three runs sized by the ratios."""
+        perm = rng.permutation(len(items))
+        bounds = np.cumsum([0, *_allocate(len(items), ratios)])
+        return [[items[i] for i in perm[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
 
-    linked_a = {a for a, _ in pair_list}
-    linked_b = {b for _, b in pair_list}
-
-    def spread(free_ids: list[int]) -> list[list[int]]:
-        perm = rng.permutation(len(free_ids))
-        cs = _allocate(len(free_ids), ratios)
-        out, pos = [], 0
-        for c in cs:
-            out.append([free_ids[i] for i in perm[pos : pos + c]])
-            pos += c
-        return out
-
-    free_a = spread([r.entity_id for r in records_a if r.entity_id not in linked_a])
-    free_b = spread([r.entity_id for r in records_b if r.entity_id not in linked_b])
+    split_pairs = spread(list(links.pairs))
+    linked_a = {a for a, _ in links}
+    linked_b = {b for _, b in links}
+    free_a = spread([i for i in records_a.id_array.tolist() if i not in linked_a])
+    free_b = spread([i for i in records_b.id_array.tolist() if i not in linked_b])
 
     splits = []
-    for k, name in enumerate(names):
+    for k, name in enumerate(("train", "validation", "test")):
         a_ids = sorted({a for a, _ in split_pairs[k]} | set(free_a[k]))
         b_ids = sorted({b for _, b in split_pairs[k]} | set(free_b[k]))
-        set_a = RecordSet(
-            records_a.schema,
-            records_a.dictionary,
-            tuple(records_a.get(i) for i in a_ids),
-        )
-        set_b = RecordSet(
-            records_b.schema,
-            records_b.dictionary,
-            tuple(records_b.get(i) for i in b_ids),
-        )
         pairs = tuple(sorted(split_pairs[k]))
-        splits.append(Split(set_a, set_b, LinkedPairSet(pairs, name)))
+        splits.append(Split(
+            records_a.take(records_a.rows(a_ids)),
+            records_b.take(records_b.rows(b_ids)),
+            LinkedPairSet(pairs, name),
+        ))
     return splits[0], splits[1], splits[2]
 
 
@@ -612,52 +618,39 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Split:
         dst = dictionary.lookup(attr, rule.target)
         rules_by_attr.setdefault(attr, []).append((src, dst, rule.probability))
 
-    def draw_values() -> dict[int, int]:
-        return {
-            attr: ids[int(rng.integers(len(ids)))]
-            for attr, ids in enumerate(vocab_ids)
-        }
+    def draw_values() -> list[int]:
+        return [ids[int(rng.integers(len(ids)))] for ids in vocab_ids]
 
-    a_records = [Record(i, draw_values()) for i in range(config.size_a)]
+    a_rows = [draw_values() for _ in range(config.size_a)]
 
     n_dup = round(config.duplicate_fraction * config.size_a)
     dup_sources = sorted(int(i) for i in rng.choice(config.size_a, n_dup, replace=False))
 
-    b_payloads: list[tuple[int | None, dict[int, int]]] = []  # (source A id, values)
+    b_payloads: list[tuple[int | None, list[int]]] = []  # (source A id, row; -1 = missing)
     for a_idx in dup_sources:
-        values = dict(a_records[a_idx].values)
-        for attr in range(schema.n_attributes):
-            current = values.get(attr)
+        values = list(a_rows[a_idx])
+        for attr, current in enumerate(a_rows[a_idx]):
             for src, dst, prob in rules_by_attr.get(attr, ()):
                 if src == current:
                     if rng.random() < prob:
                         values[attr] = dst
                     break
         for attr in range(schema.n_attributes):
-            if attr not in values:
-                continue
             if rng.random() < config.typo_probability:
                 mutated = _typo(dictionary.value_string(values[attr]), rng)
                 values[attr] = dictionary.intern(attr, mutated)
             if rng.random() < config.missing_probability:
-                del values[attr]
+                values[attr] = -1
         b_payloads.append((a_idx, values))
 
     for _ in range(config.size_b - n_dup):
         b_payloads.append((None, draw_values()))
 
-    order = rng.permutation(len(b_payloads))
-    b_records: list[Record] = []
-    pairs: list[tuple[int, int]] = []
-    for pos, idx in enumerate(order):
-        source, values = b_payloads[int(idx)]
-        b_id = config.size_a + pos
-        b_records.append(Record(b_id, values))
-        if source is not None:
-            pairs.append((source, b_id))
-
+    b_order = rng.permutation(len(b_payloads)).tolist()
+    b_ids = range(config.size_a, config.size_a + len(b_order))
+    pairs = [(b_payloads[i][0], b_id) for i, b_id in zip(b_order, b_ids)]
     return Split(
-        RecordSet(schema, dictionary, tuple(a_records)),
-        RecordSet(schema, dictionary, tuple(b_records)),
-        LinkedPairSet(tuple(sorted(pairs)), "generated"),
+        RecordSet.from_columns(schema, dictionary, range(config.size_a), a_rows),
+        RecordSet.from_columns(schema, dictionary, b_ids, [b_payloads[i][1] for i in b_order]),
+        LinkedPairSet(tuple(sorted(p for p in pairs if p[0] is not None)), "generated"),
     )

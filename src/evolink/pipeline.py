@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -194,6 +195,38 @@ def all_negative_probabilities(pairs: Sequence[CandidatePair]) -> Sequence[Candi
     return [replace(p, probability=0.0) for p in pairs]
 
 
+# the JSON values that a field annotated with each type name accepts
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "None": type(None)}
+
+
+def _json_fits(value, annotation: str) -> bool:
+    """Whether a parsed JSON value fits an annotation such as ``float | None``."""
+    kinds = annotation.split(" | ")
+    if isinstance(value, bool) and "bool" not in kinds:  # an int to Python, not to JSON
+        return False
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
+    return any(isinstance(value, _JSON_TYPES[kind]) for kind in kinds)
+
+
+def _hyperparams(cls, raw, section: str):
+    """``cls(**raw)`` for a hyperparameter dataclass, with errors naming ``section.key``."""
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{section}: expected a JSON object")
+    annotations = {f.name: f.type for f in fields(cls)}
+    for key, value in raw.items():
+        if key not in annotations:
+            raise ConfigError(f"{section}.{key}: unknown key")
+        if not _json_fits(value, annotations[key]):
+            raise ConfigError(
+                f"{section}.{key}: expected {annotations[key]}, got {value!r}"
+            )
+    try:
+        return cls(**raw)
+    except ConfigError as exc:  # the hyperparameters name the key alone
+        raise ConfigError(f"{section}.{exc}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment run needs; loadable from JSON."""
@@ -215,6 +248,8 @@ class ExperimentConfig:
         kind = self.source.get("kind")
         if kind not in ("synthetic", "files"):
             raise ConfigError(f"source.kind: expected 'synthetic' or 'files', got {kind!r}")
+        if "relations" in self.source:
+            raise ConfigError("source.relations: relational triples are not supported")
 
     @property
     def stage_seeds(self) -> dict[str, int]:
@@ -228,30 +263,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ExperimentConfig":
+        """A config from parsed JSON; any malformed value raises ConfigError naming its key."""
+        if not isinstance(raw, Mapping):
+            raise ConfigError("expected a JSON object")
         if "source" not in raw:
             raise ConfigError("missing key 'source'")
-        embed_kwargs = dict(raw.get("embed", {}))
-        rl_kwargs = dict(raw.get("rl", {}))
-        try:
-            embed_hp = EmbedHyperparams(**embed_kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"embed: {exc}") from None
-        try:
-            rl_hp = RLHyperparams(**rl_kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"rl: {exc}") from None
-        ratios = tuple(raw.get("ratios", (0.6, 0.2, 0.2)))
-        if len(ratios) != 3:
+        if not isinstance(raw["source"], Mapping):
+            raise ConfigError("source: expected a JSON object")
+        for f in fields(cls):  # the scalar fields: mode, kg_variant, seed, cross_product_cap
+            if f.type in _JSON_TYPES and f.name in raw and not _json_fits(raw[f.name], f.type):
+                raise ConfigError(f"{f.name}: expected {f.type}, got {raw[f.name]!r}")
+        ratios = raw.get("ratios", (0.6, 0.2, 0.2))
+        if not (
+            isinstance(ratios, (list, tuple))
+            and len(ratios) == 3
+            and all(_json_fits(r, "float") for r in ratios)
+        ):
             raise ConfigError("ratios: expected three fractions")
         return cls(
             source=dict(raw["source"]),
-            ratios=ratios,  # type: ignore[arg-type]
-            mode=str(raw.get("mode", "werl")).lower(),
-            kg_variant=str(raw.get("kg_variant", "ekg")).lower(),
-            embed=embed_hp,
-            rl=rl_hp,
-            seed=int(raw.get("seed", 0)),
-            cross_product_cap=int(raw.get("cross_product_cap", DEFAULT_CROSS_PRODUCT_CAP)),
+            ratios=tuple(ratios),  # type: ignore[arg-type]
+            mode=raw.get("mode", "werl").lower(),
+            kg_variant=raw.get("kg_variant", "ekg").lower(),
+            embed=_hyperparams(EmbedHyperparams, raw.get("embed", {}), "embed"),
+            rl=_hyperparams(RLHyperparams, raw.get("rl", {}), "rl"),
+            seed=raw.get("seed", 0),
+            cross_product_cap=raw.get("cross_product_cap", DEFAULT_CROSS_PRODUCT_CAP),
         )
 
     @classmethod
@@ -269,25 +306,8 @@ class ExperimentConfig:
             "ratios": list(self.ratios),
             "mode": self.mode,
             "kg_variant": self.kg_variant,
-            "embed": {
-                "dim": self.embed.dim,
-                "margin": self.embed.margin,
-                "learning_rate": self.embed.learning_rate,
-                "epochs": self.embed.epochs,
-                "batch_size": self.embed.batch_size,
-                "negatives": self.embed.negatives,
-                "norm": self.embed.norm,
-                "seed": self.embed.seed or 0,
-            },
-            "rl": {
-                "margin": self.rl.margin,
-                "learning_rate": self.rl.learning_rate,
-                "epochs": self.rl.epochs,
-                "loss_sign": self.rl.loss_sign,
-                "negative_ratio": self.rl.negative_ratio,
-                "nonnegative": self.rl.nonnegative,
-                "seed": self.rl.seed or 0,
-            },
+            "embed": {**asdict(self.embed), "seed": self.embed.seed or 0},
+            "rl": {**asdict(self.rl), "seed": self.rl.seed or 0},
             "seed": self.seed,
             "cross_product_cap": self.cross_product_cap,
         }
@@ -404,20 +424,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             )
 
     with _stage("graph"):
-        relational: tuple = ()
-        relation_names: tuple = ()
-        relations_path = config.source.get("relations")
-        if relations_path:
-            fmt_raw = config.source.get("format", {})
-            fmt = TextFormat(delimiter=fmt_raw.get("delimiter", ";"))
-            universe = data.records_a.entity_ids() | data.records_b.entity_ids()
-            all_triples, relation_names = ekg_mod.load_relations(
-                relations_path, universe, fmt
-            )
-            in_split = train.records_a.entity_ids() | train.records_b.entity_ids()
-            relational = tuple(
-                t for t in all_triples if t.head in in_split and t.tail in in_split
-            )
         degenerate = config.kg_variant == "er"
         graph = ekg_mod.build_ekg(
             train.records_a,
@@ -425,8 +431,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             train.links,
             include_identity_triples=degenerate,
             include_reverse_triples=degenerate,
-            relational=relational,
-            relation_names=relation_names,
         )
 
     with _stage("embed"):

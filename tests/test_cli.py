@@ -130,6 +130,21 @@ class TestTrain:
         assert "error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("change, key", [
+        ({"source": {**EXPERIMENT["source"], "relations": "rel.csv"}}, "source.relations"),
+        ({"embed": {"dim": "50"}}, "embed.dim"),
+        ({"rl": {"margin": "0.3"}}, "rl.margin"),
+    ])
+    def test_malformed_config_exits_2_naming_the_key(
+        self, tmp_path, data_dir, change, key, capsys
+    ):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({**EXPERIMENT, **change}), encoding="utf-8")
+        code = main(["train", str(data_dir), "--config", str(config), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert f"error: {key}:" in capsys.readouterr().err
+
+
 class TestPredict:
     def test_identical_pair_scores_half(self, tmp_path, data_dir, run_dir):
         truth = read_csv(data_dir / "truth_links.csv")[1:]
@@ -313,6 +328,14 @@ class TestEvaluate:
         pred, truth = self.write_files(tmp_path, rows, [[0, 10]])
         assert main(["evaluate", str(pred), str(truth)]) == 2
         assert "line 4: pair 0,10 repeats line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("decision", ["maybe", "Match", "", "1"])
+    def test_unknown_decision_exits_2(self, tmp_path, capsys, decision):
+        rows = [[0, 10, "0", "0.9", "match"], [1, 11, "0", "0.1", decision]]
+        pred, truth = self.write_files(tmp_path, rows, [[0, 10]])
+        assert main(["evaluate", str(pred), str(truth)]) == 2
+        err = capsys.readouterr().err
+        assert f"{pred}: line 3: unknown decision {decision!r}" in err
 
     def test_disjoint_ids_exit_2(self, tmp_path, capsys):
         rows = [[0, 10, "0", "0.9", "match"]]

@@ -6,10 +6,7 @@ from evolink.ekg import (
     EvolutionKG,
     EvolutionTriple,
     NegativeSampler,
-    RelationalTriple,
     build_ekg,
-    export_text,
-    load_relations,
     sample_negatives,
 )
 from evolink.errors import DomainError, LoadError
@@ -71,15 +68,19 @@ class TestBuild:
         )
         kg = civil_toy["kg"]
         assert again.evolution == kg.evolution
-        assert again.attribute_triples == kg.attribute_triples
-        assert again.entities == kg.entities
+        assert again.counts() == kg.counts()
 
     def test_every_et_value_appears_in_some_at(self, civil_toy):
-        kg = civil_toy["kg"]
-        at_values = {t.value for t in kg.attribute_triples}
-        for t in kg.evolution:
-            assert t.head_value in at_values
-            assert t.tail_value in at_values
+        # every evolution value is a present cell of some record
+        present = {
+            int(v)
+            for records in (civil_toy["records_a"], civil_toy["records_b"])
+            for v in records.value_matrix.ravel()
+            if v >= 0
+        }
+        for t in civil_toy["kg"].evolution:
+            assert t.head_value in present
+            assert t.tail_value in present
 
     def test_overlapping_entity_ids_rejected(self, civil_toy):
         with pytest.raises(DomainError):
@@ -98,18 +99,6 @@ class TestBuild:
 
 
 class TestValidation:
-    def test_duplicate_attribute_triple_rejected(self):
-        d = ValueDictionary(1)
-        x = d.intern(0, "x")
-        y = d.intern(0, "y")
-        with pytest.raises(DomainError, match="two attribute triples"):
-            EvolutionKG.from_triples(
-                entities=[1],
-                values=d,
-                attribute_triples=[AttributeTriple(1, x, 0), AttributeTriple(1, y, 0)],
-                evolution=[],
-            )
-
     def test_evolution_outside_domain(self):
         d = ValueDictionary(2)
         x = d.intern(0, "x")
@@ -122,17 +111,25 @@ class TestValidation:
                 evolution=[EvolutionTriple(x, z, 0)],
             )
 
-    def test_relational_self_loop_rejected(self):
+    def test_evolution_value_outside_dictionary(self):
         d = ValueDictionary(1)
-        with pytest.raises(DomainError, match="head == tail"):
+        x = d.intern(0, "x")
+        with pytest.raises(DomainError, match="unknown value 7"):
             EvolutionKG.from_triples(
-                entities=[1, 2],
-                values=d,
-                attribute_triples=[],
-                evolution=[],
-                relational=[RelationalTriple(1, 1, 0)],
-                relation_names=("same",),
+                entities=[], values=d, attribute_triples=[],
+                evolution=[EvolutionTriple(x, 7, 0)],
             )
+
+    def test_from_triples_counts_distinct_entities_and_attribute_triples(self):
+        d = ValueDictionary(1)
+        x = d.intern(0, "x")
+        kg = EvolutionKG.from_triples(
+            entities=[1, 2, 2],
+            values=d,
+            attribute_triples=[AttributeTriple(1, x, 0)] * 2 + [AttributeTriple(2, x, 0)],
+            evolution=[],
+        )
+        assert (kg.counts()["entities"], kg.counts()["attribute_triples"]) == (2, 2)
 
 
 class TestSampleNegatives:
@@ -292,18 +289,88 @@ class TestNegativeSampler:
             sampler.draw(np.zeros(1, dtype=np.int64), 0, rng)
 
 
-class TestRelationsAndExport:
-    def test_load_relations(self, tmp_path, civil_toy):
-        path = tmp_path / "rel.csv"
-        path.write_text("0;10;same_household\n1;11;same_household\n", encoding="utf-8")
-        triples, names = load_relations(path, [0, 1, 10, 11])
-        assert names == ("same_household",)
-        assert RelationalTriple(0, 10, 0) in triples
+def random_linked_sets(rng, n_a=40, n_b=30, n_values=(4, 3, 6, 2), missing=0.25):
+    """Two record sets with missing values over a shared dictionary, and random links.
 
-    def test_export_lists_all_stores(self, civil_toy):
-        dump = export_text(civil_toy["kg"])
-        lines = dump.strip().splitlines()
-        assert sum(1 for l in lines if l.startswith("entity\t")) == 4
-        assert sum(1 for l in lines if l.startswith("value\t")) == 3
-        assert sum(1 for l in lines if l.startswith("at\t")) == 4
-        assert sum(1 for l in lines if l.startswith("et\t")) == 2
+    Small vocabularies make equal values on a linked pair common; ids are
+    shuffled and non-contiguous, and a record may take part in several links.
+    """
+    schema = Schema(tuple(f"attr{i}" for i in range(len(n_values))))
+    d = ValueDictionary(len(n_values))
+    vocab = [[d.intern(attr, f"v{i}") for i in range(n)] for attr, n in enumerate(n_values)]
+
+    def build(n, id_base):
+        records = []
+        for entity_id in (id_base + 7 * rng.permutation(n)).tolist():
+            values = {
+                attr: vocab[attr][int(rng.integers(len(vocab[attr])))]
+                for attr in range(len(n_values))
+                if rng.random() >= missing
+            }
+            records.append(Record(entity_id, values))
+        return RecordSet(schema, d, records)
+
+    a, b = build(n_a, 0), build(n_b, 10_000)
+    pairs = {
+        (int(rng.choice(a.id_array)), int(rng.choice(b.id_array)))
+        for _ in range(int(rng.integers(0, 2 * n_b)))
+    }
+    return a, b, LinkedPairSet(tuple(sorted(pairs)), "train")
+
+
+def reference_evolution(records_a, records_b, links, identity, reverse):
+    """The per-link, per-attribute set loop that the matrix build must equal."""
+    evolution = set()
+    for a_id, b_id in links:
+        head, tail = records_a.get(a_id), records_b.get(b_id)
+        for attr, v_h in head.values.items():
+            v_t = tail.values.get(attr)
+            if v_t is None:
+                continue
+            if v_h == v_t:
+                if identity:
+                    evolution.add(EvolutionTriple(v_h, v_t, attr))
+                continue
+            evolution.add(EvolutionTriple(v_h, v_t, attr))
+            if reverse:
+                evolution.add(EvolutionTriple(v_t, v_h, attr))
+    return evolution
+
+
+class TestMatrixBuild:
+    @pytest.mark.parametrize("identity", [False, True])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_evolution_equals_reference_loop(self, seed, identity, reverse):
+        a, b, links = random_linked_sets(np.random.default_rng(seed))
+        kg = build_ekg(
+            a, b, links, include_identity_triples=identity, include_reverse_triples=reverse
+        )
+        assert kg.evolution == reference_evolution(a, b, links, identity, reverse)
+        assert all(type(v) is int for t in kg.evolution for v in t)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_equal_the_store_sizes(self, seed):
+        a, b, links = random_linked_sets(np.random.default_rng(seed))
+        records = [*a, *b]
+        attribute_triples = {
+            AttributeTriple(rec.entity_id, vid, attr)
+            for rec in records
+            for attr, vid in rec.values.items()
+        }
+        counts = build_ekg(a, b, links).counts()
+        assert counts["entities"] == len({rec.entity_id for rec in records})
+        assert counts["attribute_triples"] == len(attribute_triples)
+        assert (counts["relations"], counts["relational_triples"]) == (0, 0)
+        assert counts["values"] == len(a.dictionary)
+
+    def test_no_links_gives_an_empty_graph(self):
+        a, b, _ = random_linked_sets(np.random.default_rng(0))
+        kg = build_ekg(a, b, LinkedPairSet((), "train"), True, True)
+        assert kg.evolution == frozenset()
+        assert kg.counts()["entities"] == len(a) + len(b)
+
+    def test_missing_b_endpoint_names_side_and_entity(self, civil_toy):
+        links = LinkedPairSet(((0, 10), (1, 99)), "train")
+        with pytest.raises(LoadError, match="record set B: unknown entity id 99"):
+            build_ekg(civil_toy["records_a"], civil_toy["records_b"], links)

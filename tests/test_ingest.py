@@ -1,12 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evolink.errors import ConfigError, LoadError, SchemaMismatchError
+from evolink.errors import ConfigError, DomainError, LoadError, SchemaMismatchError
 from evolink.ingest import (
     LinkedPairSet,
+    Record,
+    RecordSet,
     Schema,
     SynthConfig,
     TextFormat,
@@ -146,6 +149,93 @@ class TestLoadRecords:
         assert records_b.records[0].entity_id == 100
 
 
+def random_records(rng, n=30, n_values=(3, 5, 2), missing=0.3):
+    """Records with missing values, shuffled ids, and their dictionary."""
+    d = ValueDictionary(len(n_values))
+    vocab = [[d.intern(attr, f"v{i}") for i in range(k)] for attr, k in enumerate(n_values)]
+    records = [
+        Record(entity_id, {
+            attr: vocab[attr][int(rng.integers(len(vocab[attr])))]
+            for attr in range(len(n_values))
+            if rng.random() >= missing
+        })
+        for entity_id in (5 + 3 * rng.permutation(n)).tolist()
+    ]
+    return records, d
+
+
+class TestRecordSet:
+    SCHEMA = Schema(("x", "y", "z"))
+
+    def test_columns_and_records_agree(self):
+        records, d = random_records(np.random.default_rng(1))
+        from_records = RecordSet(self.SCHEMA, d, records)
+        assert from_records.id_array.tolist() == [r.entity_id for r in records]
+        for rec, row in zip(records, from_records.value_matrix.tolist()):
+            assert {a: v for a, v in enumerate(row) if v >= 0} == rec.values
+        from_columns = RecordSet.from_columns(
+            self.SCHEMA, d, from_records.id_array, from_records.value_matrix
+        )
+        np.testing.assert_array_equal(from_columns.value_matrix, from_records.value_matrix)
+        for made in (from_records, from_columns):
+            assert made.records == tuple(records)
+            assert list(made) == records
+            assert [made.get(r.entity_id) for r in records] == records
+            assert len(made) == len(records)
+
+    def test_empty(self):
+        d = ValueDictionary(3)
+        empty_columns = RecordSet.from_columns(self.SCHEMA, d, [], np.zeros((0, 3)))
+        for made in (RecordSet(self.SCHEMA, d, ()), empty_columns):
+            assert len(made) == 0 and made.value_matrix.shape == (0, 3)
+            assert made.records == ()
+
+    @pytest.mark.parametrize("vid, attr", [(-1, 0), (-5, 0), (99, 0), (1, 0), (0, 3)])
+    def test_bad_cells_rejected_by_both_constructors(self, vid, attr):
+        d = ValueDictionary(3)
+        d.intern(0, "a")
+        d.intern(1, "b")  # id 1 belongs to attribute 1, not 0
+        with pytest.raises(DomainError, match=f"record 7: value id {vid} "):
+            RecordSet(self.SCHEMA, d, [Record(7, {attr: vid})])
+        if vid != -1 and attr < 3:  # -1 is the matrix's missing marker
+            matrix = np.full((1, 3), -1)
+            matrix[0, attr] = vid
+            with pytest.raises(DomainError, match=f"record 7: value id {vid} "):
+                RecordSet.from_columns(self.SCHEMA, d, [7], matrix)
+
+    def test_duplicate_and_oversized_ids_rejected_by_both_constructors(self):
+        d = ValueDictionary(3)
+        with pytest.raises(LoadError, match="duplicate entity id 4"):
+            RecordSet(self.SCHEMA, d, [Record(3, {}), Record(4, {}), Record(4, {})])
+        with pytest.raises(LoadError, match="duplicate entity id 4"):
+            RecordSet.from_columns(self.SCHEMA, d, [3, 4, 4], np.full((3, 3), -1))
+        with pytest.raises(LoadError, match="64 bits"):
+            RecordSet(self.SCHEMA, d, [Record(2**64, {})])
+        with pytest.raises(LoadError, match="64 bits"):
+            RecordSet.from_columns(self.SCHEMA, d, [2**64], np.full((1, 3), -1))
+
+    def test_matrix_shape_checked(self):
+        with pytest.raises(DomainError, match="shape"):
+            RecordSet.from_columns(self.SCHEMA, ValueDictionary(3), [1, 2], np.full((2, 2), -1))
+
+    def test_unknown_entity_id(self):
+        records, d = random_records(np.random.default_rng(2))
+        made = RecordSet(self.SCHEMA, d, records)
+        assert 4 not in made
+        with pytest.raises(LoadError, match="unknown entity id 4"):
+            made.get(4)
+        with pytest.raises(LoadError, match="unknown entity id 4"):
+            made.rows([records[0].entity_id, 4])
+
+    def test_take_keeps_the_rows(self):
+        records, d = random_records(np.random.default_rng(3))
+        made = RecordSet(self.SCHEMA, d, records)
+        rows = np.array([4, 0, 17])
+        subset = made.take(rows)
+        assert subset.records == tuple(records[i] for i in rows)
+        assert subset.dictionary is d
+
+
 class TestLinksRoundTrip:
     def test_write_then_load(self, tmp_path):
         links = LinkedPairSet(((0, 10), (1, 11)), "train")
@@ -210,6 +300,38 @@ class TestPartition:
             assert one.links.pairs == two.links.pairs
             assert [r.entity_id for r in one.records_a] == [r.entity_id for r in two.records_a]
             assert [r.entity_id for r in one.records_b] == [r.entity_id for r in two.records_b]
+
+    def test_split_columns_are_parent_rows(self):
+        data = generate_synthetic(
+            SynthConfig(
+                attributes=("name", "token", "status"),
+                vocabularies={
+                    "name": tuple(f"n{i}" for i in range(50)),
+                    "token": tuple(f"t{i}" for i in range(10)),
+                    "status": ("single", "married"),
+                },
+                size_a=90, size_b=80, duplicate_fraction=0.7, missing_probability=0.3,
+            ),
+            seed=4,
+        )
+        # shuffled rows, so that row order and id order differ
+        rng = np.random.default_rng(6)
+        records_a, records_b = (
+            records.take(rng.permutation(len(records)))
+            for records in (data.records_a, data.records_b)
+        )
+        assert (records_b.value_matrix == -1).any()
+        splits = partition(records_a, records_b, data.links, (0.5, 0.3, 0.2), seed=2)
+        for parent, side in ((records_a, 0), (records_b, 1)):
+            ids = []
+            for split in splits:
+                child = split[side]
+                assert child.id_array.tolist() == sorted(child.id_array.tolist())
+                rows = parent.rows(child.id_array.tolist())
+                np.testing.assert_array_equal(child.value_matrix, parent.value_matrix[rows])
+                assert list(child) == [parent.get(i) for i in child.id_array.tolist()]
+                ids += child.id_array.tolist()
+            assert sorted(ids) == sorted(parent.id_array.tolist())
 
     def test_pairs_never_straddle_splits(self):
         data = _synthetic_universe(n_pairs=50, extra=10)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -232,21 +234,6 @@ class TestRunExperiment:
         )
         assert len(metrics_csv.splitlines()) == 2
 
-    def test_relation_file_ingested_but_unused_by_scoring(self, tmp_path):
-        plain = run_experiment(small_config())
-        relations = tmp_path / "relations.csv"
-        # relate the first two generated A entities; ids 0 and 1 always exist
-        relations.write_text("0;1;same_household\n", encoding="utf-8")
-        config = small_config()
-        source = dict(config.source)
-        source["relations"] = str(relations)
-        from dataclasses import replace
-
-        enriched = run_experiment(replace(config, source=source))
-        counts = enriched.report.graph_counts
-        assert counts["relations"] in (0, 1)  # present only if both ids fall in train
-        assert enriched.report.metrics == plain.report.metrics
-
     def test_explicit_zero_stage_seeds_are_used(self):
         unset = small_config()
         assert (unset.stage_seeds["embed"], unset.stage_seeds["weights"]) == (7, 8)
@@ -279,6 +266,120 @@ class TestRunExperiment:
             small_config(mode="banana")
         with pytest.raises(ConfigError, match="source"):
             ExperimentConfig.from_dict({})
+
+
+class TestConfigFile:
+    def test_json_array_is_not_an_object(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        with pytest.raises(ConfigError, match="expected a JSON object"):
+            ExperimentConfig.from_json(path)
+        with pytest.raises(ConfigError, match="expected a JSON object"):
+            ExperimentConfig.from_dict([1, 2])
+
+    @pytest.mark.parametrize("source", [[], "synthetic", None, 3])
+    def test_source_must_be_an_object(self, source):
+        with pytest.raises(ConfigError, match="source: expected a JSON object"):
+            small_config(source=source)
+
+    def test_relations_key_rejected(self):
+        source = {"kind": "synthetic", "synth": SMALL_SYNTH, "relations": "rel.csv"}
+        with pytest.raises(ConfigError, match="source.relations"):
+            small_config(source=source)
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("embed", "dim", "50", "embed.dim: expected int, got '50'"),
+        ("embed", "dim", 2.5, "embed.dim: expected int"),
+        ("embed", "dim", True, "embed.dim: expected int"),
+        ("embed", "margin", float("nan"), "embed.margin: expected float"),
+        ("embed", "dim", 0, "embed.dim: must be >= 1"),
+        ("embed", "seed", "1", "embed.seed: expected int | None"),
+        ("embed", "depth", 3, "embed.depth: unknown key"),
+        ("rl", "margin", "0.3", "rl.margin: expected float, got '0.3'"),
+        ("rl", "margin", 1.5, "rl.margin: must be in"),
+        ("rl", "nonnegative", 1, "rl.nonnegative: expected bool"),
+        ("rl", "loss_sign", ["corrected"], "rl.loss_sign: expected str"),
+    ])
+    def test_hyperparameter_errors_name_the_key(self, section, key, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            small_config(**{section: {key: value}})
+
+    def test_hyperparameter_types_accepted(self):
+        config = small_config(
+            embed={"dim": 4, "margin": 1, "seed": None},
+            rl={"negative_ratio": None, "nonnegative": True, "learning_rate": 2},
+        )
+        assert (config.embed.dim, config.embed.margin, config.embed.seed) == (4, 1, None)
+        assert (config.rl.negative_ratio, config.rl.nonnegative) == (None, True)
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"embed": []}, "embed"),
+        ({"rl": "fast"}, "rl"),
+        ({"ratios": "abc"}, "ratios"),
+        ({"ratios": [0.6, "0.2", 0.2]}, "ratios"),
+        ({"seed": [1]}, "seed"),
+        ({"seed": float("inf")}, "seed"),
+        ({"seed": "7"}, "seed"),
+        ({"mode": 3}, "mode"),
+        ({"cross_product_cap": "many"}, "cross_product_cap"),
+    ])
+    def test_malformed_top_level_values_name_the_key(self, overrides, key):
+        with pytest.raises(ConfigError, match=f"^{key}"):
+            small_config(**overrides)
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+CONFIG_KEYS = (
+    "source", "ratios", "mode", "kg_variant", "embed", "rl", "seed", "cross_product_cap",
+)
+HYPER_KEYS = (
+    "dim", "margin", "learning_rate", "epochs", "batch_size", "negatives", "norm", "seed",
+    "loss_sign", "negative_ratio", "nonnegative", "unknown",
+)
+
+
+# plausible values for each slot, so that many drawn configs are accepted
+HYPER_VALUES = (
+    st.integers(-1, 60) | st.floats(-0.5, 1.5) | st.sampled_from(["corrected", "as_written"])
+    | JSON_SCALARS
+)
+CONFIG_DICTS = st.fixed_dictionaries(
+    {"source": st.fixed_dictionaries({"kind": st.sampled_from(["synthetic", "files", "x"])})},
+    optional={
+        "ratios": st.sampled_from([[0.6, 0.2, 0.2], [1, 0, 0]])
+        | st.lists(JSON_SCALARS, max_size=4),
+        "mode": st.sampled_from(["werl", "MERL"]) | JSON_SCALARS,
+        "kg_variant": st.sampled_from(["ekg", "ER"]) | JSON_SCALARS,
+        "embed": st.dictionaries(st.sampled_from(HYPER_KEYS), HYPER_VALUES, max_size=3)
+        | JSON_VALUES,
+        "rl": st.dictionaries(st.sampled_from(HYPER_KEYS), HYPER_VALUES, max_size=3)
+        | JSON_VALUES,
+        "seed": st.integers() | JSON_SCALARS,
+        "cross_product_cap": st.integers() | JSON_SCALARS,
+    },
+)
+
+
+class TestConfigProperty:
+    @given(
+        JSON_VALUES | st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES) | CONFIG_DICTS
+    )
+    def test_from_dict_returns_a_config_or_raises_config_error(self, raw):
+        try:
+            config = ExperimentConfig.from_dict(raw)
+        except ConfigError:
+            return
+        assert isinstance(config, ExperimentConfig)
+        assert len(config.ratios) == 3
 
 
 class TestMetricsType:
