@@ -128,14 +128,18 @@ def build_ekg(
     keep = (head >= 0) & (tail >= 0)
     if not include_identity_triples:
         keep &= head != tail
-    triples = np.column_stack([head[keep], tail[keep], np.nonzero(keep)[1]])
+    heads, tails = head[keep], tail[keep]
     if include_reverse_triples:
-        triples = np.concatenate([triples, triples[:, [1, 0, 2]]])
+        heads, tails = np.concatenate([heads, tails]), np.concatenate([tails, heads])
+    # a value id lies in one attribute's domain, so (head, tail) alone keys a triple
+    n_values = len(records_a.dictionary)
+    heads, tails = np.divmod(np.unique(heads * n_values + tails), n_values)
+    attributes = records_a.dictionary.attribute_array()[heads]
 
     return EvolutionKG(
         values=records_a.dictionary,
         evolution=frozenset(
-            map(EvolutionTriple._make, np.unique(triples, axis=0).tolist())
+            map(EvolutionTriple._make, zip(heads.tolist(), tails.tolist(), attributes.tolist()))
         ),
         n_entities=len(records_a) + len(records_b),
         n_attribute_triples=int(

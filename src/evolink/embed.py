@@ -71,6 +71,8 @@ class EmbedHyperparams:
             raise ConfigError("negatives: must be >= 1")
         if self.norm not in (1, 2):
             raise ConfigError("norm: must be 1 or 2")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
 
 
 def init_embeddings(ekg: EvolutionKG, hp: EmbedHyperparams) -> EmbeddingStore:

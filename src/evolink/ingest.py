@@ -23,6 +23,40 @@ DEFAULT_NULL_MARKERS = ("", "illegible", "NA")
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
+# the JSON values that a field annotated with each type name accepts
+JSON_TYPES = {
+    "int": int, "float": (int, float), "str": str, "bool": bool, "None": type(None),
+    "list": list, "object": Mapping,
+}
+
+
+def json_fits(value, annotation: str) -> bool:
+    """Whether a parsed JSON value fits an annotation such as ``float | None``
+    or ``list[str]``."""
+    if annotation == "list[str]":
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    kinds = annotation.split(" | ")
+    if isinstance(value, bool) and "bool" not in kinds:  # an int to Python, not to JSON
+        return False
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
+    return any(isinstance(value, JSON_TYPES[kind]) for kind in kinds)
+
+
+_REQUIRED = object()
+
+
+def _json_value(raw: Mapping, key: str, annotation: str, where: str = "", default=_REQUIRED):
+    """``raw[key]`` if it fits the annotation; errors name ``where + key``."""
+    if key not in raw:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}{key}: required")
+        return default
+    value = raw[key]
+    if not json_fits(value, annotation):
+        raise ConfigError(f"{where}{key}: expected {annotation}, got {value!r}")
+    return value
+
 
 def standardize(text: str) -> str:
     """Trim, collapse internal whitespace, and case-fold. Idempotent."""
@@ -536,45 +570,45 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "SynthConfig":
-        try:
-            attributes = tuple(raw["attributes"])
-            vocab_raw = raw["vocabularies"]
-            size_a = int(raw["size_a"])
-            size_b = int(raw["size_b"])
-            duplicate_fraction = float(raw["duplicate_fraction"])
-        except KeyError as exc:
-            raise ConfigError(f"missing key {exc.args[0]!r}") from None
+        """A config from parsed JSON; any malformed value raises ConfigError naming its key."""
+        if not isinstance(raw, Mapping):
+            raise ConfigError("expected a JSON object")
+        attributes = _json_value(raw, "attributes", "list[str]")
         vocabularies = {}
-        for name, entry in vocab_raw.items():
+        for name, entry in _json_value(raw, "vocabularies", "object").items():
             if isinstance(entry, Mapping):
-                try:
-                    prefix, count = entry["prefix"], int(entry["count"])
-                except KeyError as exc:
-                    raise ConfigError(
-                        f"vocabularies.{name}: missing key {exc.args[0]!r}"
-                    ) from None
+                prefix = _json_value(entry, "prefix", "str", f"vocabularies.{name}.")
+                count = _json_value(entry, "count", "int", f"vocabularies.{name}.")
                 vocabularies[name] = tuple(f"{prefix}{i:03d}" for i in range(count))
-            else:
+            elif json_fits(entry, "list[str]"):
                 vocabularies[name] = tuple(entry)
-        rules = tuple(
-            EvolutionRule(
-                attribute=r["attribute"],
-                source=r["from"],
-                target=r["to"],
-                probability=float(r.get("probability", 1.0)),
-            )
-            for r in raw.get("evolution_rules", ())
-        )
+            else:
+                raise ConfigError(
+                    f"vocabularies.{name}: expected list[str] or object, got {entry!r}"
+                )
+        rules = []
+        for i, rule in enumerate(_json_value(raw, "evolution_rules", "list", default=[])):
+            where = f"evolution_rules.{i}."
+            if not isinstance(rule, Mapping):
+                raise ConfigError(f"evolution_rules.{i}: expected object, got {rule!r}")
+            rules.append(EvolutionRule(
+                attribute=_json_value(rule, "attribute", "str", where),
+                source=_json_value(rule, "from", "str", where),
+                target=_json_value(rule, "to", "str", where),
+                probability=float(_json_value(rule, "probability", "float", where, 1.0)),
+            ))
         return cls(
-            attributes=attributes,
+            attributes=tuple(attributes),
             vocabularies=vocabularies,
-            size_a=size_a,
-            size_b=size_b,
-            duplicate_fraction=duplicate_fraction,
-            blocking_attribute=raw.get("blocking_attribute"),
-            evolution_rules=rules,
-            typo_probability=float(raw.get("typo_probability", 0.015)),
-            missing_probability=float(raw.get("missing_probability", 0.01)),
+            size_a=_json_value(raw, "size_a", "int"),
+            size_b=_json_value(raw, "size_b", "int"),
+            duplicate_fraction=float(_json_value(raw, "duplicate_fraction", "float")),
+            blocking_attribute=_json_value(raw, "blocking_attribute", "str | None", default=None),
+            evolution_rules=tuple(rules),
+            typo_probability=float(_json_value(raw, "typo_probability", "float", default=0.015)),
+            missing_probability=float(
+                _json_value(raw, "missing_probability", "float", default=0.01)
+            ),
         )
 
     @classmethod

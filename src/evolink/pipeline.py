@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -26,6 +25,7 @@ from .candidates import CandidatePair, Candidates, Metrics, truth_labels
 from .embed import EmbeddingStore, EmbedHyperparams, train_embeddings
 from .errors import BlockingCapError, ConfigError, StageError
 from .ingest import (
+    JSON_TYPES,
     LinkedPairSet,
     RecordSet,
     Schema,
@@ -33,6 +33,7 @@ from .ingest import (
     SynthConfig,
     TextFormat,
     generate_synthetic,
+    json_fits,
     load_links,
     load_records,
     partition,
@@ -60,9 +61,9 @@ def block_candidates(
 
     Without a blocking attribute the full cross product is returned, guarded
     by the size cap. Records missing the blocking value join no pair. Pairs
-    come in A-record order, and in B-record order for one A record; weight
-    training subsamples negatives by position, so this order is part of the
-    result.
+    come in A-record order, and in B-record order for one A record. When its
+    negatives can bind, weight training subsamples them by position, so this
+    order is part of the result.
     """
     if records_a.dictionary is not records_b.dictionary:
         raise ConfigError("record sets must share one value dictionary")
@@ -195,20 +196,6 @@ def all_negative_probabilities(pairs: Sequence[CandidatePair]) -> Sequence[Candi
     return [replace(p, probability=0.0) for p in pairs]
 
 
-# the JSON values that a field annotated with each type name accepts
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "None": type(None)}
-
-
-def _json_fits(value, annotation: str) -> bool:
-    """Whether a parsed JSON value fits an annotation such as ``float | None``."""
-    kinds = annotation.split(" | ")
-    if isinstance(value, bool) and "bool" not in kinds:  # an int to Python, not to JSON
-        return False
-    if isinstance(value, float) and not math.isfinite(value):
-        return False
-    return any(isinstance(value, _JSON_TYPES[kind]) for kind in kinds)
-
-
 def _hyperparams(cls, raw, section: str):
     """``cls(**raw)`` for a hyperparameter dataclass, with errors naming ``section.key``."""
     if not isinstance(raw, Mapping):
@@ -217,7 +204,7 @@ def _hyperparams(cls, raw, section: str):
     for key, value in raw.items():
         if key not in annotations:
             raise ConfigError(f"{section}.{key}: unknown key")
-        if not _json_fits(value, annotations[key]):
+        if not json_fits(value, annotations[key]):
             raise ConfigError(
                 f"{section}.{key}: expected {annotations[key]}, got {value!r}"
             )
@@ -250,6 +237,18 @@ class ExperimentConfig:
             raise ConfigError(f"source.kind: expected 'synthetic' or 'files', got {kind!r}")
         if "relations" in self.source:
             raise ConfigError("source.relations: relational triples are not supported")
+        if kind == "synthetic":
+            if "synth" not in self.source:
+                raise ConfigError("source.synth: required for synthetic sources")
+            synth = self.source["synth"]
+            if not isinstance(synth, Mapping):
+                raise ConfigError(f"source.synth: expected a JSON object, got {synth!r}")
+            try:
+                SynthConfig.from_dict(synth)
+            except ConfigError as exc:
+                raise ConfigError(f"source.synth.{exc}") from None
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
 
     @property
     def stage_seeds(self) -> dict[str, int]:
@@ -271,13 +270,13 @@ class ExperimentConfig:
         if not isinstance(raw["source"], Mapping):
             raise ConfigError("source: expected a JSON object")
         for f in fields(cls):  # the scalar fields: mode, kg_variant, seed, cross_product_cap
-            if f.type in _JSON_TYPES and f.name in raw and not _json_fits(raw[f.name], f.type):
+            if f.type in JSON_TYPES and f.name in raw and not json_fits(raw[f.name], f.type):
                 raise ConfigError(f"{f.name}: expected {f.type}, got {raw[f.name]!r}")
         ratios = raw.get("ratios", (0.6, 0.2, 0.2))
         if not (
             isinstance(ratios, (list, tuple))
             and len(ratios) == 3
-            and all(_json_fits(r, "float") for r in ratios)
+            and all(json_fits(r, "float") for r in ratios)
         ):
             raise ConfigError("ratios: expected three fractions")
         return cls(
@@ -359,7 +358,7 @@ def _stage(name: str):
 def _resolve_data(config: ExperimentConfig) -> tuple[Schema, Split]:
     src = config.source
     if src["kind"] == "synthetic":
-        synth = SynthConfig.from_dict(src.get("synth", {}))
+        synth = SynthConfig.from_dict(src["synth"])
         data = generate_synthetic(synth, config.stage_seeds["synthetic"])
         return data.records_a.schema, data
     try:

@@ -62,6 +62,8 @@ class RLHyperparams:
             raise ConfigError(f"loss_sign: unknown mode {self.loss_sign!r}")
         if self.negative_ratio is not None and self.negative_ratio <= 0:
             raise ConfigError("negative_ratio: must be > 0 or None")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
 
 
 def mismatch_indicator(v: int, u: int) -> int:
@@ -223,6 +225,15 @@ def _epoch_loss_and_gradient(
     return total, grad
 
 
+def _scorable(cands: Candidates) -> np.ndarray:
+    """Per pair, whether some attribute is present on both records:
+    ``feature_matrix``'s ``defined`` mask, from value presence alone."""
+    # one bit per attribute, so a pair gathers a byte per 8 attributes, not a bool each
+    present_a = np.packbits(cands.records_a.value_matrix >= 0, axis=1)
+    present_b = np.packbits(cands.records_b.value_matrix >= 0, axis=1)
+    return (present_a[cands.a] & present_b[cands.b]).any(axis=1)
+
+
 def train_weights(
     t_plus: Sequence,
     t_minus: Sequence,
@@ -238,36 +249,59 @@ def train_weights(
     CandidatePair.
 
     Starts from all-ones weights, so training can only move away from the
-    uniform-weight solution when that lowers the loss. Negatives are
-    re-subsampled each epoch down to ``negative_ratio`` per positive.
-    Gradient steps use the mean loss over the epoch's pairs. Deterministic
-    given the seed.
+    uniform-weight solution when that lowers the loss. Gradient steps use the
+    mean loss over the epoch's pairs: every scorable positive and, with
+    ``negative_ratio`` set, at most that many scorable negatives per positive.
+    Deterministic given the seed.
+
+    Every feature is <= 0 (minus a distance, or 0). So while every weight is
+    >= 0, each pair has g <= 0 and P <= 0.5, and under the corrected loss
+    with a margin <= 0.5 a negative's hinge max(0, P - (1 - margin)) is
+    exactly 0. An epoch in that state skips the negatives' draw, gather and
+    products, which would add exactly 0 to the loss and the gradient; only
+    their count enters the mean, taken from value presence. Negative
+    features are built the first time an epoch needs them, which under the
+    default settings is never. An epoch that needs them draws its subset
+    from its own generator, ``default_rng([seed, epoch])``, so skipped
+    epochs do not shift the draws of later ones.
     """
     if not len(t_plus) or not len(t_minus):
         raise TrainingError("both positive and negative pair sets must be non-empty")
 
     feats_pos, defined_pos = feature_matrix(t_plus, records_a, records_b, store, p)
-    feats_neg, defined_neg = feature_matrix(t_minus, records_a, records_b, store, p)
     feats_pos = feats_pos[defined_pos]
-    feats_neg = feats_neg[defined_neg]
-    if not len(feats_pos) or not len(feats_neg):
+    neg = Candidates.of(t_minus, records_a, records_b)
+    scorable_neg = _scorable(neg)
+    n_neg = int(np.count_nonzero(scorable_neg))
+    if not len(feats_pos) or not n_neg:
         raise TrainingError("no scorable pairs (no shared present attributes)")
 
-    rng = np.random.default_rng(hp.seed or 0)
+    seed = hp.seed or 0
     w = np.ones(store.attribute_vectors.shape[0])
     history: list[float] = []
-    cap = None
+    n_draw = n_neg
     if hp.negative_ratio is not None:
-        cap = int(round(hp.negative_ratio * len(feats_pos)))
+        n_draw = min(n_draw, int(round(hp.negative_ratio * len(feats_pos))))
+    n_used = len(feats_pos) + n_draw
+    # under the corrected hinge with margin <= 0.5, negatives bind only once a weight is < 0
+    skippable = hp.loss_sign == "corrected" and hp.margin <= 0.5
+    no_negatives = np.zeros((0, len(w)))
+    feats_neg = None
 
-    for _ in range(hp.epochs):
-        if cap is not None and len(feats_neg) > cap:
-            idx = rng.choice(len(feats_neg), size=cap, replace=False)
-            epoch_neg = feats_neg[np.sort(idx)]
+    for epoch in range(hp.epochs):
+        if skippable and (w >= 0).all():
+            epoch_neg = no_negatives
         else:
-            epoch_neg = feats_neg
+            if feats_neg is None:
+                scorable = neg.take(scorable_neg)
+                feats_neg, _ = feature_matrix(scorable, records_a, records_b, store, p)
+            if n_draw < n_neg:
+                rng = np.random.default_rng([seed, epoch])
+                idx = rng.choice(n_neg, size=n_draw, replace=False)
+                epoch_neg = feats_neg[np.sort(idx)]
+            else:
+                epoch_neg = feats_neg
         total, grad = _epoch_loss_and_gradient(feats_pos, epoch_neg, w, hp)
-        n_used = len(feats_pos) + len(epoch_neg)
         mean_loss = total / n_used
         if not math.isfinite(mean_loss):
             raise TrainingError(

@@ -360,6 +360,26 @@ class TestExperimentCommand:
         assert (out / "report.txt").is_file()
         assert (out / "model.bin").is_file()
 
+    @pytest.mark.parametrize("change, key", [
+        ({"source": {"kind": "synthetic", "synth": {**SYNTH, "attributes": 5}}},
+         "source.synth.attributes"),
+        ({"source": {"kind": "synthetic", "synth": {**SYNTH, "size_a": "120"}}},
+         "source.synth.size_a"),
+        ({"seed": -1}, "seed"),
+    ])
+    def test_malformed_config_exits_2_naming_the_key(self, tmp_path, change, key, capsys):
+        config = {
+            "source": {"kind": "synthetic", "synth": SYNTH},
+            "rl": {"epochs": 5},
+            "embed": {"epochs": 5},
+            "seed": 5,
+            **change,
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert f"error: {key}:" in capsys.readouterr().err
+
     def test_loss_sign_flag(self, tmp_path, data_dir, experiment_config):
         out = tmp_path / "asw"
         assert main([

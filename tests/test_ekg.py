@@ -349,6 +349,46 @@ class TestMatrixBuild:
         assert kg.evolution == reference_evolution(a, b, links, identity, reverse)
         assert all(type(v) is int for t in kg.evolution for v in t)
 
+    @pytest.mark.parametrize("identity", [False, True])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_packed_key_equals_unique_rows(self, seed, identity, reverse):
+        # interleaved ids: no attribute owns a contiguous id range
+        rng = np.random.default_rng(100 + seed)
+        schema = Schema(("x", "y", "z"))
+        d = ValueDictionary(3)
+        vocab = [[], [], []]
+        for i in range(30):
+            attr = int(rng.integers(3))
+            vocab[attr].append(d.intern(attr, f"v{i}"))
+
+        def build(n, id_base):
+            matrix = np.array(
+                [[vocab[attr][int(rng.integers(len(vocab[attr])))] if vocab[attr] else -1
+                  for attr in range(3)] for _ in range(n)],
+                dtype=np.int64,
+            )
+            matrix[rng.random(matrix.shape) < 0.2] = -1
+            return RecordSet.from_columns(schema, d, np.arange(n) + id_base, matrix)
+
+        a, b = build(60, 0), build(50, 1000)
+        pairs = {(int(rng.integers(60)), 1000 + int(rng.integers(50))) for _ in range(90)}
+        links = LinkedPairSet(tuple(sorted(pairs)), "train")
+        head = a.value_matrix[a.rows([x for x, _ in links])]
+        tail = b.value_matrix[b.rows([y for _, y in links])]
+        keep = (head >= 0) & (tail >= 0)
+        if not identity:
+            keep &= head != tail
+        triples = np.column_stack([head[keep], tail[keep], np.nonzero(keep)[1]])
+        if reverse:
+            triples = np.concatenate([triples, triples[:, [1, 0, 2]]])
+        by_rows = frozenset(map(EvolutionTriple._make, np.unique(triples, axis=0).tolist()))
+        kg = build_ekg(
+            a, b, links, include_identity_triples=identity, include_reverse_triples=reverse
+        )
+        assert len(by_rows) > 10
+        assert kg.evolution == by_rows
+
     @pytest.mark.parametrize("seed", range(4))
     def test_counts_equal_the_store_sizes(self, seed):
         a, b, links = random_linked_sets(np.random.default_rng(seed))

@@ -6,7 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evolink.errors import BlockingCapError, ConfigError, StageError
-from evolink.ingest import LinkedPairSet, Record, RecordSet, Schema, ValueDictionary
+from evolink.ingest import (
+    LinkedPairSet,
+    Record,
+    RecordSet,
+    Schema,
+    SynthConfig,
+    ValueDictionary,
+)
 from evolink.pipeline import (
     REFERENCE_RESULTS,
     CandidatePair,
@@ -328,6 +335,72 @@ class TestConfigFile:
             small_config(**overrides)
 
 
+    @pytest.mark.parametrize("change, message", [
+        ({"attributes": 5}, "source.synth.attributes: expected list[str], got 5"),
+        ({"attributes": ["given_name", 3]}, "source.synth.attributes: expected list[str]"),
+        ({"vocabularies": ["gn"]}, "source.synth.vocabularies: expected object"),
+        ({"vocabularies": {"given_name": 4}}, "source.synth.vocabularies.given_name: expected"),
+        (
+            {"vocabularies": {**SMALL_SYNTH["vocabularies"], "surname2": {"prefix": "fam"}}},
+            "source.synth.vocabularies.surname2.count: required",
+        ),
+        (
+            {"vocabularies": {
+                **SMALL_SYNTH["vocabularies"], "surname2": {"prefix": "f", "count": "12"},
+            }},
+            "source.synth.vocabularies.surname2.count: expected int, got '12'",
+        ),
+        ({"size_a": "150"}, "source.synth.size_a: expected int, got '150'"),
+        ({"size_b": 150.5}, "source.synth.size_b: expected int"),
+        ({"size_a": 0}, "source.synth.size_a/size_b: must be positive"),
+        ({"duplicate_fraction": None}, "source.synth.duplicate_fraction: expected float"),
+        ({"blocking_attribute": 1}, "source.synth.blocking_attribute: expected str | None"),
+        ({"blocking_attribute": "age"}, "source.synth.blocking_attribute: unknown attribute"),
+        ({"typo_probability": True}, "source.synth.typo_probability: expected float"),
+        ({"evolution_rules": {"a": 1}}, "source.synth.evolution_rules: expected list"),
+        ({"evolution_rules": [3]}, "source.synth.evolution_rules.0: expected object"),
+        (
+            {"evolution_rules": [{"attribute": "status", "from": "single"}]},
+            "source.synth.evolution_rules.0.to: required",
+        ),
+        (
+            {"evolution_rules": [
+                {"attribute": "status", "from": "single", "to": "married", "probability": "1"},
+            ]},
+            "source.synth.evolution_rules.0.probability: expected float",
+        ),
+    ])
+    def test_malformed_synth_names_the_key(self, change, message):
+        source = {"kind": "synthetic", "synth": {**SMALL_SYNTH, **change}}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            small_config(source=source)
+
+    @pytest.mark.parametrize("key", ["attributes", "vocabularies", "size_a", "duplicate_fraction"])
+    def test_missing_synth_key_named(self, key):
+        synth = {k: v for k, v in SMALL_SYNTH.items() if k != key}
+        with pytest.raises(ConfigError, match=re.escape(f"source.synth.{key}: required")):
+            small_config(source={"kind": "synthetic", "synth": synth})
+
+    @pytest.mark.parametrize("synth, message", [
+        (None, "source.synth: expected a JSON object, got None"),
+        ([], "source.synth: expected a JSON object"),
+    ])
+    def test_synth_must_be_an_object(self, synth, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            small_config(source={"kind": "synthetic", "synth": synth})
+        with pytest.raises(ConfigError, match="source.synth: required for synthetic sources"):
+            small_config(source={"kind": "synthetic"})
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"seed": -1}, "seed: must be >= 0"),
+        ({"rl": {"seed": -2}}, "rl.seed: must be >= 0"),
+        ({"embed": {"seed": -3}}, "embed.seed: must be >= 0"),
+    ])
+    def test_negative_seed_rejected(self, overrides, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            small_config(**overrides)
+
+
 JSON_SCALARS = (
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
 )
@@ -380,6 +453,23 @@ class TestConfigProperty:
             return
         assert isinstance(config, ExperimentConfig)
         assert len(config.ratios) == 3
+
+    @given(JSON_VALUES)
+    def test_synth_from_dict_returns_a_config_or_raises_config_error(self, raw):
+        try:
+            config = SynthConfig.from_dict(raw)
+        except ConfigError:
+            return
+        assert isinstance(config, SynthConfig)
+
+    @given(st.sampled_from(sorted(SMALL_SYNTH)), JSON_VALUES)
+    def test_any_synth_value_is_accepted_or_refused_under_source_synth(self, key, value):
+        synth = {**SMALL_SYNTH, key: value}
+        try:
+            small_config(source={"kind": "synthetic", "synth": synth})
+        except ConfigError as exc:
+            # a range check may name the field it compares with, such as size_a/size_b
+            assert str(exc).startswith("source.synth."), str(exc)
 
 
 class TestMetricsType:

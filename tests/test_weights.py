@@ -9,6 +9,7 @@ from evolink.ingest import Record, RecordSet, Schema, ValueDictionary
 from evolink.pipeline import CandidatePair
 from evolink.weights import (
     RLHyperparams,
+    _epoch_loss_and_gradient,
     WeightVector,
     classify,
     feature_matrix,
@@ -270,6 +271,178 @@ class TestTrainWeights:
             RLHyperparams(margin=0.0)
         with pytest.raises(ConfigError):
             RLHyperparams(loss_sign="mystery")
+
+
+def eager_train_weights(t_plus, t_minus, records_a, records_b, store, hp, p=2):
+    """Reference for ``train_weights``: every scorable negative's features
+    built up front, and a draw from ``default_rng([seed, epoch])`` in every
+    epoch. Also returns how many negative hinges were active in all."""
+    feats_pos, defined_pos = feature_matrix(t_plus, records_a, records_b, store, p)
+    feats_neg, defined_neg = feature_matrix(t_minus, records_a, records_b, store, p)
+    feats_pos, feats_neg = feats_pos[defined_pos], feats_neg[defined_neg]
+    n_draw = len(feats_neg)
+    if hp.negative_ratio is not None:
+        n_draw = min(n_draw, int(round(hp.negative_ratio * len(feats_pos))))
+    w = np.ones(store.attribute_vectors.shape[0])
+    history, active = [], 0
+    for epoch in range(hp.epochs):
+        idx = np.random.default_rng([hp.seed or 0, epoch]).choice(
+            len(feats_neg), size=n_draw, replace=False
+        )
+        epoch_neg = feats_neg[np.sort(idx)]
+        with np.errstate(over="ignore"):
+            p_neg = 1.0 / (1.0 + np.exp(-(epoch_neg @ w)))
+        if hp.loss_sign == "corrected":
+            active += int((p_neg - (1.0 - hp.margin) > 0).sum())
+        else:
+            active += int((hp.margin - p_neg > 0).sum())
+        total, grad = _epoch_loss_and_gradient(feats_pos, epoch_neg, w, hp)
+        n_used = len(feats_pos) + len(epoch_neg)
+        history.append(total / n_used)
+        w -= hp.learning_rate * grad / n_used
+        if hp.nonnegative:
+            np.maximum(w, 0.0, out=w)
+    return w, history, active
+
+
+def with_near_duplicate_negatives(seed=0):
+    """The separable setup plus negatives that match on the signal attribute,
+    so their P sits near 0.5 and a margin above 0.5 makes them bind. The B
+    records of ten negatives have no value at all, so those ten are not
+    scorable."""
+    store, records_a, records_b, pos, neg = separable_training_setup(seed)
+    rows = records_b.value_matrix.copy()
+    rows[120:130] = -1
+    twins = records_a.value_matrix[: len(rows) // 4]
+    rows[-len(twins):, 0] = twins[:, 0]
+    b_ids = records_b.id_array.copy()
+    records_b = RecordSet.from_columns(records_a.schema, records_a.dictionary, b_ids, rows)
+    neg = neg + [
+        CandidatePair(int(a_id), int(b_id))
+        for a_id, b_id in zip(records_a.id_array[: len(twins)], b_ids[-len(twins):])
+    ]
+    return store, records_a, records_b, pos, neg
+
+
+class TestLazyNegatives:
+    """``train_weights`` skips negatives only where they add exactly 0."""
+
+    @pytest.mark.parametrize("hp, binds", [
+        (RLHyperparams(loss_sign="as_written", epochs=60, seed=4, negative_ratio=1.0), True),
+        (RLHyperparams(loss_sign="as_written", epochs=30, seed=4, negative_ratio=None), True),
+        (RLHyperparams(margin=0.6, epochs=60, seed=2, negative_ratio=1.0), True),
+        (RLHyperparams(learning_rate=30.0, epochs=60, seed=9, negative_ratio=1.0), True),
+        (
+            RLHyperparams(learning_rate=30.0, epochs=60, seed=9, negative_ratio=1.0,
+                          nonnegative=True),
+            False,
+        ),
+        (RLHyperparams(epochs=60, seed=1, negative_ratio=1.0), False),
+        # at margin 0.5 every positive binds, which drives a weight below 0
+        (RLHyperparams(margin=0.5, epochs=60, seed=1, negative_ratio=0.5), True),
+    ])
+    def test_equals_the_eager_reference_bit_for_bit(self, hp, binds):
+        store, records_a, records_b, pos, neg = with_near_duplicate_negatives()
+        args = (pos[:60], neg, records_a, records_b, store, hp)
+        w, history = train_weights(*args)
+        ref_w, ref_history, active = eager_train_weights(*args)
+        assert w.weights.tobytes() == ref_w.tobytes()
+        assert np.array(history).tobytes() == np.array(ref_history).tobytes()
+        assert (active > 0) == binds
+
+    def test_weights_below_zero_turn_the_negatives_on(self):
+        store, records_a, records_b, pos, neg = with_near_duplicate_negatives()
+        hp = RLHyperparams(learning_rate=30.0, epochs=60, seed=9, negative_ratio=1.0)
+        seen = []
+
+        def counting(pairs, *args, **kwargs):
+            seen.append(len(pairs))
+            return feature_matrix(pairs, *args, **kwargs)
+
+        import evolink.weights as weights_mod
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weights_mod, "feature_matrix", counting)
+            w, _ = train_weights(pos[:60], neg, records_a, records_b, store, hp)
+        assert w.weights.min() < 0
+        assert seen == [60, len(neg) - 10]
+
+    def test_default_config_never_builds_negative_features(self, monkeypatch):
+        import evolink.weights as weights_mod
+
+        store, records_a, records_b, pos, neg = with_near_duplicate_negatives()
+        seen = []
+
+        def counting(pairs, *args, **kwargs):
+            seen.append(len(pairs))
+            return feature_matrix(pairs, *args, **kwargs)
+
+        monkeypatch.setattr(weights_mod, "feature_matrix", counting)
+        _, history = train_weights(
+            pos[:60], neg, records_a, records_b, store, RLHyperparams(seed=3)
+        )
+        assert seen == [60]
+        assert len(history) == RLHyperparams().epochs
+
+    def test_mean_counts_the_skipped_negatives(self):
+        # only the positives' hinges count, but the mean is over the positives
+        # plus the capped number of negatives
+        store, records_a, records_b, pos, neg = with_near_duplicate_negatives()
+        hp = RLHyperparams(epochs=1, seed=0, negative_ratio=2.0)
+        _, history = train_weights(pos[:5], neg, records_a, records_b, store, hp)
+        feats, _ = feature_matrix(pos[:5], records_a, records_b, store)
+        p_pos = 1.0 / (1.0 + np.exp(-(feats @ np.ones(2))))
+        assert history == [float(np.maximum(0.0, hp.margin - p_pos).sum()) / (5 + 10)]
+
+    def test_negatives_without_a_shared_attribute_are_unscorable(self):
+        from evolink.errors import TrainingError
+
+        schema = Schema(("first", "second"))
+        d = ValueDictionary(2)
+        x, y = d.intern(0, "x"), d.intern(1, "y")
+        store = EmbeddingStore(np.zeros((2, 1)), np.zeros((2, 1)), 1)
+        records_a = RecordSet(schema, d, (Record(0, {0: x}), Record(1, {0: x, 1: y})))
+        records_b = RecordSet(schema, d, (Record(2, {1: y}), Record(3, {0: x})))
+        with pytest.raises(TrainingError, match="no scorable pairs"):
+            train_weights(
+                [CandidatePair(1, 3)], [CandidatePair(0, 2)],
+                records_a, records_b, store, RLHyperparams(),
+            )
+        with pytest.raises(TrainingError, match="no scorable pairs"):
+            train_weights(
+                [CandidatePair(0, 2)], [CandidatePair(1, 3)],
+                records_a, records_b, store, RLHyperparams(),
+            )
+
+
+def nonpositive_features(n_rows, n_attr):
+    return st.lists(
+        st.lists(st.floats(-1e100, 0.0), min_size=n_attr, max_size=n_attr),
+        min_size=n_rows, max_size=n_rows,
+    ).map(lambda rows: np.array(rows, dtype=float).reshape(n_rows, n_attr))
+
+
+@st.composite
+def inert_negative_epochs(draw):
+    n_attr = draw(st.integers(1, 5))
+    pos = draw(nonpositive_features(draw(st.integers(0, 6)), n_attr))
+    neg = draw(nonpositive_features(draw(st.integers(1, 8)), n_attr))
+    w = np.array(draw(st.lists(st.floats(0.0, 1e100), min_size=n_attr, max_size=n_attr)))
+    margin = draw(st.floats(0.0, 0.5, exclude_min=True))
+    return pos, neg, w, margin
+
+
+class TestInertNegatives:
+    @given(inert_negative_epochs())
+    def test_negatives_add_exactly_nothing(self, epoch):
+        """Features <= 0, weights >= 0 and a corrected margin <= 0.5: the
+        negatives change neither the loss nor the gradient, in any bit."""
+        pos, neg, w, margin = epoch
+        hp = RLHyperparams(margin=margin)
+        total, grad = _epoch_loss_and_gradient(pos, neg, w, hp)
+        bare_total, bare_grad = _epoch_loss_and_gradient(pos, np.zeros((0, len(w))), w, hp)
+        assert np.float64(total).tobytes() == np.float64(bare_total).tobytes()
+        assert grad.tobytes() == bare_grad.tobytes()
 
 
 class TestWeightGradientCheck:
