@@ -90,20 +90,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _experiment_config(args: argparse.Namespace, source: dict | None = None) -> pipeline.ExperimentConfig:
-    config = pipeline.ExperimentConfig.from_json(args.config)
-    if source is not None:
-        config = replace(config, source=source)
+def _with_flags(args: argparse.Namespace, config: pipeline.ExperimentConfig, **changes):
+    """The config with the command line's overrides, and ``changes``, applied."""
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if getattr(args, "merl", False):
-        config = replace(config, mode="merl")
-    if getattr(args, "kg", None):
-        config = replace(config, kg_variant=args.kg)
-    if getattr(args, "loss_sign", None):
-        loss_sign = args.loss_sign.replace("-", "_")
-        config = replace(config, rl=replace(config.rl, loss_sign=loss_sign))
-    return config
+        changes["seed"] = args.seed
+    if args.merl:
+        changes["mode"] = "merl"
+    if args.kg:
+        changes["kg_variant"] = args.kg
+    if args.loss_sign:
+        changes["rl"] = replace(config.rl, loss_sign=args.loss_sign.replace("-", "_"))
+    return replace(config, **changes) if changes else config
 
 
 def _run_and_persist(config: pipeline.ExperimentConfig, out: Path, command: str,
@@ -130,26 +127,23 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise EvolinkError(f"missing data file {path}")
 
     base = pipeline.ExperimentConfig.from_json(args.config)
-    source = dict(base.source)
-    source.update(
-        kind="files",
-        a=str(data_dir / "A.csv"),
-        b=str(data_dir / "B.csv"),
-        truth=str(data_dir / "truth_links.csv"),
-    )
-    source.setdefault("format", {})
-    source["format"] = {**source["format"], "delimiter": ","}
-    config = _experiment_config(args, source)
+    source = {
+        **base.source,
+        **dict(zip(pipeline.FILE_KEYS, map(str, required))),
+        "kind": "files",
+        # the base config was read, so a format it gives is an object
+        "format": {**base.source.get("format", {}), "delimiter": ","},
+    }
+    config = _with_flags(args, base, source=source)
     _run_and_persist(config, Path(args.out), "train", [Path(args.config), *required], args.config)
     return 0
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    config = _experiment_config(args)
+    config = _with_flags(args, pipeline.ExperimentConfig.from_json(args.config))
     inputs = [Path(args.config)]
-    src = config.source
-    if src["kind"] == "files":
-        inputs += [Path(src[k]) for k in ("a", "b", "truth")]
+    if isinstance(config.data_source, pipeline.FileSource):
+        inputs += config.data_source.files()
     _run_and_persist(config, Path(args.out), "experiment", inputs, args.config)
     return 0
 

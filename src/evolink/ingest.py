@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -23,39 +24,67 @@ DEFAULT_NULL_MARKERS = ("", "illegible", "NA")
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
-# the JSON values that a field annotated with each type name accepts
+# the JSON values that each type name accepts; "float" and "list[...]" are
+# checked in _fits
 JSON_TYPES = {
-    "int": int, "float": (int, float), "str": str, "bool": bool, "None": type(None),
-    "list": list, "object": Mapping,
+    "int": int, "str": str, "bool": bool, "None": type(None), "list": list, "object": Mapping,
 }
 
 
 def json_fits(value, annotation: str) -> bool:
-    """Whether a parsed JSON value fits an annotation such as ``float | None``
-    or ``list[str]``."""
-    if annotation == "list[str]":
-        return isinstance(value, list) and all(isinstance(v, str) for v in value)
-    kinds = annotation.split(" | ")
-    if isinstance(value, bool) and "bool" not in kinds:  # an int to Python, not to JSON
-        return False
-    if isinstance(value, float) and not math.isfinite(value):
-        return False
-    return any(isinstance(value, JSON_TYPES[kind]) for kind in kinds)
+    """Whether a parsed JSON value fits a type name such as ``list[float] | None``."""
+    return any(_fits(value, kind) for kind in annotation.split(" | "))
 
 
-_REQUIRED = object()
+def _fits(value, kind: str) -> bool:
+    if kind.startswith("list["):
+        return isinstance(value, list) and all(_fits(v, kind[5:-1]) for v in value)
+    if isinstance(value, bool):  # an int to Python, not to JSON
+        return kind == "bool"
+    if kind == "float":  # finite, and an int only if a float can hold it
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, JSON_TYPES[kind])
 
 
-def _json_value(raw: Mapping, key: str, annotation: str, where: str = "", default=_REQUIRED):
-    """``raw[key]`` if it fits the annotation; errors name ``where + key``."""
-    if key not in raw:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}{key}: required")
-        return default
-    value = raw[key]
-    if not json_fits(value, annotation):
-        raise ConfigError(f"{where}{key}: expected {annotation}, got {value!r}")
-    return value
+def read_object(raw, where: str, types: Mapping, required: Iterable[str] = ()) -> dict:
+    """``raw`` as a dict once it is a JSON object whose keys are all in ``types``,
+    each value fitting its type name (None: a section its own reader checks),
+    with every ``required`` key present; each ConfigError names ``where`` + key."""
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{where}{': ' if where else ''}expected a JSON object, got {raw!r}")
+    prefix = f"{where}." if where else ""
+    for key, value in raw.items():
+        if key not in types:
+            raise ConfigError(f"{prefix}{key}: unknown key")
+        if types[key] is not None and not json_fits(value, types[key]):
+            raise ConfigError(f"{prefix}{key}: expected {types[key]}, got {value!r}")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"{prefix}{key}: required")
+    return dict(raw)
+
+
+def build(make, where: str, **values):
+    """``make(**values)``, with ``where.`` put before a ConfigError from its
+    own checks, which name the field alone."""
+    try:
+        return make(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}.{exc}" if where else str(exc)) from None
+
+
+def read_fields(cls, raw, where: str, required: Iterable[str] = ()):
+    """A dataclass whose field annotations are JSON type names, from ``raw``."""
+    types = {f.name: f.type for f in fields(cls)}
+    return build(cls, where, **read_object(raw, where, types, required))
+
+
+def read_json(path: str | Path):
+    """The parsed contents of a JSON file; a file that is not JSON raises ConfigError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
 
 
 def standardize(text: str) -> str:
@@ -81,6 +110,13 @@ class Schema:
                 f"blocking_attribute: id {self.blocking_attribute} out of range"
             )
 
+    @classmethod
+    def named(cls, attributes: Sequence[str], blocking: str | None = None) -> "Schema":
+        """A schema whose blocking attribute is given by name."""
+        if blocking is not None and blocking not in attributes:
+            raise ConfigError(f"blocking_attribute: unknown attribute {blocking!r}")
+        return cls(tuple(attributes), None if blocking is None else list(attributes).index(blocking))
+
     @property
     def n_attributes(self) -> int:
         return len(self.attributes)
@@ -102,6 +138,10 @@ class TextFormat:
     encoding: str = "utf-8"
     null_markers: tuple[str, ...] = DEFAULT_NULL_MARKERS
     id_column: str = "entity_id"
+
+    def __post_init__(self):
+        if len(self.delimiter) != 1:
+            raise ConfigError(f"delimiter: must be one character, got {self.delimiter!r}")
 
     @cached_property
     def standardized_nulls(self) -> frozenset[str]:
@@ -505,6 +545,17 @@ class EvolutionRule:
     probability: float = 1.0
 
 
+# the synthetic generator's config keys with their JSON types
+SYNTH_TYPES = {
+    "attributes": "list[str]", "vocabularies": "object", "size_a": "int", "size_b": "int",
+    "duplicate_fraction": "float", "blocking_attribute": "str | None",
+    "evolution_rules": "list", "typo_probability": "float", "missing_probability": "float",
+}
+SYNTH_REQUIRED = ("attributes", "vocabularies", "size_a", "size_b", "duplicate_fraction")
+VOCAB_TYPES = {"prefix": "str", "count": "int"}  # both required
+RULE_TYPES = {"attribute": "str", "from": "str", "to": "str", "probability": "float"}
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Everything the synthetic generator needs; loadable from JSON.
@@ -553,73 +604,49 @@ class SynthConfig:
                     )
             if not 0.0 <= rule.probability <= 1.0:
                 raise ConfigError("evolution_rules: probability must be in [0, 1]")
-        if self.blocking_attribute is not None and self.blocking_attribute not in self.attributes:
-            raise ConfigError(f"blocking_attribute: unknown attribute {self.blocking_attribute!r}")
+        self.to_schema()  # the blocking attribute must be one of the attributes
         if not 0.0 <= self.typo_probability <= 1.0:
             raise ConfigError("typo_probability: must be in [0, 1]")
         if not 0.0 <= self.missing_probability <= 1.0:
             raise ConfigError("missing_probability: must be in [0, 1]")
 
     def to_schema(self) -> Schema:
-        blocking = (
-            None
-            if self.blocking_attribute is None
-            else self.attributes.index(self.blocking_attribute)
-        )
-        return Schema(self.attributes, blocking)
+        return Schema.named(self.attributes, self.blocking_attribute)
 
     @classmethod
-    def from_dict(cls, raw: Mapping) -> "SynthConfig":
-        """A config from parsed JSON; any malformed value raises ConfigError naming its key."""
-        if not isinstance(raw, Mapping):
-            raise ConfigError("expected a JSON object")
-        attributes = _json_value(raw, "attributes", "list[str]")
+    def from_dict(cls, raw, where: str = "") -> "SynthConfig":
+        """A config from parsed JSON; any malformed value raises ConfigError
+        naming ``where`` and its key."""
+        raw = read_object(raw, where, SYNTH_TYPES, SYNTH_REQUIRED)
+        prefix = f"{where}." if where else ""
         vocabularies = {}
-        for name, entry in _json_value(raw, "vocabularies", "object").items():
+        for name, entry in raw["vocabularies"].items():
+            where_entry = f"{prefix}vocabularies.{name}"
             if isinstance(entry, Mapping):
-                prefix = _json_value(entry, "prefix", "str", f"vocabularies.{name}.")
-                count = _json_value(entry, "count", "int", f"vocabularies.{name}.")
-                vocabularies[name] = tuple(f"{prefix}{i:03d}" for i in range(count))
-            elif json_fits(entry, "list[str]"):
-                vocabularies[name] = tuple(entry)
-            else:
-                raise ConfigError(
-                    f"vocabularies.{name}: expected list[str] or object, got {entry!r}"
-                )
+                entry = read_object(entry, where_entry, VOCAB_TYPES, VOCAB_TYPES)
+                entry = [f"{entry['prefix']}{i:03d}" for i in range(entry["count"])]
+            elif not json_fits(entry, "list[str]"):
+                raise ConfigError(f"{where_entry}: expected list[str] or object, got {entry!r}")
+            vocabularies[name] = tuple(entry)
         rules = []
-        for i, rule in enumerate(_json_value(raw, "evolution_rules", "list", default=[])):
-            where = f"evolution_rules.{i}."
-            if not isinstance(rule, Mapping):
-                raise ConfigError(f"evolution_rules.{i}: expected object, got {rule!r}")
+        for i, rule in enumerate(raw.get("evolution_rules", ())):
+            where_rule = f"{prefix}evolution_rules.{i}"
+            if not json_fits(rule, "object"):  # a list element reads as a value typed "object"
+                raise ConfigError(f"{where_rule}: expected object, got {rule!r}")
+            rule = read_object(rule, where_rule, RULE_TYPES, ("attribute", "from", "to"))
             rules.append(EvolutionRule(
-                attribute=_json_value(rule, "attribute", "str", where),
-                source=_json_value(rule, "from", "str", where),
-                target=_json_value(rule, "to", "str", where),
-                probability=float(_json_value(rule, "probability", "float", where, 1.0)),
+                rule["attribute"], rule["from"], rule["to"], float(rule.get("probability", 1.0))
             ))
-        return cls(
-            attributes=tuple(attributes),
-            vocabularies=vocabularies,
-            size_a=_json_value(raw, "size_a", "int"),
-            size_b=_json_value(raw, "size_b", "int"),
-            duplicate_fraction=float(_json_value(raw, "duplicate_fraction", "float")),
-            blocking_attribute=_json_value(raw, "blocking_attribute", "str | None", default=None),
-            evolution_rules=tuple(rules),
-            typo_probability=float(_json_value(raw, "typo_probability", "float", default=0.015)),
-            missing_probability=float(
-                _json_value(raw, "missing_probability", "float", default=0.01)
-            ),
-        )
+        return build(cls, where, **{
+            **raw,
+            "attributes": tuple(raw["attributes"]),
+            "vocabularies": vocabularies,
+            "evolution_rules": tuple(rules),
+        })
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SynthConfig":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-        if not isinstance(raw, Mapping):
-            raise ConfigError(f"{path}: expected a JSON object")
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(path))
 
 
 def _typo(text: str, rng: np.random.Generator) -> str:

@@ -10,24 +10,25 @@ C order. A write -> read -> write cycle is byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .embed import EmbeddingStore, EmbedHyperparams
-from .errors import LoadError
-from .ingest import Schema, ValueDictionary
+from .errors import ConfigError, LoadError
+from .ingest import Schema, ValueDictionary, json_fits, read_fields, read_object
 from .weights import WeightVector
 
 FORMAT_TAG = "evolink-model/1"
-HEADER_KEYS = (
-    "dim", "attributes", "blocking_attribute", "values", "embed", "weights",
-    "rl_margin", "loss_sign", "tau",
-)
-EMBED_KEYS = (
-    "dim", "margin", "learning_rate", "epochs", "batch_size", "negatives", "norm", "seed",
-)
+# the header's keys besides "format", with their JSON types; "embed" holds EmbedHyperparams
+HEADER_TYPES = {
+    "dim": "int", "attributes": "list[str]", "blocking_attribute": "int | None",
+    "values": "list", "embed": None, "weights": "list[float] | None",
+    "rl_margin": "float | None", "loss_sign": "str | None", "tau": "float | None",
+}
+HEADER_KEYS = tuple(HEADER_TYPES)
+EMBED_KEYS = tuple(f.name for f in fields(EmbedHyperparams))
 
 
 @dataclass
@@ -49,16 +50,7 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
         "attributes": list(bundle.schema.attributes),
         "blocking_attribute": bundle.schema.blocking_attribute,
         "values": [[attr, text] for _, attr, text in bundle.dictionary.entries()],
-        "embed": {
-            "dim": bundle.embed_hp.dim,
-            "margin": bundle.embed_hp.margin,
-            "learning_rate": bundle.embed_hp.learning_rate,
-            "epochs": bundle.embed_hp.epochs,
-            "batch_size": bundle.embed_hp.batch_size,
-            "negatives": bundle.embed_hp.negatives,
-            "norm": bundle.embed_hp.norm,
-            "seed": bundle.embed_hp.seed,
-        },
+        "embed": asdict(bundle.embed_hp),
         "weights": None
         if bundle.weights is None
         else [float(w) for w in bundle.weights.weights],
@@ -90,24 +82,30 @@ def load_model(path: str | Path) -> ModelBundle:
     if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
         found = header.get("format") if isinstance(header, dict) else None
         raise LoadError(f"{path}: not a model file (format {found!r})")
-    embed = header.get("embed")
-    missing = [k for k in HEADER_KEYS if k not in header]
-    missing += [
-        f"embed.{k}" for k in EMBED_KEYS if not isinstance(embed, dict) or k not in embed
-    ]
-    if missing:
-        raise LoadError(f"{path}: model header lacks key {missing[0]!r}")
+    try:
+        header = read_object(header, "", {"format": "str", **HEADER_TYPES}, HEADER_KEYS)
+        embed_hp = read_fields(EmbedHyperparams, header["embed"], "embed", EMBED_KEYS)
+        schema = Schema(tuple(header["attributes"]), header["blocking_attribute"])
+    except ConfigError as exc:
+        raise LoadError(f"{path}: {exc}") from None
+    n_attrs = schema.n_attributes
+    weights = header["weights"]
+    if weights is not None and len(weights) != n_attrs:
+        raise LoadError(f"{path}: weights: expected {n_attrs} values, got {len(weights)}")
 
-    schema = Schema(tuple(header["attributes"]), header["blocking_attribute"])
-    dictionary = ValueDictionary(schema.n_attributes)
-    for attr, text in header["values"]:
-        dictionary.intern(attr, text)
+    dictionary = ValueDictionary(n_attrs)
+    for i, entry in enumerate(header["values"]):
+        if not (
+            json_fits(entry, "list") and len(entry) == 2 and json_fits(entry[0], "int")
+            and 0 <= entry[0] < n_attrs and json_fits(entry[1], "str")
+        ):
+            raise LoadError(f"{path}: values.{i}: expected [attribute id, text], got {entry!r}")
+        dictionary.intern(*entry)
     if len(dictionary) != len(header["values"]):
         raise LoadError(f"{path}: value dictionary entries are not unique")
 
     dim = header["dim"]
     n_values = len(header["values"])
-    n_attrs = schema.n_attributes
     payload = raw[newline + 1 :]
     expected = (n_values + n_attrs) * dim * 8
     if len(payload) != expected:
@@ -118,12 +116,8 @@ def load_model(path: str | Path) -> ModelBundle:
     value_vectors = flat[: n_values * dim].reshape(n_values, dim).copy()
     attribute_vectors = flat[n_values * dim :].reshape(n_attrs, dim).copy()
 
-    embed_hp = EmbedHyperparams(**{k: embed[k] for k in EMBED_KEYS})
-    weights = (
-        None
-        if header["weights"] is None
-        else WeightVector(np.array(header["weights"], dtype=float))
-    )
+    if weights is not None:
+        weights = WeightVector(np.array(weights, dtype=float))
     return ModelBundle(
         schema=schema,
         dictionary=dictionary,

@@ -13,7 +13,7 @@ import csv
 import json
 import logging
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -25,18 +25,20 @@ from .candidates import CandidatePair, Candidates, Metrics, truth_labels
 from .embed import EmbeddingStore, EmbedHyperparams, train_embeddings
 from .errors import BlockingCapError, ConfigError, StageError
 from .ingest import (
-    JSON_TYPES,
     LinkedPairSet,
     RecordSet,
     Schema,
     Split,
     SynthConfig,
     TextFormat,
+    build,
     generate_synthetic,
-    json_fits,
     load_links,
     load_records,
     partition,
+    read_fields,
+    read_json,
+    read_object,
 )
 from .model_io import ModelBundle
 from .weights import RLHyperparams, WeightVector, select_threshold, sigmoid, train_weights
@@ -196,27 +198,62 @@ def all_negative_probabilities(pairs: Sequence[CandidatePair]) -> Sequence[Candi
     return [replace(p, probability=0.0) for p in pairs]
 
 
-def _hyperparams(cls, raw, section: str):
-    """``cls(**raw)`` for a hyperparameter dataclass, with errors naming ``section.key``."""
-    if not isinstance(raw, Mapping):
-        raise ConfigError(f"{section}: expected a JSON object")
-    annotations = {f.name: f.type for f in fields(cls)}
-    for key, value in raw.items():
-        if key not in annotations:
-            raise ConfigError(f"{section}.{key}: unknown key")
-        if not json_fits(value, annotations[key]):
-            raise ConfigError(
-                f"{section}.{key}: expected {annotations[key]}, got {value!r}"
-            )
-    try:
-        return cls(**raw)
-    except ConfigError as exc:  # the hyperparameters name the key alone
-        raise ConfigError(f"{section}.{exc}") from None
+# the experiment config's keys with their JSON types (None: a section with its own reader)
+CONFIG_TYPES = {
+    "source": None, "ratios": "list[float]", "mode": "str", "kg_variant": "str",
+    "embed": None, "rl": None, "seed": "int", "cross_product_cap": "int",
+}
+# per source kind: its keys with their JSON types, and the keys it requires
+SOURCE_TYPES = {
+    "synthetic": ({"kind": "str", "synth": None}, ("synth",)),
+    "files": ({
+        "kind": "str", "attributes": "list[str]", "blocking_attribute": "str | None",
+        "a": "str", "b": "str", "truth": "str", "format": None,
+    }, ("attributes",)),
+}
+# the settable TextFormat fields; its encoding and id column stay fixed
+FORMAT_TYPES = {"delimiter": "str", "null_markers": "list[str]"}
+FILE_KEYS = ("a", "b", "truth")
+
+
+class FileSource(NamedTuple):
+    """A files source as its config gives it; a ``train`` config leaves out the paths."""
+
+    schema: Schema
+    fmt: TextFormat
+    paths: Mapping[str, str]  # those of FILE_KEYS the config gives
+
+    def files(self) -> list[Path]:
+        """The a, b and truth files, each of which loading requires."""
+        for key in FILE_KEYS:
+            if key not in self.paths:
+                raise ConfigError(f"source.{key}: required")
+        return [Path(self.paths[key]) for key in FILE_KEYS]
+
+
+def _read_source(raw) -> SynthConfig | FileSource:
+    """The data a config's ``source`` object names, read with every check."""
+    kind = raw.get("kind") if isinstance(raw, Mapping) else None
+    if isinstance(raw, Mapping) and kind not in ("synthetic", "files"):
+        raise ConfigError(f"source.kind: expected 'synthetic' or 'files', got {kind!r}")
+    src = read_object(raw, "source", *SOURCE_TYPES.get(kind, ({},)))
+    if kind == "synthetic":
+        return SynthConfig.from_dict(src["synth"], "source.synth")
+    schema = build(Schema.named, "source", attributes=src["attributes"],
+                   blocking=src.get("blocking_attribute"))
+    fmt = read_object(src.get("format", {}), "source.format", FORMAT_TYPES)
+    if "null_markers" in fmt:
+        fmt["null_markers"] = tuple(fmt["null_markers"])
+    return FileSource(
+        schema, build(TextFormat, "source.format", **fmt),
+        {key: src[key] for key in FILE_KEYS if key in src},
+    )
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment run needs; loadable from JSON."""
+    """Everything one experiment run needs; loadable from JSON. ``data_source``
+    is what ``source`` names, read when the config is built."""
 
     source: Mapping  # {"kind": "synthetic", ...} or {"kind": "files", ...}
     ratios: tuple[float, float, float] = (0.6, 0.2, 0.2)
@@ -226,29 +263,18 @@ class ExperimentConfig:
     rl: RLHyperparams = field(default_factory=RLHyperparams)
     seed: int = 0
     cross_product_cap: int = DEFAULT_CROSS_PRODUCT_CAP
+    data_source: SynthConfig | FileSource = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("werl", "merl"):
             raise ConfigError(f"mode: unknown mode {self.mode!r}")
         if self.kg_variant not in ("ekg", "er"):
             raise ConfigError(f"kg_variant: unknown variant {self.kg_variant!r}")
-        kind = self.source.get("kind")
-        if kind not in ("synthetic", "files"):
-            raise ConfigError(f"source.kind: expected 'synthetic' or 'files', got {kind!r}")
-        if "relations" in self.source:
-            raise ConfigError("source.relations: relational triples are not supported")
-        if kind == "synthetic":
-            if "synth" not in self.source:
-                raise ConfigError("source.synth: required for synthetic sources")
-            synth = self.source["synth"]
-            if not isinstance(synth, Mapping):
-                raise ConfigError(f"source.synth: expected a JSON object, got {synth!r}")
-            try:
-                SynthConfig.from_dict(synth)
-            except ConfigError as exc:
-                raise ConfigError(f"source.synth.{exc}") from None
+        if len(self.ratios) != 3:
+            raise ConfigError("ratios: expected three fractions")
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
+        object.__setattr__(self, "data_source", _read_source(self.source))
 
     @property
     def stage_seeds(self) -> dict[str, int]:
@@ -261,42 +287,19 @@ class ExperimentConfig:
         }
 
     @classmethod
-    def from_dict(cls, raw: Mapping) -> "ExperimentConfig":
+    def from_dict(cls, raw) -> "ExperimentConfig":
         """A config from parsed JSON; any malformed value raises ConfigError naming its key."""
-        if not isinstance(raw, Mapping):
-            raise ConfigError("expected a JSON object")
-        if "source" not in raw:
-            raise ConfigError("missing key 'source'")
-        if not isinstance(raw["source"], Mapping):
-            raise ConfigError("source: expected a JSON object")
-        for f in fields(cls):  # the scalar fields: mode, kg_variant, seed, cross_product_cap
-            if f.type in JSON_TYPES and f.name in raw and not json_fits(raw[f.name], f.type):
-                raise ConfigError(f"{f.name}: expected {f.type}, got {raw[f.name]!r}")
-        ratios = raw.get("ratios", (0.6, 0.2, 0.2))
-        if not (
-            isinstance(ratios, (list, tuple))
-            and len(ratios) == 3
-            and all(json_fits(r, "float") for r in ratios)
-        ):
-            raise ConfigError("ratios: expected three fractions")
-        return cls(
-            source=dict(raw["source"]),
-            ratios=tuple(ratios),  # type: ignore[arg-type]
-            mode=raw.get("mode", "werl").lower(),
-            kg_variant=raw.get("kg_variant", "ekg").lower(),
-            embed=_hyperparams(EmbedHyperparams, raw.get("embed", {}), "embed"),
-            rl=_hyperparams(RLHyperparams, raw.get("rl", {}), "rl"),
-            seed=raw.get("seed", 0),
-            cross_product_cap=raw.get("cross_product_cap", DEFAULT_CROSS_PRODUCT_CAP),
-        )
+        config = read_object(raw, "", CONFIG_TYPES, required=("source",))
+        config["embed"] = read_fields(EmbedHyperparams, config.get("embed", {}), "embed")
+        config["rl"] = read_fields(RLHyperparams, config.get("rl", {}), "rl")
+        for key, convert in (("mode", str.lower), ("kg_variant", str.lower), ("ratios", tuple)):
+            if key in config:
+                config[key] = convert(config[key])
+        return cls(**config)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(path))
 
     def to_dict(self) -> dict:
         # an unset stage seed is written as 0, as reports always showed it
@@ -356,37 +359,15 @@ def _stage(name: str):
 
 
 def _resolve_data(config: ExperimentConfig) -> tuple[Schema, Split]:
-    src = config.source
-    if src["kind"] == "synthetic":
-        synth = SynthConfig.from_dict(src["synth"])
-        data = generate_synthetic(synth, config.stage_seeds["synthetic"])
+    source = config.data_source
+    if isinstance(source, SynthConfig):
+        data = generate_synthetic(source, config.stage_seeds["synthetic"])
         return data.records_a.schema, data
-    try:
-        attributes = tuple(src["attributes"])
-    except KeyError:
-        raise ConfigError("source.attributes: required for file sources") from None
-    blocking_name = src.get("blocking_attribute")
-    if blocking_name is None:
-        blocking = None
-    elif blocking_name in attributes:
-        blocking = attributes.index(blocking_name)
-    else:
-        raise ConfigError(
-            f"source.blocking_attribute: unknown attribute {blocking_name!r}"
-        )
-    schema = Schema(attributes, blocking)
-    fmt_raw = src.get("format", {})
-    fmt = TextFormat(
-        delimiter=fmt_raw.get("delimiter", ";"),
-        null_markers=tuple(fmt_raw.get("null_markers", ("", "illegible", "NA"))),
-    )
-    for key in ("a", "b", "truth"):
-        if key not in src:
-            raise ConfigError(f"source.{key}: required for file sources")
-    records_a, dictionary = load_records(src["a"], schema, fmt)
-    records_b, _ = load_records(src["b"], schema, fmt, dictionary=dictionary)
-    links = load_links(src["truth"], fmt, provenance="loaded")
-    return schema, Split(records_a, records_b, links)
+    a, b, truth = source.files()
+    records_a, dictionary = load_records(a, source.schema, source.fmt)
+    records_b, _ = load_records(b, source.schema, source.fmt, dictionary=dictionary)
+    links = load_links(truth, source.fmt, provenance="loaded")
+    return source.schema, Split(records_a, records_b, links)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

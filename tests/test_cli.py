@@ -134,6 +134,7 @@ class TestTrain:
         ({"source": {**EXPERIMENT["source"], "relations": "rel.csv"}}, "source.relations"),
         ({"embed": {"dim": "50"}}, "embed.dim"),
         ({"rl": {"margin": "0.3"}}, "rl.margin"),
+        ({"source": {**EXPERIMENT["source"], "format": "x"}}, "source.format"),
     ])
     def test_malformed_config_exits_2_naming_the_key(
         self, tmp_path, data_dir, change, key, capsys
@@ -268,7 +269,7 @@ class TestPredict:
             str(data_dir / "A.csv"), str(data_dir / "B.csv"), "--out", str(tmp_path / "p.csv"),
         ])
         assert code == 2
-        assert "'tau'" in capsys.readouterr().err
+        assert "tau: required" in capsys.readouterr().err
 
     def test_schema_mismatch_exits_2(self, tmp_path, run_dir, capsys):
         alien = tmp_path / "alien.csv"
@@ -377,6 +378,31 @@ class TestExperimentCommand:
         }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert f"error: {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, key", [
+        ({"a": None}, "source.a"),
+        ({"a": 0}, "source.a"),
+        ({"attributes": 5}, "source.attributes"),
+        ({"format": {"null_markers": 5}}, "source.format.null_markers"),
+        ({"format": {"delimiter": ", "}}, "source.format.delimiter"),
+        ({"format": {"delimiter": ""}}, "source.format.delimiter"),
+    ])
+    def test_malformed_files_source_exits_2_naming_the_key(
+        self, tmp_path, data_dir, change, key, capsys
+    ):
+        source = {
+            **EXPERIMENT["source"],
+            "a": str(data_dir / "A.csv"),
+            "b": str(data_dir / "B.csv"),
+            "truth": str(data_dir / "truth_links.csv"),
+            "format": {"delimiter": ","},
+            **change,
+        }
+        source = {k: v for k, v in source.items() if v is not None}  # None: left out
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**EXPERIMENT, "source": source}), encoding="utf-8")
         assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
         assert f"error: {key}:" in capsys.readouterr().err
 

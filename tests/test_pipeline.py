@@ -1,4 +1,6 @@
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,7 +390,7 @@ class TestConfigFile:
     def test_synth_must_be_an_object(self, synth, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             small_config(source={"kind": "synthetic", "synth": synth})
-        with pytest.raises(ConfigError, match="source.synth: required for synthetic sources"):
+        with pytest.raises(ConfigError, match=re.escape("source.synth: required")):
             small_config(source={"kind": "synthetic"})
 
     @pytest.mark.parametrize("overrides, message", [
@@ -470,6 +472,80 @@ class TestConfigProperty:
         except ConfigError as exc:
             # a range check may name the field it compares with, such as size_a/size_b
             assert str(exc).startswith("source.synth."), str(exc)
+
+
+# every key that some config section accepts; a drawn key outside it is
+# unknown in every section
+KNOWN_KEYS = {
+    *CONFIG_KEYS, *HYPER_KEYS, *SMALL_SYNTH, "kind", "synth", "attributes",
+    "blocking_attribute", "a", "b", "truth", "format", "delimiter", "null_markers",
+}
+
+
+class TestUnknownKeys:
+    @given(
+        st.sampled_from(["", "source", "source.format", "source.synth", "embed", "rl"]),
+        st.text(max_size=12).filter(lambda key: key not in KNOWN_KEYS),
+        JSON_VALUES,
+    )
+    def test_unknown_key_named_in_every_section(self, section, key, value):
+        files = {
+            "kind": "files", "attributes": ["given_name", "surname2", "status"],
+            "blocking_attribute": "surname2", "format": {"delimiter": ","},
+        }
+        synthetic = {"kind": "synthetic", "synth": SMALL_SYNTH}
+        raw = json.loads(json.dumps({
+            "source": synthetic if section == "source.synth" else files,
+            "ratios": [0.6, 0.2, 0.2], "embed": {"dim": 4}, "rl": {"epochs": 3}, "seed": 1,
+        }))
+        node = raw
+        for part in filter(None, section.split(".")):
+            node = node[part]
+        node[key] = value
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(raw)
+        named = f"{section}.{key}" if section else key
+        assert str(exc.value) == f"{named}: unknown key"
+
+    @pytest.mark.parametrize("section, key", [
+        ("", "sed"), ("", "ratio"), ("source", "blocking_atribute"),
+        ("source.synth", "typo_probabilty"), ("source.synth.vocabularies.surname2", "cnt"),
+        ("source.synth.evolution_rules.0", "prob"),
+    ])
+    def test_misspelt_key_refused(self, section, key):
+        raw = json.loads(json.dumps({"source": {"kind": "synthetic", "synth": SMALL_SYNTH}}))
+        node = raw
+        for part in filter(None, section.split(".")):
+            node = node[int(part) if part.isdigit() else part]
+        node[key] = 1
+        named = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigError, match=f"^{re.escape(named)}: unknown key$"):
+            ExperimentConfig.from_dict(raw)
+
+
+BENCHMARK_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+
+
+@pytest.mark.parametrize(
+    "workload", sorted(json.loads(BENCHMARK_WORKLOADS.read_text(encoding="utf-8"))["workloads"])
+)
+def test_benchmark_configs_are_accepted(workload):
+    """The generator and experiment configs that perfbench/run.py writes for a
+    workload, built the same way, are read without error."""
+    bench = json.loads(BENCHMARK_WORKLOADS.read_text(encoding="utf-8"))
+    spec, gen = bench["workloads"][workload], bench["generator"]
+    blocking = spec["blocking_attribute"]
+    for size in (spec["size"], spec["predict_size"]):
+        synth = SynthConfig.from_dict(dict(gen, size_a=size, size_b=size, blocking_attribute=blocking))
+        assert synth.size_a == size
+    experiment = json.loads(json.dumps(bench["experiment"]))
+    experiment["embed"]["negatives"] = spec["negatives"]
+    experiment["source"] = {
+        "kind": "files", "attributes": gen["attributes"], "blocking_attribute": blocking,
+    }
+    config = ExperimentConfig.from_dict(experiment)
+    assert config.embed.negatives == spec["negatives"]
+    assert config.data_source.schema.attributes == tuple(gen["attributes"])
 
 
 class TestMetricsType:
