@@ -126,7 +126,18 @@ class Candidates(Sequence):
 
 
 def _ranks(ids, known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Position of each id in the sorted, non-empty ``known``, and whether it is there."""
+    """Position of each id in the sorted, distinct, non-empty ``known`` (some
+    position in range where it is absent), and whether it is there."""
+    ids = np.asarray(ids, dtype=np.int64)
+    low = int(known[0])
+    span = int(known[-1]) - low + 1
+    if span <= 4 * len(ids):  # a direct table costs no more than a binary search
+        table = np.zeros(span, dtype=np.int64)
+        table[known - low] = np.arange(len(known))
+        offset = ids - low  # wraps out of [0, span) for ids far outside it
+        inside = (offset >= 0) & (offset < span)
+        pos = table[np.where(inside, offset, 0)]
+        return pos, inside & (known[pos] == ids)
     pos = np.minimum(np.searchsorted(known, ids), len(known) - 1)
     return pos, known[pos] == ids
 

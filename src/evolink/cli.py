@@ -30,6 +30,7 @@ from .ingest import (
     generate_synthetic,
     load_links,
     load_records,
+    read_id_rows,
     write_links_csv,
     write_records_csv,
 )
@@ -148,24 +149,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_pairs_csv(path: Path) -> tuple[list[int], list[int]]:
-    a_ids, b_ids = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if len(row) < 2:
-                raise EvolinkError(f"{path}: line {lineno}: expected two id columns")
-            try:
-                a_id, b_id = int(row[0]), int(row[1])
-            except ValueError:
-                if lineno == 1:
-                    continue  # header
-                raise EvolinkError(f"{path}: line {lineno}: bad entity id") from None
-            a_ids.append(a_id)
-            b_ids.append(b_id)
-    return a_ids, b_ids
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
     bundle: ModelBundle = load_model(args.model)
     n_known = bundle.store.value_vectors.shape[0]
@@ -178,9 +161,18 @@ def cmd_predict(args: argparse.Namespace) -> int:
     )
 
     if args.pairs:
-        a_ids, b_ids = _load_pairs_csv(Path(args.pairs))
+        pairs = read_id_rows(args.pairs, "pairs", CSV_FORMAT)
+        in_a = np.isin(pairs.a_ids, records_a.id_array)
+        known = in_a & np.isin(pairs.b_ids, records_b.id_array)
+        if not known.all():
+            i = int(np.argmin(known))
+            unknown = (pairs.b_ids if in_a[i] else pairs.a_ids)[i]
+            raise EvolinkError(
+                f"{args.pairs}: line {pairs.first_line + i}: unknown entity id {unknown}"
+            )
         candidates = Candidates(
-            records_a, records_b, records_a.rows(a_ids), records_b.rows(b_ids)
+            records_a, records_b,
+            records_a.rows(pairs.a_ids.tolist()), records_b.rows(pairs.b_ids.tolist()),
         )
     else:
         candidates = pipeline.block_candidates(
@@ -216,57 +208,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _repeated_pair(a_ids: np.ndarray, b_ids: np.ndarray) -> tuple[int, int] | None:
-    """(row, earlier row) of the first row whose (a, b) pair an earlier row has."""
-    order = np.lexsort((b_ids, a_ids))  # stable: equal pairs keep row order
-    a_sorted, b_sorted = a_ids[order], b_ids[order]
-    same = np.flatnonzero((a_sorted[1:] == a_sorted[:-1]) & (b_sorted[1:] == b_sorted[:-1]))
-    if not len(same):
-        return None
-    first = np.argmin(order[same + 1])
-    return int(order[same[first] + 1]), int(order[same[first]])
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    a_ids: list[int] = []
-    b_ids: list[int] = []
-    decisions: list[bool] = []
-    header_lines = 0
-    with open(args.predictions, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1 and row and row[0] == "a_id":
-                header_lines = 1
-                continue
-            if len(row) < 5:
-                raise EvolinkError(f"{args.predictions}: line {lineno}: expected 5 columns")
-            try:
-                a_ids.append(int(row[0]))
-                b_ids.append(int(row[1]))
-            except ValueError:
-                raise EvolinkError(
-                    f"{args.predictions}: line {lineno}: bad entity id"
-                ) from None
-            if row[4] not in ("match", "non-match"):
-                raise EvolinkError(
-                    f"{args.predictions}: line {lineno}: unknown decision {row[4]!r}"
-                )
-            decisions.append(row[4] == "match")
-
+    predictions = read_id_rows(args.predictions, "predictions", CSV_FORMAT)
     truth = load_links(args.truth, CSV_FORMAT, provenance="truth")
-    try:
-        a_ids, b_ids = np.array(a_ids, dtype=np.int64), np.array(b_ids, dtype=np.int64)
-        truth_ids = np.array(truth.pairs, dtype=np.int64)
-    except OverflowError:
-        raise EvolinkError("entity ids must fit in 64 bits") from None
-
-    repeated = _repeated_pair(a_ids, b_ids)
-    if repeated is not None:
-        row, earlier = repeated
-        raise EvolinkError(
-            f"{args.predictions}: line {row + 1 + header_lines}: pair "
-            f"{a_ids[row]},{b_ids[row]} repeats line {earlier + 1 + header_lines}"
-        )
+    a_ids, b_ids = predictions.a_ids, predictions.b_ids
+    truth_ids = np.array(truth.pairs, dtype=np.int64)
     if len(a_ids) and len(truth) and not (
         np.isin(a_ids, truth_ids).any() or np.isin(b_ids, truth_ids).any()
     ):
@@ -276,7 +222,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
 
     labels, lost = truth_labels(a_ids, b_ids, truth)
-    metrics = Metrics.from_decisions(np.array(decisions, dtype=bool), labels, lost)
+    metrics = Metrics.from_decisions(predictions.matches, labels, lost)
     print(metrics.row())
     return 0
 

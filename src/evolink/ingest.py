@@ -7,9 +7,12 @@ stable for the lifetime of the dictionary that produced it.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
+import os
+import re
 import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -426,27 +429,210 @@ def load_records(
     return RecordSet.from_columns(schema, dictionary, ids, matrix), dictionary
 
 
+# Per kind of id file: the fewest and most columns a row may have (None: no
+# limit), and the message for a row outside them.
+ID_FILES = {
+    "links": (2, 2, "expected 2 columns"),
+    "pairs": (2, None, "expected two id columns"),
+    "predictions": (5, None, "expected 5 columns"),
+}
+DECISION_COLUMN = 4  # of a predictions row: "match" or "non-match"
+INT64_MAX = np.uint64(2**63 - 1)
+MATCH = np.uint64(int.from_bytes(b"match", "little"))
+ON_MATCH = np.uint64(int.from_bytes(b"on-match", "little"))  # "non-match" but its first byte
+PAD = 20  # zero bytes on each side of a file's bytes: every digit column and
+# decision window stays inside the array
+
+
+class IdRows(NamedTuple):
+    """The rows of an id file: the first two columns as int64 ids, and for
+    predictions whether each row's decision is ``match``."""
+
+    a_ids: np.ndarray
+    b_ids: np.ndarray
+    matches: np.ndarray | None
+    first_line: int  # the line number of row 0: 2 after a header, else 1
+
+
+def _parse_ids(padded: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The int64 value of each field ``[lo, hi)`` of the file, whether it is
+    an id (ASCII ``-?[0-9]+``), and whether that id fits in 64 bits."""
+    neg = (hi > lo) & (padded[lo + PAD] == ord("-"))
+    length = hi - lo - neg
+    width = min(int(length.max()), 20) if len(length) else 0
+    skip = width - length  # digit columns left of the field
+    is_id = length > 0
+    value = np.zeros(len(lo), dtype=np.uint64)
+    over = np.zeros(len(lo), dtype=bool)
+    pos = hi + (PAD - width)  # in ``padded``, of each field's next digit column
+    for j in range(width):  # right-aligned digit columns
+        # a non-digit wraps above 9; a column left of the field counts 0
+        digit = (padded[pos] - ord("0")) * (skip <= j)
+        is_id &= digit <= 9
+        if width == 20:  # fewer digits cannot wrap uint64
+            over |= value > INT64_MAX // np.uint64(10)
+        value *= np.uint64(10)
+        value += digit
+        pos += 1
+    over |= value > INT64_MAX + neg
+    ids = value.view(np.int64)
+    ids = np.where(neg, -ids, ids)
+    # longer fields, rare, with Python's int: leading zeros may still fit
+    for i in np.flatnonzero(length > width).tolist():
+        text = padded[lo[i] + PAD:hi[i] + PAD].tobytes()
+        is_id[i] = bool(re.fullmatch(rb"-?[0-9]+", text))
+        if is_id[i]:
+            over[i] = not -(2**63) <= int(text) < 2**63
+            ids[i] = 0 if over[i] else int(text)
+    return ids, is_id, ~over
+
+
+def _repeated_pair(a_ids: np.ndarray, b_ids: np.ndarray) -> tuple[int, int] | None:
+    """(row, earlier row) of the first row whose (a, b) pair an earlier row has."""
+    if len(a_ids) < 2:
+        return None
+    # one sort of a packed key tells whether any pair repeats; the lexsort
+    # finds which, and serves ids too spread out to pack
+    low_a, low_b = int(a_ids.min()), int(b_ids.min())
+    span_b = int(b_ids.max()) - low_b + 1
+    if (int(a_ids.max()) - low_a + 1) * span_b < 2**63:
+        key = np.sort((a_ids - low_a) * span_b + (b_ids - low_b))
+        if not (key[1:] == key[:-1]).any():
+            return None
+    order = np.lexsort((b_ids, a_ids))  # stable: equal pairs keep row order
+    a_sorted, b_sorted = a_ids[order], b_ids[order]
+    same = np.flatnonzero((a_sorted[1:] == a_sorted[:-1]) & (b_sorted[1:] == b_sorted[:-1]))
+    if not len(same):
+        return None
+    first = np.argmin(order[same + 1])
+    return int(order[same[first] + 1]), int(order[same[first]])
+
+
+def _padded_bytes(path: Path, encoding: str) -> np.ndarray:
+    """The file decoded with ``encoding``, as UTF-8 bytes with PAD zero bytes
+    on each side."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        padded = np.zeros(size + 2 * PAD, dtype=np.uint8)
+        size = fh.readinto(memoryview(padded)[PAD:PAD + size])
+    padded = padded[:size + 2 * PAD]
+    utf8 = codecs.lookup(encoding).name in ("utf-8", "ascii")
+    if not (utf8 and padded.max() < 0x80):  # ASCII needs no decoding
+        raw = memoryview(padded)[PAD:PAD + size]
+        try:
+            text = str(raw, encoding)
+        except UnicodeDecodeError as exc:
+            line = raw[:exc.start].tobytes().count(b"\n") + 1
+            raise LoadError(f"{path}: line {line}: not {encoding} text") from None
+        if not utf8:
+            return np.frombuffer(bytes(PAD) + text.encode("utf-8") + bytes(PAD), dtype=np.uint8)
+    return padded
+
+
+def _separators(buf: np.ndarray, delimiter: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The position of every delimiter and line end (LF) in ``buf``, ascending,
+    with ``len(buf)`` ending a last line that has no LF; and the index in that
+    array of each line end."""
+    n = len(buf)
+    may_start = max(n - len(delimiter) + 1, 0)  # where a whole delimiter fits
+    is_sep = buf == ord("\n")
+    hits = buf[:may_start] == delimiter[0]
+    for k in range(1, len(delimiter)):  # a delimiter of several UTF-8 bytes
+        hits &= buf[k:k + may_start] == delimiter[k]
+    is_sep[:may_start] |= hits
+    seps = np.flatnonzero(is_sep)
+    line_end = np.flatnonzero(buf[seps] == ord("\n"))
+    if n and buf[-1] != ord("\n"):
+        seps = np.append(seps, n)
+        line_end = np.append(line_end, len(seps) - 1)
+    return seps, line_end
+
+
+def read_id_rows(
+    path: str | Path, kind: str, fmt: TextFormat = TextFormat(delimiter=",")
+) -> IdRows:
+    """Read a links, pairs or predictions file (``kind``) whole, with numpy.
+
+    Each line is a row of ``fmt.delimiter``-separated fields, ended by LF or
+    CR LF (or by the end of the file); fields are not quoted. The first two
+    fields are ids, ASCII ``-?[0-9]+`` within int64; a predictions row's fifth
+    field is ``match`` or ``non-match``. A first line whose ids do not parse is
+    a header and is skipped. The first malformed row, then the first row that
+    repeats an earlier row's (a, b) pair, raises a LoadError naming the file
+    and line.
+    """
+    path = Path(path)
+    fewest, most, columns_message = ID_FILES[kind]
+    padded = _padded_bytes(path, fmt.encoding)
+    buf = padded[PAD:-PAD]
+    delimiter = fmt.delimiter.encode("utf-8")
+    seps, line_end = _separators(buf, delimiter)
+    first = np.concatenate(([0], line_end[:-1] + 1))[:len(line_end)]
+    columns = line_end - first + 1
+    wrong = columns < fewest
+    if most is not None:
+        wrong |= columns > most
+    # lines from the first with the wrong column count on are never read
+    n_lines = int(np.argmax(wrong)) if wrong.any() else len(line_end)
+    ends = seps[line_end[:n_lines]]
+    starts = np.concatenate(([0], ends[:-1] + 1))[:n_lines]
+    stops = ends - (padded[ends + PAD - 1] == ord("\r"))  # without a CR before the LF
+    first = first[:n_lines]
+
+    def field(k):
+        """Start and stop of field ``k`` of each line."""
+        lo = starts if k == 0 else seps[first + k - 1] + len(delimiter)
+        return lo, np.minimum(seps[first + k], stops)
+
+    (lo_a, hi_a), (lo_b, hi_b) = field(0), field(1)
+    ids, is_id, fits = _parse_ids(
+        padded, np.concatenate((lo_a, lo_b)), np.concatenate((hi_a, hi_b))
+    )
+    is_id = is_id[:n_lines] & is_id[n_lines:]
+    header = int(n_lines > 0 and not is_id[0])
+    # per problem, whether each line is free of it; a header is free of all
+    checks = {
+        "bad entity id": is_id,
+        "entity ids must fit in 64 bits": fits[:n_lines] & fits[n_lines:],
+    }
+    matches = None
+    if kind == "predictions":
+        lo, hi = field(DECISION_COLUMN)
+        # the field's last 8 bytes as one little-endian word; both decisions end in "match"
+        tail = np.lib.stride_tricks.sliding_window_view(padded, 8)[hi + (PAD - 8)].view("<u8")[:, 0]
+        matches = (hi - lo == 5) & (tail >> np.uint64(24) == MATCH)
+        non_matches = (hi - lo == 9) & (tail == ON_MATCH) & (padded[lo + PAD] == ord("n"))
+        checks["unknown decision"] = matches | non_matches
+        matches = matches[header:]
+    # the first bad line; on a line with several problems, the first checked
+    bad_line, message = n_lines, columns_message
+    for text, good in checks.items():
+        good[:header] = True
+        if not good[:bad_line].all():
+            bad_line, message = int(np.argmin(good)), text
+    if bad_line < len(line_end):
+        if message == "unknown decision":
+            message += f" {buf[lo[bad_line]:hi[bad_line]].tobytes().decode()!r}"
+        raise LoadError(f"{path}: line {bad_line + 1}: {message}")
+
+    a_ids, b_ids = ids[header:n_lines], ids[n_lines + header:]
+    repeated = _repeated_pair(a_ids, b_ids)
+    if repeated is not None:
+        row, earlier = repeated
+        raise LoadError(
+            f"{path}: line {row + 1 + header}: pair {a_ids[row]},{b_ids[row]} "
+            f"repeats line {earlier + 1 + header}"
+        )
+    return IdRows(a_ids, b_ids, matches, 1 + header)
+
+
 def load_links(
     path: str | Path, fmt: TextFormat = TextFormat(), provenance: str = "train"
 ) -> LinkedPairSet:
-    """Read a two-column file of (a_entity_id, b_entity_id) pairs.
-
-    A non-numeric first row is treated as a header and skipped.
-    """
-    path = Path(path)
-    pairs: list[tuple[int, int]] = []
-    with open(path, newline="", encoding=fmt.encoding) as fh:
-        reader = csv.reader(fh, delimiter=fmt.delimiter)
-        for lineno, row in enumerate(reader, start=1):
-            if len(row) != 2:
-                raise LoadError(f"{path}: line {lineno}: expected 2 columns")
-            try:
-                pairs.append((int(row[0]), int(row[1])))
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise LoadError(f"{path}: line {lineno}: bad entity id") from None
-    return LinkedPairSet(tuple(pairs), provenance)
+    """Read a two-column file of (a_entity_id, b_entity_id) pairs with
+    ``read_id_rows``; a non-numeric first row is a header and is skipped."""
+    rows = read_id_rows(path, "links", fmt)
+    return LinkedPairSet(tuple(zip(rows.a_ids.tolist(), rows.b_ids.tolist())), provenance)
 
 
 def write_records_csv(
