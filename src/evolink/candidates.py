@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import LinkedPairSet, RecordSet
+from .ingest import LinkedPairSet, RecordSet, id_ranks
 
 
 @dataclass(frozen=True)
@@ -58,25 +58,16 @@ class Candidates(Sequence):
             and pairs.records_b is records_b
         ):
             return pairs
-        a_ids, b_ids, labels = [], [], []
-        for pair in pairs:
-            if isinstance(pair, CandidatePair):
-                a_ids.append(pair.a_entity)
-                b_ids.append(pair.b_entity)
-                labels.append(pair.label)
-            else:
-                a_id, b_id = pair
-                a_ids.append(a_id)
-                b_ids.append(b_id)
-                labels.append(None)
-        unlabelled = sum(label is None for label in labels)
+        pairs = [p if isinstance(p, CandidatePair) else CandidatePair(*p) for p in pairs]
+        labels = [p.label for p in pairs]
+        unlabelled = labels.count(None)
         if unlabelled not in (0, len(labels)):
             raise ConfigError("pairs mix labelled and unlabelled candidates")
         return cls(
             records_a,
             records_b,
-            records_a.rows(a_ids),
-            records_b.rows(b_ids),
+            records_a.rows([p.a_entity for p in pairs]),
+            records_b.rows([p.b_entity for p in pairs]),
             None if unlabelled else np.array(labels, dtype=bool),
         )
 
@@ -125,38 +116,16 @@ class Candidates(Sequence):
         )
 
 
-def _ranks(ids, known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Position of each id in the sorted, distinct, non-empty ``known`` (some
-    position in range where it is absent), and whether it is there."""
-    ids = np.asarray(ids, dtype=np.int64)
-    low = int(known[0])
-    span = int(known[-1]) - low + 1
-    if span <= 4 * len(ids):  # a direct table costs no more than a binary search
-        table = np.zeros(span, dtype=np.int64)
-        table[known - low] = np.arange(len(known))
-        offset = ids - low  # wraps out of [0, span) for ids far outside it
-        inside = (offset >= 0) & (offset < span)
-        pos = table[np.where(inside, offset, 0)]
-        return pos, inside & (known[pos] == ids)
-    pos = np.minimum(np.searchsorted(known, ids), len(known) - 1)
-    return pos, known[pos] == ids
-
-
 def truth_labels(a_ids, b_ids, truth: LinkedPairSet) -> tuple[np.ndarray, int]:
     """Which (a_ids[i], b_ids[i]) pairs are true links, and how many true
     links none of the pairs covers."""
-    truth_ids = np.array(truth.pairs, dtype=np.int64).reshape(-1, 2)
-    if not len(truth_ids):
-        return np.zeros(len(a_ids), dtype=bool), 0
     # rank ids among the truth's own ids, so that one int64 key names a pair
-    known_a, known_b = np.unique(truth_ids[:, 0]), np.unique(truth_ids[:, 1])
-    rank_a, in_a = _ranks(a_ids, known_a)
-    rank_b, in_b = _ranks(b_ids, known_b)
-    truth_keys = np.sort(
-        _ranks(truth_ids[:, 0], known_a)[0] * len(known_b)
-        + _ranks(truth_ids[:, 1], known_b)[0]
-    )
-    slot, hit = _ranks(rank_a * len(known_b) + rank_b, truth_keys)
+    known_a, truth_a = np.unique(truth.a_ids, return_inverse=True)
+    known_b, truth_b = np.unique(truth.b_ids, return_inverse=True)
+    rank_a, in_a = id_ranks(a_ids, known_a)
+    rank_b, in_b = id_ranks(b_ids, known_b)
+    truth_keys = np.sort(truth_a * len(known_b) + truth_b)
+    slot, hit = id_ranks(rank_a * len(known_b) + rank_b, truth_keys)
     labels = in_a & in_b & hit
     lost = len(truth_keys) - len(np.unique(slot[labels]))
     return labels, lost

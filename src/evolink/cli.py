@@ -23,11 +23,12 @@ import numpy as np
 
 from . import pipeline
 from .candidates import Candidates, Metrics, truth_labels
-from .errors import EvolinkError
+from .errors import ConfigError, EvolinkError
 from .ingest import (
     SynthConfig,
     TextFormat,
     generate_synthetic,
+    id_ranks,
     load_links,
     load_records,
     read_id_rows,
@@ -70,6 +71,8 @@ def _write_manifest(
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError("seed: must be >= 0")
     config = SynthConfig.from_json(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -162,18 +165,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     if args.pairs:
         pairs = read_id_rows(args.pairs, "pairs", CSV_FORMAT)
-        in_a = np.isin(pairs.a_ids, records_a.id_array)
-        known = in_a & np.isin(pairs.b_ids, records_b.id_array)
+        a_rows, in_a = records_a.find(pairs.a_ids)
+        b_rows, in_b = records_b.find(pairs.b_ids)
+        known = in_a & in_b
         if not known.all():
             i = int(np.argmin(known))
             unknown = (pairs.b_ids if in_a[i] else pairs.a_ids)[i]
             raise EvolinkError(
                 f"{args.pairs}: line {pairs.first_line + i}: unknown entity id {unknown}"
             )
-        candidates = Candidates(
-            records_a, records_b,
-            records_a.rows(pairs.a_ids.tolist()), records_b.rows(pairs.b_ids.tolist()),
-        )
+        candidates = Candidates(records_a, records_b, a_rows, b_rows)
     else:
         candidates = pipeline.block_candidates(
             records_a, records_b, bundle.schema.blocking_attribute
@@ -212,10 +213,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     predictions = read_id_rows(args.predictions, "predictions", CSV_FORMAT)
     truth = load_links(args.truth, CSV_FORMAT, provenance="truth")
     a_ids, b_ids = predictions.a_ids, predictions.b_ids
-    truth_ids = np.array(truth.pairs, dtype=np.int64)
-    if len(a_ids) and len(truth) and not (
-        np.isin(a_ids, truth_ids).any() or np.isin(b_ids, truth_ids).any()
-    ):
+    truth_ids = np.unique(np.concatenate((truth.a_ids, truth.b_ids)))
+    in_truth = id_ranks(np.concatenate((a_ids, b_ids)), truth_ids)[1]
+    if len(a_ids) and len(truth) and not in_truth.any():
         raise EvolinkError(
             "entity ids in the truth file never appear in the predictions; "
             "the files do not match"

@@ -2,20 +2,20 @@
 
 The graph keeps what embedding training reads: the evolution triples
 (value-value within one attribute domain, recording an observed change
-between two linked records), their tails-per-head index and the value
-dictionary. Entities and attribute triples (entity-value) are only
-counted, for the report.
+between two linked records) as id columns, and the value dictionary.
+Entities and attribute triples (entity-value) are only counted, for the
+report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, LoadError
+from .errors import DomainError
 from .ingest import LinkedPairSet, RecordSet, ValueDictionary
 
 
@@ -31,12 +31,15 @@ class EvolutionTriple(NamedTuple):
     attribute: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionKG:
-    """Immutable evolution triples plus the sizes the report shows."""
+    """Distinct evolution triples as int64 columns sorted by (head, tail), which
+    alone key a triple, plus the sizes the report shows."""
 
     values: ValueDictionary
-    evolution: frozenset[EvolutionTriple]
+    heads: np.ndarray
+    tails: np.ndarray
+    attributes: np.ndarray
     n_entities: int = 0
     n_attribute_triples: int = 0
 
@@ -53,32 +56,33 @@ class EvolutionKG:
         Every evolution triple must join two values of its own attribute's
         domain, which ``NegativeSampler`` relies on.
         """
-        evolution = frozenset(evolution)
-        n_values = len(values)
-        for t in evolution:
-            for v in (t.head_value, t.tail_value):
-                if not 0 <= v < n_values:
-                    raise DomainError(f"evolution triple references unknown value {v}")
-                if values.attribute_of(v) != t.attribute:
-                    raise DomainError(
-                        f"evolution triple {t}: value {v} outside attribute "
-                        f"{t.attribute} domain"
-                    )
-        return cls(
-            values, evolution, len(frozenset(entities)), len(frozenset(attribute_triples))
-        )
+        try:
+            columns = np.array(tuple(evolution), dtype=np.int64).reshape(-1, 3)
+        except OverflowError:  # no value id lies beyond int64
+            raise DomainError("evolution triple references unknown value beyond int64") from None
+        ends, attributes = columns[:, :2], columns[:, 2]  # each triple's head, then tail
+        owner = values.attribute_array()
+        known = (ends >= 0) & (ends < len(owner))
+        bad = ~known | (owner[np.where(known, ends, 0)] != attributes[:, None])
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), 2)
+            t, v = EvolutionTriple(*columns[i].tolist()), ends[i, j]
+            raise DomainError(
+                f"evolution triple {t}: value {v} outside attribute {t.attribute} domain"
+                if known[i, j] else f"evolution triple references unknown value {v}"
+            )
+        return _graph(values, *ends.T, len(frozenset(entities)), len(frozenset(attribute_triples)))
 
     @cached_property
-    def evolution_index(self) -> Mapping[tuple[int, int], frozenset[int]]:
-        """(attribute, head value) -> every tail value observed for it."""
-        index: dict[tuple[int, int], set[int]] = {}
-        for t in self.evolution:
-            index.setdefault((t.attribute, t.head_value), set()).add(t.tail_value)
-        return {k: frozenset(v) for k, v in index.items()}
+    def evolution(self) -> frozenset[EvolutionTriple]:
+        """The triples as a set, made on first use."""
+        columns = self.heads.tolist(), self.tails.tolist(), self.attributes.tolist()
+        return frozenset(map(EvolutionTriple._make, zip(*columns)))
 
     def observed_tails(self, attribute: int, head_value: int) -> frozenset[int]:
         """E(head): every tail value seen evolving from head under attribute."""
-        return self.evolution_index.get((attribute, head_value), frozenset())
+        lo, hi = np.searchsorted(self.heads, [head_value, head_value + 1])
+        return frozenset(self.tails[lo:hi][self.attributes[lo:hi] == attribute].tolist())
 
     def counts(self) -> dict[str, int]:
         return {
@@ -89,8 +93,15 @@ class EvolutionKG:
             "relations": 0,
             "attribute_triples": self.n_attribute_triples,
             "relational_triples": 0,
-            "evolution_triples": len(self.evolution),
+            "evolution_triples": len(self.heads),
         }
+
+
+def _graph(values, heads, tails, n_entities, n_attribute_triples) -> EvolutionKG:
+    """The graph of the distinct (head, tail) pairs among these value ids."""
+    owner = values.attribute_array()
+    heads, tails = np.divmod(np.unique(heads * len(owner) + tails), len(owner))
+    return EvolutionKG(values, heads, tails, owner[heads], n_entities, n_attribute_triples)
 
 
 def build_ekg(
@@ -115,37 +126,16 @@ def build_ekg(
     if len(overlap):
         raise DomainError(f"entity ids appear in both record sets: {overlap[:5].tolist()}")
 
-    linked = []
-    for records, ids, side in (
-        (records_a, [a for a, _ in train_links], "A"),
-        (records_b, [b for _, b in train_links], "B"),
-    ):
-        try:
-            linked.append(records.value_matrix[records.rows(ids)])
-        except LoadError as exc:
-            raise LoadError(f"link endpoint missing from record set {side}: {exc}") from None
-    head, tail = linked
+    a_rows, b_rows = train_links.rows(records_a, records_b)
+    head, tail = records_a.value_matrix[a_rows], records_b.value_matrix[b_rows]
     keep = (head >= 0) & (tail >= 0)
     if not include_identity_triples:
         keep &= head != tail
     heads, tails = head[keep], tail[keep]
     if include_reverse_triples:
         heads, tails = np.concatenate([heads, tails]), np.concatenate([tails, heads])
-    # a value id lies in one attribute's domain, so (head, tail) alone keys a triple
-    n_values = len(records_a.dictionary)
-    heads, tails = np.divmod(np.unique(heads * n_values + tails), n_values)
-    attributes = records_a.dictionary.attribute_array()[heads]
-
-    return EvolutionKG(
-        values=records_a.dictionary,
-        evolution=frozenset(
-            map(EvolutionTriple._make, zip(heads.tolist(), tails.tolist(), attributes.tolist()))
-        ),
-        n_entities=len(records_a) + len(records_b),
-        n_attribute_triples=int(
-            (records_a.value_matrix >= 0).sum() + (records_b.value_matrix >= 0).sum()
-        ),
-    )
+    n_cells = int((records_a.value_matrix >= 0).sum() + (records_b.value_matrix >= 0).sum())
+    return _graph(records_a.dictionary, heads, tails, len(records_a) + len(records_b), n_cells)
 
 
 class NegativeSampler:
@@ -162,50 +152,42 @@ class NegativeSampler:
     Memory is O(domains + observed tails), whatever the number of heads.
     """
 
-    def __init__(self, ekg: EvolutionKG, triples: Sequence[EvolutionTriple]):
-        # one entry per distinct (attribute, head) key, in first-seen order
-        key_of: dict[tuple[int, int], int] = {}
-        rows_key = np.array(
-            [key_of.setdefault((t.attribute, t.head_value), len(key_of)) for t in triples],
-            dtype=np.int64,
+    def __init__(self, ekg: EvolutionKG, triples: Sequence[EvolutionTriple] | None = None):
+        """Sample for ``triples``, or by default for the graph's own, in its order."""
+        heads, _, attributes = (
+            (ekg.heads, ekg.tails, ekg.attributes) if triples is None
+            else np.array(triples, dtype=np.int64).reshape(-1, 3).T
         )
-        domains = {
-            attr: np.array(ekg.values.values_of(attr), dtype=np.int64)
-            for attr in sorted({attr for attr, _ in key_of})
-        }
-        domain_start = dict(zip(domains, np.cumsum([0, *map(len, domains.values())])))
-        self._domain = np.concatenate([np.zeros(0, np.int64), *domains.values()])
+        owner = ekg.values.attribute_array()
+        n = len(owner)
+        # every domain in ascending id order, one after another in attribute order
+        self._domain = np.argsort(owner, kind="stable")
+        size = np.bincount(owner, minlength=ekg.values.n_attributes)
+        start = np.cumsum(size) - size
+        position = np.argsort(self._domain) - start[owner]  # of each value within its domain
 
-        key_dom, key_pool, key_base, key_seg = [], [], [], []
-        skips = [np.zeros(0, np.int64)]
-        base = seg = 0
-        for attr, head in key_of:
-            domain = domains[attr]
-            observed = np.sort(
-                np.fromiter(ekg.observed_tails(attr, head), dtype=np.int64)
-            )
-            pool = len(domain) - len(observed)
-            # observed tails lie inside the domain (checked by from_triples)
-            skips.append(
-                np.searchsorted(domain, observed) - np.arange(len(observed)) + base
-            )
-            key_dom.append(domain_start[attr])
-            key_pool.append(pool)
-            key_base.append(base)
-            key_seg.append(seg)
-            seg += len(observed)
-            # skips lie in [base, base + pool] and a rank plus base below base +
-            # pool, so a search counts all earlier keys' skips and no later key's
-            base += pool
-        self._skips = np.concatenate(skips)
+        # the graph's tails by (attribute, head) key, ascending within a key (stable
+        # sort); they lie inside the key's domain (checked by from_triples)
+        graph_keys = ekg.attributes * n + ekg.heads
+        by_key = np.argsort(graph_keys, kind="stable")
+        graph_keys, graph_tails = graph_keys[by_key], ekg.tails[by_key]
+        keys, rows_key = np.unique(attributes * n + heads, return_inverse=True)
+        key_attr = keys // n
+        first = np.searchsorted(graph_keys, keys, side="left")
+        n_observed = np.searchsorted(graph_keys, keys, side="right") - first
+        pool = size[key_attr] - n_observed
+        seg = np.cumsum(n_observed) - n_observed  # observed tails of earlier keys
+        # skips lie in [base, base + pool] and a rank plus base below base +
+        # pool, so a search counts all earlier keys' skips and no later key's
+        base = np.cumsum(pool) - pool
+        index = np.arange(n_observed.sum()) - np.repeat(seg, n_observed)  # within its key
+        observed = graph_tails[np.repeat(first, n_observed) + index]
+        self._skips = position[observed] - index + np.repeat(base, n_observed)
 
-        def per_row(per_key: list[int]) -> np.ndarray:
-            return np.array(per_key, dtype=np.int64)[rows_key]
-
-        self.pool_sizes = per_row(key_pool)
-        self._dom_start = per_row(key_dom)
-        self._base = per_row(key_base)
-        self._seg_start = per_row(key_seg)
+        self.pool_sizes = pool[rows_key]
+        self._base = base[rows_key]
+        # a row's r-th unobserved value is _domain[_shift + r + every skip <= r + _base]
+        self._shift = (start[key_attr] - seg)[rows_key]
 
     def draw(self, rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         """(len(rows), k) tails for the positives at ``rows``.
@@ -231,8 +213,7 @@ class NegativeSampler:
         rows = np.repeat(rows, k)
         ranks = ranks.ravel()
         seen = np.searchsorted(self._skips, ranks + self._base[rows], side="right")
-        position = ranks + seen - self._seg_start[rows]
-        return self._domain[self._dom_start[rows] + position].reshape(-1, k)
+        return self._domain[self._shift[rows] + ranks + seen].reshape(-1, k)
 
 
 def sample_negatives(
@@ -255,7 +236,4 @@ def sample_negatives(
     if not sampler.pool_sizes[0]:
         return None
     tails = sampler.draw(np.zeros(1, dtype=np.int64), k, rng)[0]
-    return [
-        EvolutionTriple(triple.head_value, tail, triple.attribute)
-        for tail in tails.tolist()
-    ]
+    return [triple._replace(tail_value=tail) for tail in tails.tolist()]

@@ -155,16 +155,15 @@ def train_embeddings(
     projected back into the unit ball after every update. Positives whose
     candidate pool is empty are dropped. Fully deterministic given the seed.
     """
-    positives = sorted(ekg.evolution)
-    if not positives:
+    if not len(ekg.heads):
         raise TrainingError("no evolution triples to train on")
 
-    sampler = NegativeSampler(ekg, positives)
+    sampler = NegativeSampler(ekg)
     kept_rows = np.flatnonzero(sampler.pool_sizes)
     if not len(kept_rows):
         raise TrainingError("every evolution triple has an empty negative pool")
 
-    heads, tails, attrs = np.array(positives, dtype=np.int64)[kept_rows].T
+    heads, tails, attrs = ekg.heads[kept_rows], ekg.tails[kept_rows], ekg.attributes[kept_rows]
 
     store = init_embeddings(ekg, hp)
     values = store.value_vectors

@@ -213,8 +213,35 @@ class Record:
     values: Mapping[int, int]
 
 
+def id_ranks(ids, known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each id in the sorted, distinct ``known`` (some position in
+    range where it is absent, 0 if ``known`` is empty), and whether it is there."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if not len(known):
+        return np.zeros(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=bool)
+    low = int(known[0])
+    span = int(known[-1]) - low + 1
+    if span <= 4 * len(ids):  # a direct table costs no more than a binary search
+        table = np.zeros(span, dtype=np.int64)
+        table[known - low] = np.arange(len(known))
+        offset = ids - low  # wraps out of [0, span) for ids far outside it
+        inside = (offset >= 0) & (offset < span)
+        pos = table[np.where(inside, offset, 0)]
+        return pos, inside & (known[pos] == ids)
+    pos = np.minimum(np.searchsorted(known, ids), len(known) - 1)
+    return pos, known[pos] == ids
+
+
+class RepeatedIdError(LoadError):
+    """Two rows of one record set hold the same entity id."""
+
+    def __init__(self, entity_id: int, row: int, earlier: int):
+        super().__init__(f"duplicate entity id {entity_id}")
+        self.entity_id, self.row, self.earlier = entity_id, row, earlier
+
+
 class RecordSet:
-    """Records stored as columns, with an entity-id -> row map.
+    """Records stored as columns, with their entity ids sorted for lookup.
 
     ``id_array`` holds the entity id of each row; ``value_matrix`` is
     (n_records, n_attributes) int64 with -1 for a missing value. ``Record``
@@ -267,18 +294,19 @@ class RecordSet:
                 f"record {ids[rows[i]]}: value id {vids[i]} "
                 f"does not belong to attribute {attrs[i]}"
             )
-        row_of = dict(zip(ids.tolist(), range(len(ids))))
-        if len(row_of) < len(ids):
-            repeat = np.ones(len(ids), dtype=bool)
-            repeat[np.unique(ids, return_index=True)[1]] = False
-            raise LoadError(f"duplicate entity id {ids[np.argmax(repeat)]}")
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        repeat = _first_repeat(order, sorted_ids[1:] == sorted_ids[:-1])
+        if repeat is not None:
+            raise RepeatedIdError(int(ids[repeat[0]]), *repeat)
         matrix = np.full((len(ids), schema.n_attributes), -1, dtype=np.int64)
         matrix[rows, attrs] = vids
         self.schema = schema
         self.dictionary = dictionary
         self.id_array = ids
         self.value_matrix = matrix
-        self._row_of = row_of
+        self._order = order
+        self._sorted_ids = sorted_ids
 
     @cached_property
     def records(self) -> tuple[Record, ...]:
@@ -295,23 +323,22 @@ class RecordSet:
         return iter(self.records)
 
     def __contains__(self, entity_id: int) -> bool:
-        return entity_id in self._row_of
+        return bool(self.find([entity_id])[1][0])
 
     def get(self, entity_id: int) -> Record:
-        try:
-            return self.records[self._row_of[entity_id]]
-        except KeyError:
-            raise LoadError(f"unknown entity id {entity_id}") from None
+        return self.records[self.rows([entity_id])[0]]
+
+    def find(self, entity_ids) -> tuple[np.ndarray, np.ndarray]:
+        """The row of each entity id (any row if absent), and whether it is there."""
+        pos, found = id_ranks(entity_ids, self._sorted_ids)
+        return (self._order[pos] if len(self) else pos), found
 
     def rows(self, entity_ids) -> np.ndarray:
         """The row of each entity id; an unknown id raises LoadError."""
-        try:
-            return np.fromiter(
-                map(self._row_of.__getitem__, entity_ids), dtype=np.int64,
-                count=len(entity_ids),
-            )
-        except KeyError as exc:
-            raise LoadError(f"unknown entity id {exc.args[0]}") from None
+        rows, found = self.find(entity_ids)
+        if not found.all():
+            raise LoadError(f"unknown entity id {np.asarray(entity_ids)[np.argmin(found)]}")
+        return rows
 
     def take(self, rows) -> "RecordSet":
         """The records at ``rows`` (an index array), in that order."""
@@ -320,22 +347,41 @@ class RecordSet:
         )
 
 
-@dataclass(frozen=True)
 class LinkedPairSet:
-    """Ground-truth links between an A-side and a B-side record set."""
+    """Ground-truth links between an A-side and a B-side record set, given as
+    (a, b) pairs or an (n, 2) array and held as two int64 id columns, ``a_ids``
+    and ``b_ids``, with no pair repeated; ``pairs`` is made on first use."""
 
-    pairs: tuple[tuple[int, int], ...]
-    provenance: str = "train"
-
-    def __post_init__(self):
-        if len(set(self.pairs)) != len(self.pairs):
+    def __init__(self, pairs: Sequence[tuple[int, int]] = (), provenance: str = "train"):
+        try:
+            self.a_ids, self.b_ids = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
+        except OverflowError:
+            raise LoadError("entity ids must fit in 64 bits") from None
+        if _repeated_pair(self.a_ids, self.b_ids) is not None:
             raise LoadError("duplicate linked pairs")
+        self.provenance = provenance
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.a_ids.tolist(), self.b_ids.tolist()))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.a_ids)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.pairs)
+
+    def rows(self, records_a: RecordSet, records_b: RecordSet) -> tuple[np.ndarray, np.ndarray]:
+        """The A row and the B row of each link; an end that is not a record raises LoadError."""
+        (a_rows, in_a), (b_rows, in_b) = records_a.find(self.a_ids), records_b.find(self.b_ids)
+        if not (in_a & in_b).all():
+            i = int(np.argmin(in_a & in_b))
+            side, ids, kind = ("a", self.a_ids, "an A") if not in_a[i] else ("b", self.b_ids, "a B")
+            raise LoadError(
+                f"links: {side} id {ids[i]} of link ({self.a_ids[i]}, {self.b_ids[i]}) "
+                f"is not {kind} record"
+            )
+        return a_rows, b_rows
 
 
 class Split(NamedTuple):
@@ -426,7 +472,11 @@ def load_records(
             cells.append(row_cells)
 
     matrix = np.array(cells, dtype=np.int64).reshape(len(ids), schema.n_attributes)
-    return RecordSet.from_columns(schema, dictionary, ids, matrix), dictionary
+    try:
+        return RecordSet.from_columns(schema, dictionary, ids, matrix), dictionary
+    except RepeatedIdError as exc:  # row r is on line r + 2
+        message = f"line {exc.row + 2}: entity id {exc.entity_id} repeats line {exc.earlier + 2}"
+        raise LoadError(f"{path}: {message}") from None
 
 
 # Per kind of id file: the fewest and most columns a row may have (None: no
@@ -487,6 +537,14 @@ def _parse_ids(padded: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return ids, is_id, ~over
 
 
+def _first_repeat(order: np.ndarray, same: np.ndarray) -> tuple[int, int] | None:
+    """(row, earlier row) of the first row that repeats an earlier one, given a
+    stable sort ``order`` of the rows and ``same[j]``: sorted rows j, j + 1 are equal."""
+    same = np.flatnonzero(same)
+    first = same[np.argmin(order[same + 1])] if len(same) else None
+    return None if first is None else (int(order[first + 1]), int(order[first]))
+
+
 def _repeated_pair(a_ids: np.ndarray, b_ids: np.ndarray) -> tuple[int, int] | None:
     """(row, earlier row) of the first row whose (a, b) pair an earlier row has."""
     if len(a_ids) < 2:
@@ -501,11 +559,7 @@ def _repeated_pair(a_ids: np.ndarray, b_ids: np.ndarray) -> tuple[int, int] | No
             return None
     order = np.lexsort((b_ids, a_ids))  # stable: equal pairs keep row order
     a_sorted, b_sorted = a_ids[order], b_ids[order]
-    same = np.flatnonzero((a_sorted[1:] == a_sorted[:-1]) & (b_sorted[1:] == b_sorted[:-1]))
-    if not len(same):
-        return None
-    first = np.argmin(order[same + 1])
-    return int(order[same[first] + 1]), int(order[same[first]])
+    return _first_repeat(order, (a_sorted[1:] == a_sorted[:-1]) & (b_sorted[1:] == b_sorted[:-1]))
 
 
 def _padded_bytes(path: Path, encoding: str) -> np.ndarray:
@@ -632,7 +686,7 @@ def load_links(
     """Read a two-column file of (a_entity_id, b_entity_id) pairs with
     ``read_id_rows``; a non-numeric first row is a header and is skipped."""
     rows = read_id_rows(path, "links", fmt)
-    return LinkedPairSet(tuple(zip(rows.a_ids.tolist(), rows.b_ids.tolist())), provenance)
+    return LinkedPairSet(np.column_stack((rows.a_ids, rows.b_ids)), provenance)
 
 
 def write_records_csv(
@@ -656,8 +710,7 @@ def write_links_csv(links: LinkedPairSet, path: str | Path, delimiter: str = ","
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow(["a_id", "b_id"])
-        for a, b in links:
-            writer.writerow([str(a), str(b)])
+        writer.writerows(zip(links.a_ids.tolist(), links.b_ids.tolist()))
 
 
 def _allocate(n: int, ratios: Sequence[float]) -> list[int]:
@@ -694,29 +747,27 @@ def partition(
     if len(links) == 0:
         raise ConfigError("links: empty link set")
 
+    a_rows, b_rows = links.rows(records_a, records_b)
     rng = np.random.default_rng(seed)
 
-    def spread(items: list) -> list[list]:
+    def spread(items: np.ndarray) -> list[np.ndarray]:
         """The items shuffled, then cut into three runs sized by the ratios."""
         perm = rng.permutation(len(items))
         bounds = np.cumsum([0, *_allocate(len(items), ratios)])
-        return [[items[i] for i in perm[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
+        return [items[perm[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
 
-    split_pairs = spread(list(links.pairs))
-    linked_a = {a for a, _ in links}
-    linked_b = {b for _, b in links}
-    free_a = spread([i for i in records_a.id_array.tolist() if i not in linked_a])
-    free_b = spread([i for i in records_b.id_array.tolist() if i not in linked_b])
+    split_links = spread(np.arange(len(links)))
+    free_a = spread(np.delete(records_a.id_array, a_rows))  # the ids no link touches
+    free_b = spread(np.delete(records_b.id_array, b_rows))
 
     splits = []
     for k, name in enumerate(("train", "validation", "test")):
-        a_ids = sorted({a for a, _ in split_pairs[k]} | set(free_a[k]))
-        b_ids = sorted({b for _, b in split_pairs[k]} | set(free_b[k]))
-        pairs = tuple(sorted(split_pairs[k]))
+        a_ids, b_ids = links.a_ids[split_links[k]], links.b_ids[split_links[k]]
+        by_pair = np.lexsort((b_ids, a_ids))
         splits.append(Split(
-            records_a.take(records_a.rows(a_ids)),
-            records_b.take(records_b.rows(b_ids)),
-            LinkedPairSet(pairs, name),
+            records_a.take(records_a.rows(np.unique(np.concatenate((a_ids, free_a[k]))))),
+            records_b.take(records_b.rows(np.unique(np.concatenate((b_ids, free_b[k]))))),
+            LinkedPairSet(np.column_stack((a_ids, b_ids))[by_pair], name),
         ))
     return splits[0], splits[1], splits[2]
 
@@ -873,7 +924,8 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Split:
     n_dup = round(config.duplicate_fraction * config.size_a)
     dup_sources = sorted(int(i) for i in rng.choice(config.size_a, n_dup, replace=False))
 
-    b_payloads: list[tuple[int | None, list[int]]] = []  # (source A id, row; -1 = missing)
+    # B rows (-1 = missing): first the duplicates of dup_sources, then fresh draws
+    b_rows: list[list[int]] = []
     for a_idx in dup_sources:
         values = list(a_rows[a_idx])
         for attr, current in enumerate(a_rows[a_idx]):
@@ -888,16 +940,17 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Split:
                 values[attr] = dictionary.intern(attr, mutated)
             if rng.random() < config.missing_probability:
                 values[attr] = -1
-        b_payloads.append((a_idx, values))
+        b_rows.append(values)
 
     for _ in range(config.size_b - n_dup):
-        b_payloads.append((None, draw_values()))
+        b_rows.append(draw_values())
 
-    b_order = rng.permutation(len(b_payloads)).tolist()
-    b_ids = range(config.size_a, config.size_a + len(b_order))
-    pairs = [(b_payloads[i][0], b_id) for i, b_id in zip(b_order, b_ids)]
+    b_order = rng.permutation(len(b_rows))
+    # B row i takes the id at its place in b_order; dup_sources ascends, so the links do
+    dup_b_ids = config.size_a + np.argsort(b_order)[:n_dup]
+    b_ids = range(config.size_a, config.size_a + config.size_b)
     return Split(
         RecordSet.from_columns(schema, dictionary, range(config.size_a), a_rows),
-        RecordSet.from_columns(schema, dictionary, b_ids, [b_payloads[i][1] for i in b_order]),
-        LinkedPairSet(tuple(sorted(p for p in pairs if p[0] is not None)), "generated"),
+        RecordSet.from_columns(schema, dictionary, b_ids, np.array(b_rows)[b_order]),
+        LinkedPairSet(np.column_stack((dup_sources, dup_b_ids)), "generated"),
     )

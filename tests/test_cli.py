@@ -99,8 +99,28 @@ class TestGenerate:
         assert code == 2
         assert "size_a" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, tmp_path, synth_config, capsys):
+        out = tmp_path / "o"
+        code = main(["generate", "--config", str(synth_config), "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed: must be >= 0\n"
+        assert not out.exists()
+
 
 class TestTrain:
+    def test_link_to_an_unknown_record_exits_2_naming_it(
+        self, tmp_path, data_dir, experiment_config, capsys
+    ):
+        with open(data_dir / "truth_links.csv", "a", encoding="utf-8") as fh:
+            fh.write("3,100000\n")
+        code = main(["train", str(data_dir), "--config", str(experiment_config),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: stage 'partition' failed: "
+            "links: b id 100000 of link (3, 100000) is not a B record\n"
+        )
+
     def test_writes_model_and_run_files(self, run_dir):
         for name in (
             "model.bin", "config.json", "loss_embed.csv", "loss_weights.csv",

@@ -120,6 +120,42 @@ class TestValidation:
                 evolution=[EvolutionTriple(x, 7, 0)],
             )
 
+    @pytest.mark.parametrize("head, tail, message", [
+        (-1, 0, "unknown value -1"),
+        (0, 3, "unknown value 3"),
+        (2**40, 0, f"unknown value {2**40}"),
+        (2**63, 0, "unknown value beyond int64"),
+        (0, 1, "evolution triple EvolutionTriple(head_value=0, tail_value=1, attribute=0): "
+               "value 1 outside attribute 0 domain"),
+        (1, 2, "evolution triple EvolutionTriple(head_value=1, tail_value=2, attribute=0): "
+               "value 1 outside attribute 0 domain"),
+    ])
+    def test_from_triples_names_the_bad_value(self, head, tail, message):
+        d = ValueDictionary(2)
+        d.intern(0, "x"), d.intern(1, "y"), d.intern(0, "z")  # ids 0, 1, 2
+        good = EvolutionTriple(0, 2, 0)
+        with pytest.raises(DomainError) as exc:
+            EvolutionKG.from_triples(
+                entities=[], values=d, attribute_triples=[],
+                evolution=[good, EvolutionTriple(head, tail, 0), good],
+            )
+        assert str(exc.value).endswith(message)
+
+    def test_columns_sorted_by_head_then_tail(self):
+        kg, triples = random_multi_attribute_kg(np.random.default_rng(3))
+        columns = list(zip(kg.heads.tolist(), kg.tails.tolist(), kg.attributes.tolist()))
+        assert columns == sorted(kg.evolution) == triples
+        assert all(c.dtype == np.int64 for c in (kg.heads, kg.tails, kg.attributes))
+
+    def test_observed_tails_equal_a_set_scan(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            kg, triples = random_multi_attribute_kg(rng)
+            for attr in range(kg.values.n_attributes):
+                for head in range(len(kg.values)):
+                    expected = {t.tail_value for t in triples if (t.attribute, t.head_value) == (attr, head)}
+                    assert kg.observed_tails(attr, head) == expected
+
     def test_from_triples_counts_distinct_entities_and_attribute_triples(self):
         d = ValueDictionary(1)
         x = d.intern(0, "x")
@@ -251,6 +287,19 @@ class TestNegativeSampler:
                     assert len(set(drawn)) == k
                 if len(pool) == k:
                     assert sorted(drawn) == pool
+
+    def test_default_triples_are_the_graphs_own(self):
+        rng = np.random.default_rng(12)
+        for seed in range(20):
+            kg, triples = random_multi_attribute_kg(rng)
+            own, given_triples = NegativeSampler(kg), NegativeSampler(kg, triples)
+            np.testing.assert_array_equal(own.pool_sizes, given_triples.pool_sizes)
+            rows = np.flatnonzero(own.pool_sizes)
+            for k in (1, 3):
+                np.testing.assert_array_equal(
+                    own.draw(rows, k, np.random.default_rng(seed)),
+                    given_triples.draw(rows, k, np.random.default_rng(seed)),
+                )
 
     def test_with_replacement_beyond_pool(self):
         kg, ids = single_attribute_kg(4, [(0, 1)])
@@ -412,5 +461,5 @@ class TestMatrixBuild:
 
     def test_missing_b_endpoint_names_side_and_entity(self, civil_toy):
         links = LinkedPairSet(((0, 10), (1, 99)), "train")
-        with pytest.raises(LoadError, match="record set B: unknown entity id 99"):
+        with pytest.raises(LoadError, match=r"links: b id 99 of link \(1, 99\) is not a B record"):
             build_ekg(civil_toy["records_a"], civil_toy["records_b"], links)

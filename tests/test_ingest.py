@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from evolink.ingest import (
     TextFormat,
     ValueDictionary,
     generate_synthetic,
+    id_ranks,
     load_links,
     load_records,
     partition,
@@ -127,6 +129,20 @@ class TestLoadRecords:
         with pytest.raises(LoadError, match="line 3"):
             load_records(path, THREE_COL)
 
+    def test_repeated_entity_id_names_both_lines(self, tmp_path):
+        path = write(
+            tmp_path, "a.csv",
+            "entity_id;name;birth_year;civil_status\n"
+            "7;maria;1867;single\n"
+            "-3;jose;1870;single\n"
+            "9;anna;1871;married\n"
+            "-3;pere;1869;single\n"
+            "7;joan;1868;single\n",
+        )
+        with pytest.raises(LoadError) as exc:
+            load_records(path, THREE_COL)
+        assert str(exc.value) == f"{path}: line 5: entity id -3 repeats line 3"
+
     def test_unknown_header_attribute(self, tmp_path):
         path = write(tmp_path, "a.csv", "name;height;civil_status\nmaria;12;single\n")
         with pytest.raises(SchemaMismatchError, match="height"):
@@ -234,6 +250,81 @@ class TestRecordSet:
         subset = made.take(rows)
         assert subset.records == tuple(records[i] for i in rows)
         assert subset.dictionary is d
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# ids from anywhere in int64, with both ends likely, or packed near one point
+# (dense, so that the lookup takes its direct table)
+ANY_ID = st.one_of(
+    st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX]),
+    st.integers(INT64_MIN, INT64_MAX),
+)
+ID_SETS = st.one_of(
+    st.lists(ANY_ID, unique=True, max_size=30),
+    st.tuples(
+        st.sampled_from([INT64_MIN, -20, INT64_MAX - 40]),
+        st.lists(st.integers(0, 40), unique=True, max_size=30),
+    ).map(lambda base_offsets: [base_offsets[0] + k for k in base_offsets[1]]),
+)
+
+
+class TestIdLookup:
+    @given(ids=ID_SETS, data=st.data())
+    def test_lookup_equals_a_dict(self, ids, data):
+        """find, rows, get and ``in`` of a record set against a dict from id to
+        row, over known and unknown ids; an empty set knows no id."""
+        # known ids, their neighbours (just outside a dense table too) and any id
+        near = [i + d for i in ids for d in (-1, 1) if INT64_MIN <= i + d <= INT64_MAX]
+        queries = data.draw(st.lists(
+            st.one_of(st.sampled_from(ids + near), ANY_ID) if ids else ANY_ID, max_size=40
+        ))
+        schema = Schema(("x",))
+        made = RecordSet.from_columns(schema, ValueDictionary(1), ids, np.full((len(ids), 1), -1))
+        row_of = dict(zip(ids, range(len(ids))))
+
+        rows, found = made.find(queries)
+        assert found.tolist() == [q in row_of for q in queries]
+        assert rows[found].tolist() == [row_of[q] for q in queries if q in row_of]
+        assert [q in made for q in queries] == [q in row_of for q in queries]
+        known = [q for q in queries if q in row_of]
+        assert made.rows(known).tolist() == [row_of[q] for q in known]
+        for q in known[:3]:
+            assert made.get(q).entity_id == q
+        unknown = [q for q in queries if q not in row_of]
+        if unknown:
+            with pytest.raises(LoadError, match=f"^unknown entity id {unknown[0]}$"):
+                made.rows(queries)
+
+        # the lookup itself: a position in the sorted ids wherever an id is there
+        known_ids = np.array(sorted(ids), dtype=np.int64)
+        pos, there = id_ranks(queries, known_ids)
+        assert there.tolist() == found.tolist()
+        assert pos[there].tolist() == [sorted(ids).index(q) for q in known]
+        assert ((pos >= 0) & (pos < max(len(ids), 1))).all()
+
+
+class TestLinkedPairSet:
+    def test_columns_and_pairs_view(self):
+        links = LinkedPairSet(((3, 10), (-1, 2**63 - 1), (3, 9)), "loaded")
+        assert links.a_ids.dtype == links.b_ids.dtype == np.int64
+        assert links.a_ids.tolist() == [3, -1, 3]
+        assert links.b_ids.tolist() == [10, 2**63 - 1, 9]
+        assert links.pairs == ((3, 10), (-1, 2**63 - 1), (3, 9))
+        assert list(links) == list(links.pairs) and len(links) == 3
+        assert links.provenance == "loaded"
+        again = LinkedPairSet(np.column_stack((links.a_ids, links.b_ids)))
+        assert again.pairs == links.pairs and again.provenance == "train"
+
+    def test_empty(self):
+        for links in (LinkedPairSet(), LinkedPairSet(np.zeros((0, 2), dtype=np.int64))):
+            assert len(links) == 0 and links.pairs == ()
+            assert links.a_ids.dtype == np.int64
+
+    def test_repeats_and_oversized_ids_rejected(self):
+        with pytest.raises(LoadError, match="duplicate linked pairs"):
+            LinkedPairSet(np.array([[5, 6], [1, 2], [5, 6]]))
+        with pytest.raises(LoadError, match="64 bits"):
+            LinkedPairSet(((0, 2**63),))
 
 
 class TestLinksRoundTrip:
@@ -344,6 +435,85 @@ class TestPartition:
                 assert a in split.records_a
                 assert b in split.records_b
         assert seen == set(data.links.pairs)
+
+
+def set_based_partition(records_a, records_b, links, ratios, seed):
+    """The set-based partition the column version replaced, kept as a reference."""
+    rng = np.random.default_rng(seed)
+
+    def spread(items):
+        perm = rng.permutation(len(items))
+        n = len(items)
+        base = [math.floor(r * n) for r in ratios]
+        order = sorted(range(3), key=lambda i: (-(ratios[i] * n - base[i]), i))
+        for i in order[:n - sum(base)]:
+            base[i] += 1
+        bounds = np.cumsum([0, *base])
+        return [[items[i] for i in perm[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
+
+    split_pairs = spread(list(links.pairs))
+    linked_a = {a for a, _ in links}
+    linked_b = {b for _, b in links}
+    free_a = spread([i for i in records_a.id_array.tolist() if i not in linked_a])
+    free_b = spread([i for i in records_b.id_array.tolist() if i not in linked_b])
+    splits = []
+    for k, name in enumerate(("train", "validation", "test")):
+        a_ids = sorted({a for a, _ in split_pairs[k]} | set(free_a[k]))
+        b_ids = sorted({b for _, b in split_pairs[k]} | set(free_b[k]))
+        splits.append((
+            records_a.take(records_a.rows(a_ids)),
+            records_b.take(records_b.rows(b_ids)),
+            LinkedPairSet(tuple(sorted(split_pairs[k])), name),
+        ))
+    return splits
+
+
+class TestPartitionEqualsSetBased:
+    @pytest.mark.parametrize("ratios", [
+        (0.6, 0.3, 0.1), (0.5, 0.0, 0.5), (1.0, 0.0, 0.0), (0.0, 0.7, 0.3),
+    ])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_splits(self, seed, ratios):
+        rng = np.random.default_rng(seed)
+        schema = Schema(("x", "y"))
+        d = ValueDictionary(2)
+        vocab = [[d.intern(attr, f"v{i}") for i in range(5)] for attr in range(2)]
+
+        def records(n, low):
+            # shuffled, non-contiguous ids, some far apart
+            ids = rng.choice(np.arange(low, low + 50 * n, 7), size=n, replace=False)
+            ids[0] = low - 2**40
+            matrix = np.array([[rng.choice(vocab[attr]) for attr in range(2)] for _ in range(n)])
+            matrix[rng.random(matrix.shape) < 0.2] = -1
+            return RecordSet.from_columns(schema, d, ids, matrix)
+
+        a, b = records(int(rng.integers(20, 60)), 1000), records(int(rng.integers(20, 60)), -500)
+        # random links: some records in several links, some (free) in none
+        pairs = {
+            (int(rng.choice(a.id_array[: len(a) * 2 // 3])), int(rng.choice(b.id_array[: len(b) * 2 // 3])))
+            for _ in range(int(rng.integers(1, 50)))
+        }
+        links = LinkedPairSet(tuple(rng.permutation(sorted(pairs)).tolist()), "loaded")
+        got = partition(a, b, links, ratios, seed)
+        expected = set_based_partition(a, b, links, ratios, seed)
+        for split, (ref_a, ref_b, ref_links) in zip(got, expected):
+            for child, ref in ((split.records_a, ref_a), (split.records_b, ref_b)):
+                np.testing.assert_array_equal(child.id_array, ref.id_array)
+                np.testing.assert_array_equal(child.value_matrix, ref.value_matrix)
+            assert split.links.pairs == ref_links.pairs
+            assert split.links.provenance == ref_links.provenance
+
+    @pytest.mark.parametrize("links, message", [
+        (((0, 10), (17, 200)), "links: a id 17 of link (17, 200) is not an A record"),
+        (((0, 10), (1, 200), (17, 11)), "links: b id 200 of link (1, 200) is not a B record"),
+    ])
+    def test_unknown_link_endpoint_names_side_and_link(self, civil_toy, links, message):
+        with pytest.raises(LoadError) as exc:
+            partition(
+                civil_toy["records_a"], civil_toy["records_b"], LinkedPairSet(links),
+                (0.6, 0.2, 0.2), seed=0,
+            )
+        assert str(exc.value) == message
 
 
 class TestGenerateSynthetic:
