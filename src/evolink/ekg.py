@@ -189,27 +189,44 @@ class NegativeSampler:
         # a row's r-th unobserved value is _domain[_shift + r + every skip <= r + _base]
         self._shift = (start[key_attr] - seg)[rows_key]
 
-    def draw(self, rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    def draw(
+        self, rows: np.ndarray, k: int, rng: np.random.Generator, batch: int | None = None
+    ) -> np.ndarray:
         """(len(rows), k) tails for the positives at ``rows``.
 
-        Each rank comes from one ``rng.integers`` call per column over all rows.
         A row whose pool holds at least k values gets k distinct tails: its
         i-th rank is drawn from the pool size minus i and shifted past the
         ranks it already chose. A smaller pool is drawn with replacement.
         With k == 1 this is exactly ``pool[rng.integers(0, pool_size)]``.
         Every row must have a non-empty pool.
+
+        All ranks come from one ``rng.integers`` call. No bound depends on an
+        earlier draw, so the bounds are laid out in the order that calling
+        ``draw`` on each run of ``batch`` rows (default: all of them), one call
+        per column, would consume the stream: batch by batch, column by column
+        within a batch. The result equals those per-batch calls, stacked.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
+        n = len(rows)
+        batch = batch or max(n, 1)
         sizes = self.pool_sizes[rows]
         distinct = sizes >= k
-        ranks = np.empty((len(rows), k), dtype=np.int64)
-        for i in range(k):
-            r = rng.integers(0, np.where(distinct, sizes - i, sizes))
+        bounds = np.where(distinct[:, None], sizes[:, None] - np.arange(k), sizes[:, None])
+        ranks = np.empty(n * k, dtype=np.int64)
+        # the (row, column) cell each draw fills, in stream order
+        full = n - n % batch
+        order = np.concatenate([
+            np.arange(full * k).reshape(-1, batch, k).transpose(0, 2, 1).ravel(),
+            np.arange(full * k, n * k).reshape(-1, k).T.ravel(),
+        ])
+        ranks[order] = rng.integers(0, bounds.ravel()[order])
+        ranks = ranks.reshape(n, k)
+        for i in range(1, k):
+            r = ranks[:, i]
             # chosen ranks in ascending order: each one at or below r moves r up
             for c in np.sort(ranks[:, :i], axis=1).T:
                 r += distinct & (r >= c)
-            ranks[:, i] = r
         rows = np.repeat(rows, k)
         ranks = ranks.ravel()
         seen = np.searchsorted(self._skips, ranks + self._base[rows], side="right")

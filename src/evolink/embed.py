@@ -135,11 +135,17 @@ def scatter_rows(index: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nd
 
     Equal, bit for bit, to ``np.add.at`` into zeros at the distinct indices:
     ``np.bincount`` adds its weights one by one in input order, as ``add.at``
-    does. (``np.add.reduceat`` sums pairwise and is not exact.)
+    does. (``np.add.reduceat`` sums pairwise and is not exact.) The distinct
+    indices come from a ``bincount`` of the indices too, not from a sort.
+    A sum starts at +0.0 and so is never -0.0: rows of ±0.0, wherever they
+    sit, change no bit of any other index's sum, and a caller may leave
+    them out.
     """
-    distinct, inverse = np.unique(index, return_inverse=True)
+    rank = np.bincount(index)
+    distinct = np.flatnonzero(rank)
+    rank[distinct] = np.arange(len(distinct))  # each distinct index's place among them
     dim = rows.shape[1]
-    cells = (inverse.reshape(-1, 1) * dim + np.arange(dim)).ravel()
+    cells = (rank[index].reshape(-1, 1) * dim + np.arange(dim)).ravel()
     summed = np.bincount(cells, weights=rows.ravel(), minlength=len(distinct) * dim)
     return distinct, summed.reshape(len(distinct), dim)
 
@@ -151,9 +157,15 @@ def train_embeddings(
 
     Each positive triple is paired per epoch with freshly sampled corrupted
     tails drawn from its attribute domain minus the tails already observed
-    for its head. Updates are batched subgradient steps; value vectors are
-    projected back into the unit ball after every update. Positives whose
-    candidate pool is empty are dropped. Fully deterministic given the seed.
+    for its head; one ``NegativeSampler.draw`` per epoch gives the same
+    tails as one draw per batch. Updates are batched subgradient steps. A
+    batch's gradient comes from its active hinges alone (an inactive one
+    adds only zeros); after a step with any active hinge, every value the
+    batch touched (head, tail or negative, moved or not) is projected back
+    into the unit ball, except that a value whose norm was last found to be
+    at most 1, and which has not changed since, is known to be inside.
+    Positives whose candidate pool is empty are dropped. Fully
+    deterministic given the seed.
     """
     if not len(ekg.heads):
         raise TrainingError("no evolution triples to train on")
@@ -170,51 +182,60 @@ def train_embeddings(
     attributes = store.attribute_vectors
 
     rng = np.random.default_rng([hp.seed or 0, 1])
-    n = len(kept_rows)
+    n, k, dim = len(kept_rows), hp.negatives, hp.dim
     history: list[float] = []
+    # values whose norm may exceed 1: init normalises them all, to 1 within an ulp
+    unsettled = np.ones(len(values), dtype=bool)
 
     # non-finite intermediates are caught by the per-epoch loss check
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(hp.epochs):
             perm = rng.permutation(n)
+            epoch_negs = sampler.draw(kept_rows[perm], k, rng, hp.batch_size)
+            epoch_heads, epoch_tails, epoch_attrs = heads[perm], tails[perm], attrs[perm]
             total = 0.0
             for start in range(0, n, hp.batch_size):
-                batch = perm[start : start + hp.batch_size]
-                reps = np.repeat(batch, hp.negatives)
-                neg_tails = sampler.draw(kept_rows[batch], hp.negatives, rng).ravel()
-                h, t, a = heads[reps], tails[reps], attrs[reps]
+                stop = start + hp.batch_size
+                h, t, a = epoch_heads[start:stop], epoch_tails[start:stop], epoch_attrs[start:stop]
+                negs = epoch_negs[start:stop].ravel()  # k per positive, row by row
 
-                r_pos = values[h] + attributes[a] - values[t]
-                r_neg = values[h] + attributes[a] - values[neg_tails]
+                # each positive once, broadcast against its k negatives
+                base = values[h] + attributes[a]
+                r_pos = base - values[t]
+                r_neg = (base[:, None, :] - values[negs].reshape(-1, k, dim)).reshape(-1, dim)
                 d_pos = _distances(r_pos, hp.norm)
                 d_neg = _distances(r_neg, hp.norm)
-                violation = hp.margin + d_pos - d_neg
+                violation = ((hp.margin + d_pos)[:, None] - d_neg.reshape(-1, k)).ravel()
                 total += float(np.maximum(violation, 0.0).sum())
-                active = violation > 0.0
-                if not active.any():
+                active = np.flatnonzero(violation > 0.0)
+                if not len(active):
                     continue
 
-                g_pos = _unit_gradients(r_pos, d_pos, hp.norm)
-                g_neg = _unit_gradients(r_neg, d_neg, hp.norm)
-                g_pos[~active] = 0.0
-                g_neg[~active] = 0.0
+                pos = active // k  # the positive of each active hinge
+                g_pos = _unit_gradients(r_pos[pos], d_pos[pos], hp.norm)
+                g_neg = _unit_gradients(r_neg[active], d_neg[active], hp.norm)
                 diff = g_pos - g_neg
 
-                touched_values, value_grad = scatter_rows(
-                    np.concatenate([h, t, neg_tails]),
+                moved, value_grad = scatter_rows(
+                    np.concatenate([h[pos], t[pos], negs[active]]),
                     np.concatenate([diff, -g_pos, g_neg]),
                 )
-                touched_attrs, attr_grad = scatter_rows(a, diff)
-                values[touched_values] -= hp.learning_rate * value_grad
-                attributes[touched_attrs] -= hp.learning_rate * attr_grad
+                moved_attrs, attr_grad = scatter_rows(a[pos], diff)
+                values[moved] -= hp.learning_rate * value_grad
+                attributes[moved_attrs] -= hp.learning_rate * attr_grad
 
-                norms = np.linalg.norm(values[touched_values], axis=1)
+                # project every touched value into the unit ball; one whose norm
+                # was last found <= 1, and that has not changed since, stays put
+                unsettled[moved] = True
+                touched = np.concatenate([h, t, negs])
+                check = touched[unsettled[touched]]
+                rows = values[check]
+                norms = np.sqrt((rows * rows).sum(axis=1))
                 over = norms > 1.0
-                if over.any():
-                    rows = touched_values[over]
-                    values[rows] /= norms[over, None]
+                values[check[over]] = rows[over] / norms[over, None]
+                unsettled[check] = over
 
-            mean_loss = total / (n * hp.negatives)
+            mean_loss = total / (n * k)
             if not math.isfinite(mean_loss):
                 raise TrainingError(
                     "non-finite embedding loss; the learning rate is likely too high"

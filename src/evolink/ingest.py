@@ -215,8 +215,14 @@ class Record:
 
 def id_ranks(ids, known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Position of each id in the sorted, distinct ``known`` (some position in
-    range where it is absent, 0 if ``known`` is empty), and whether it is there."""
-    ids = np.asarray(ids, dtype=np.int64)
+    range where it is absent, 0 if ``known`` is empty), and whether it is there.
+    An id outside int64 is never there."""
+    try:
+        ids = np.asarray(ids, dtype=np.int64)
+    except OverflowError:  # look up 0 in place of each such id, then clear its flag
+        fits = np.array([-(2**63) <= i < 2**63 for i in ids], dtype=bool)
+        pos, found = id_ranks(np.where(fits, np.asarray(ids, dtype=object), 0), known)
+        return pos, found & fits
     if not len(known):
         return np.zeros(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=bool)
     low = int(known[0])
@@ -337,7 +343,8 @@ class RecordSet:
         """The row of each entity id; an unknown id raises LoadError."""
         rows, found = self.find(entity_ids)
         if not found.all():
-            raise LoadError(f"unknown entity id {np.asarray(entity_ids)[np.argmin(found)]}")
+            unknown = np.asarray(entity_ids, dtype=object)[np.argmin(found)]  # exact, if beyond int64
+            raise LoadError(f"unknown entity id {unknown}")
         return rows
 
     def take(self, rows) -> "RecordSet":

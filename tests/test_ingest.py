@@ -302,6 +302,24 @@ class TestIdLookup:
         assert pos[there].tolist() == [sorted(ids).index(q) for q in known]
         assert ((pos >= 0) & (pos < max(len(ids), 1))).all()
 
+    # a dense set (direct table) and one spread over int64 (binary search)
+    @pytest.mark.parametrize("ids", [[-2, 0, 1, 5], [INT64_MIN, 0, INT64_MAX]])
+    @pytest.mark.parametrize("beyond", [2**63, 2**64, INT64_MIN - 1, -(2**70)])
+    def test_ids_beyond_int64_are_unknown(self, ids, beyond):
+        made = RecordSet.from_columns(
+            Schema(("x",)), ValueDictionary(1), ids, np.full((len(ids), 1), -1)
+        )
+        assert beyond not in made
+        rows, found = made.find([ids[1], beyond, ids[0]])
+        assert found.tolist() == [True, False, True]
+        assert rows[[0, 2]].tolist() == [1, 0]
+        pos, there = id_ranks([beyond, ids[-1]], np.array(ids, dtype=np.int64))
+        assert there.tolist() == [False, True] and pos[1] == len(ids) - 1
+        with pytest.raises(LoadError, match=f"^unknown entity id {beyond}$"):
+            made.rows([ids[0], beyond])
+        with pytest.raises(LoadError, match=f"^unknown entity id {beyond}$"):
+            made.get(beyond)
+
 
 class TestLinkedPairSet:
     def test_columns_and_pairs_view(self):
