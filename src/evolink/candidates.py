@@ -116,19 +116,53 @@ class Candidates(Sequence):
         )
 
 
+# Pairs labelled or scored at a time; bounds those layers' working memory.
+PAIR_CHUNK = 1 << 16
+
+
+def pair_slices(n_pairs: int) -> list[slice]:
+    """Consecutive slices of at most PAIR_CHUNK pairs covering ``n_pairs``."""
+    return [slice(start, start + PAIR_CHUNK) for start in range(0, n_pairs, PAIR_CHUNK)]
+
+
+def _key_labels(rows_a, rows_b, n_b: int, link_a, link_b, n_links: int) -> tuple[np.ndarray, int]:
+    """Which pairs (rows_a[i], rows_b[i]) are among the distinct links
+    (link_a[j], link_b[j]), and how many of ``n_links`` links no pair covers.
+    B-side coordinates are below ``n_b``. ``n_links`` also counts links that
+    have no coordinates, which no pair can cover."""
+    link_keys = np.sort(link_a * n_b + link_b)
+    labels = np.empty(len(rows_a), dtype=bool)
+    covered = np.zeros(len(link_keys), dtype=bool)
+    for part in pair_slices(len(rows_a)):
+        keys = rows_a[part].astype(np.int64, copy=False) * n_b + rows_b[part]
+        slot, hit = id_ranks(keys, link_keys)
+        labels[part] = hit
+        covered[slot[hit]] = True
+    return labels, n_links - int(np.count_nonzero(covered))
+
+
 def truth_labels(a_ids, b_ids, truth: LinkedPairSet) -> tuple[np.ndarray, int]:
     """Which (a_ids[i], b_ids[i]) pairs are true links, and how many true
     links none of the pairs covers."""
-    # rank ids among the truth's own ids, so that one int64 key names a pair
-    known_a, truth_a = np.unique(truth.a_ids, return_inverse=True)
-    known_b, truth_b = np.unique(truth.b_ids, return_inverse=True)
+    # rank ids among the truth's own ids; an id the truth lacks ranks past them all
+    known_a, link_a = np.unique(truth.a_ids, return_inverse=True)
+    known_b, link_b = np.unique(truth.b_ids, return_inverse=True)
     rank_a, in_a = id_ranks(a_ids, known_a)
     rank_b, in_b = id_ranks(b_ids, known_b)
-    truth_keys = np.sort(truth_a * len(known_b) + truth_b)
-    slot, hit = id_ranks(rank_a * len(known_b) + rank_b, truth_keys)
-    labels = in_a & in_b & hit
-    lost = len(truth_keys) - len(np.unique(slot[labels]))
-    return labels, lost
+    rank_a[~in_a] = len(known_a)
+    rank_b[~in_b] = len(known_b)
+    return _key_labels(rank_a, rank_b, len(known_b) + 1, link_a, link_b, len(truth))
+
+
+def candidate_labels(cands: Candidates, truth: LinkedPairSet) -> tuple[np.ndarray, int]:
+    """``truth_labels`` of the candidates, keyed on record rows: the links'
+    ids are looked up once, and the pairs' ids never."""
+    link_a, in_a = cands.records_a.find(truth.a_ids)
+    link_b, in_b = cands.records_b.find(truth.b_ids)
+    inside = in_a & in_b  # a link with an end outside these records is never covered
+    return _key_labels(
+        cands.a, cands.b, len(cands.records_b), link_a[inside], link_b[inside], len(truth)
+    )
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,6 @@ from .model_io import ModelBundle, load_model, save_model
 from .weights import classify
 
 CSV_FORMAT = TextFormat(delimiter=",")
-# Pairs scored and written at a time by `predict`; bounds its working memory.
-PREDICT_CHUNK = 1 << 16
 # One predictions row: ids, then g and P at full precision (repr), then the decision.
 PREDICTION_ROW = "%d,%d,%r,%r,%s\n"
 
@@ -113,10 +111,13 @@ def _run_and_persist(config: pipeline.ExperimentConfig, out: Path, command: str,
     out.mkdir(parents=True, exist_ok=True)
     pipeline.write_report(result.report, out)
     save_model(out / "model.bin", result.bundle)
+    # wall times and memory vary between reruns, so they stay out of the report
+    timings = {name: t._asdict() for name, t in result.timings.items()}
+    (out / "timings.json").write_text(json.dumps(timings, indent=2) + "\n", encoding="utf-8")
     artifacts = [
         out / n
         for n in ("config.json", "loss_embed.csv", "loss_weights.csv",
-                  "metrics.csv", "report.txt", "model.bin")
+                  "metrics.csv", "report.txt", "model.bin", "timings.json")
     ]
     _write_manifest(out, command, result.report.seeds, inputs, artifacts, config_path)
     print(f"tau={result.report.tau} {result.report.metrics.row()}")
@@ -190,12 +191,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     with open(out_path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write("a_id,b_id,g,P,decision\n")
-        for start in range(0, len(candidates), PREDICT_CHUNK):
-            scored = pipeline.score_pairs(
-                candidates.take(slice(start, start + PREDICT_CHUNK)),
-                records_a, records_b, bundle.store, weights,
-                bundle.embed_hp.norm, n_known,
-            )
+        for scored in pipeline.scored_chunks(
+            candidates, records_a, records_b, bundle.store, weights, bundle.embed_hp.norm, n_known
+        ):
             decisions = np.where(classify(scored.probability, tau), "match", "non-match")
             # the bytes csv.writer would write: no field ever needs quoting
             fh.write("".join(map(PREDICTION_ROW.__mod__, zip(

@@ -59,10 +59,10 @@ class EmbedHyperparams:
     def __post_init__(self):
         if self.dim < 1:
             raise ConfigError("dim: must be >= 1")
-        if self.margin <= 0:
-            raise ConfigError("margin: must be > 0")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate: must be > 0")
+        if not (math.isfinite(self.margin) and self.margin > 0):
+            raise ConfigError("margin: must be finite and > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning_rate: must be finite and > 0")
         if self.epochs < 0:
             raise ConfigError("epochs: must be >= 0")
         if self.batch_size < 1:

@@ -12,16 +12,30 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import sys
+import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import numpy as np
 
 from . import ekg as ekg_mod
 from . import weights as weights_mod
-from .candidates import CandidatePair, Candidates, Metrics, truth_labels
+from .candidates import (
+    CandidatePair,
+    Candidates,
+    Metrics,
+    candidate_labels,
+    pair_slices,
+    truth_labels,
+)
 from .embed import EmbeddingStore, EmbedHyperparams, train_embeddings
 from .errors import BlockingCapError, ConfigError, StageError
 from .ingest import (
@@ -90,11 +104,12 @@ def block_candidates(
     starts = np.searchsorted(b_keys, key_a[a_rows], side="left")
     counts = np.searchsorted(b_keys, key_a[a_rows], side="right") - starts
     a = np.repeat(a_rows, counts)
-    # position of each pair inside its A record's run, then into b_grouped
+    # pair i sits at i - run_start in its A record's run, so at
+    # i + (start - run_start) in b_grouped: one index buffer, shifted in place
     run_starts = np.cumsum(counts) - counts
-    offsets = np.arange(len(a)) - np.repeat(run_starts, counts)
-    b = b_grouped[np.repeat(starts, counts) + offsets]
-    return Candidates(records_a, records_b, a, b)
+    pos = np.arange(len(a))
+    pos += np.repeat(starts - run_starts, counts)
+    return Candidates(records_a, records_b, a, b_grouped[pos])
 
 
 class LabeledCandidates(NamedTuple):
@@ -102,23 +117,19 @@ class LabeledCandidates(NamedTuple):
     lost_links: int  # true links no candidate pair covers (blocking loss)
 
 
-def _entity_ids(pairs: Sequence[CandidatePair]) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(pairs, Candidates):
-        return pairs.a_ids, pairs.b_ids
-    a_ids = np.fromiter((p.a_entity for p in pairs), dtype=np.int64, count=len(pairs))
-    b_ids = np.fromiter((p.b_entity for p in pairs), dtype=np.int64, count=len(pairs))
-    return a_ids, b_ids
-
-
 def label_pairs(pairs: Sequence[CandidatePair], truth: LinkedPairSet) -> LabeledCandidates:
     """Mark candidates against the truth set; count links blocking lost.
 
-    Candidates come back as Candidates; any other sequence, which carries no
-    record rows, comes back as a list of labelled CandidatePairs.
+    Candidates come back as Candidates, labelled on their record rows; any
+    other sequence, which carries no record rows, is labelled on its entity
+    ids and comes back as a list of labelled CandidatePairs.
     """
-    labels, lost = truth_labels(*_entity_ids(pairs), truth)
     if isinstance(pairs, Candidates):
+        labels, lost = candidate_labels(pairs, truth)
         return LabeledCandidates(replace(pairs, label=labels), lost)
+    a_ids = np.fromiter((p.a_entity for p in pairs), dtype=np.int64, count=len(pairs))
+    b_ids = np.fromiter((p.b_entity for p in pairs), dtype=np.int64, count=len(pairs))
+    labels, lost = truth_labels(a_ids, b_ids, truth)
     labeled = [replace(p, label=x) for p, x in zip(pairs, labels.tolist())]
     return LabeledCandidates(labeled, lost)
 
@@ -134,9 +145,19 @@ def score_pairs(
 ) -> Candidates:
     """Attach match scores and probabilities.
 
-    Pairs with no shared attribute get score NaN and probability 0.0.
+    Pairs with no shared attribute get score NaN and probability 0.0. Pairs
+    beyond one chunk (``candidates.PAIR_CHUNK``) are scored a chunk at a time
+    by ``scored_chunks``, so the working memory beyond the two result columns
+    does not grow with their number.
     """
     cands = Candidates.of(pairs, records_a, records_b)
+    parts = pair_slices(len(cands))
+    if len(parts) > 1:
+        score, probability = np.empty(len(cands)), np.empty(len(cands))
+        chunks = scored_chunks(cands, records_a, records_b, store, w, p, n_known_values)
+        for part, scored in zip(parts, chunks):
+            score[part], probability[part] = scored.score, scored.probability
+        return replace(cands, score=score, probability=probability)
     features, defined = weights_mod.feature_matrix(
         cands, records_a, records_b, store, p, n_known_values
     )
@@ -147,6 +168,21 @@ def score_pairs(
     probs = sigmoid(scores)
     probs[~defined] = 0.0
     return replace(cands, score=scores, probability=probs)
+
+
+def scored_chunks(
+    pairs: Sequence[CandidatePair],
+    records_a: RecordSet,
+    records_b: RecordSet,
+    store: EmbeddingStore,
+    w: WeightVector,
+    p: int = 2,
+    n_known_values: int | None = None,
+) -> Iterator[Candidates]:
+    """``score_pairs`` over consecutive chunks of the pairs, in order."""
+    cands = Candidates.of(pairs, records_a, records_b)
+    for part in pair_slices(len(cands)):
+        yield score_pairs(cands.take(part), records_a, records_b, store, w, p, n_known_values)
 
 
 def _labels_and_probabilities(pairs: Sequence[CandidatePair]) -> tuple[np.ndarray, np.ndarray]:
@@ -338,24 +374,46 @@ class ExperimentReport:
     loss_sign: str
 
 
+class StageTiming(NamedTuple):
+    wall_s: float
+    # the process's high-water resident set size once the stage ends; None
+    # where the platform does not report it
+    peak_rss_mb: float | None
+
+
 @dataclass
 class ExperimentResult:
-    """Report plus the trained artifacts needed for persistence and reuse."""
+    """Report plus the trained artifacts needed for persistence and reuse.
+
+    ``timings`` holds each stage's wall time and the peak RSS after it, in
+    stage order. They vary between reruns, so the report leaves them out.
+    """
 
     report: ExperimentReport
     bundle: ModelBundle
     splits: tuple[Split, Split, Split]
     test_pairs: Candidates
+    timings: dict[str, StageTiming]
+
+
+def _peak_rss_mb() -> float | None:
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024  # bytes or KiB
 
 
 @contextmanager
-def _stage(name: str):
+def _stage(name: str, timings: dict[str, StageTiming]):
+    """Name the stage in any error it raises; record its timing if it succeeds."""
+    start = time.perf_counter()
     try:
         yield
     except StageError:
         raise
     except Exception as exc:
         raise StageError(name, exc) from exc
+    timings[name] = StageTiming(time.perf_counter() - start, _peak_rss_mb())
 
 
 def _resolve_data(config: ExperimentConfig) -> tuple[Schema, Split]:
@@ -373,17 +431,18 @@ def _resolve_data(config: ExperimentConfig) -> tuple[Schema, Split]:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full two-step pipeline described in the module docstring."""
     seeds = config.stage_seeds
+    timings: dict[str, StageTiming] = {}
 
-    with _stage("load"):
+    with _stage("load", timings):
         schema, data = _resolve_data(config)
         log.info("loaded %d + %d records, %d links", len(data.records_a), len(data.records_b), len(data.links))
 
-    with _stage("partition"):
+    with _stage("partition", timings):
         train, validation, test = partition(
             data.records_a, data.records_b, data.links, config.ratios, seeds["partition"]
         )
 
-    with _stage("block"):
+    with _stage("block", timings):
         blocking: dict[str, BlockingDiagnostics] = {}
         labeled: dict[str, Candidates] = {}
         for name, split in (("train", train), ("validation", validation), ("test", test)):
@@ -403,7 +462,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 name, len(pairs), len(split.links), marked.lost_links,
             )
 
-    with _stage("graph"):
+    with _stage("graph", timings):
         degenerate = config.kg_variant == "er"
         graph = ekg_mod.build_ekg(
             train.records_a,
@@ -413,32 +472,32 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             include_reverse_triples=degenerate,
         )
 
-    with _stage("embed"):
+    with _stage("embed", timings):
         embed_hp = replace(config.embed, seed=seeds["embed"])
         store, embed_loss = train_embeddings(graph, embed_hp)
 
-    with _stage("weights"):
+    with _stage("weights", timings):
         rl_hp = replace(config.rl, seed=seeds["weights"])
+        # the train split's pairs, the largest, are read for the last time here
+        train_pairs = labeled.pop("train")
         if config.mode == "merl":
             w = WeightVector.ones(schema.n_attributes)
             weights_loss: list[float] = []
         else:
-            train_pairs = labeled["train"]
-            t_plus = train_pairs.take(train_pairs.label)
-            t_minus = train_pairs.take(~train_pairs.label)
             w, weights_loss = train_weights(
-                t_plus, t_minus, train.records_a, train.records_b, store, rl_hp,
-                p=embed_hp.norm,
+                train_pairs.take(train_pairs.label), train_pairs.take(~train_pairs.label),
+                train.records_a, train.records_b, store, rl_hp, p=embed_hp.norm,
             )
+        del train_pairs
 
-    with _stage("threshold"):
+    with _stage("threshold", timings):
         scored_val = score_pairs(
             labeled["validation"], validation.records_a, validation.records_b,
             store, w, p=embed_hp.norm,
         )
         tau, validation_f = select_threshold(scored_val.probability, scored_val.label)
 
-    with _stage("evaluate"):
+    with _stage("evaluate", timings):
         scored_test = score_pairs(
             labeled["test"], test.records_a, test.records_b, store, w, p=embed_hp.norm
         )
@@ -469,7 +528,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         loss_sign=config.rl.loss_sign,
         tau=tau,
     )
-    return ExperimentResult(report, bundle, (train, validation, test), scored_test)
+    return ExperimentResult(report, bundle, (train, validation, test), scored_test, timings)
 
 
 def _write_loss_csv(path: Path, losses: Sequence[float]) -> None:

@@ -20,6 +20,9 @@ from .errors import ConfigError, TrainingError, UndefinedPairError
 from .ingest import Record, RecordSet
 
 _P_FLOOR = 1e-15  # keeps probabilities strictly inside (0, 1)
+# Distinct (v, u) value pairs whose distances feature_matrix computes at once;
+# bounds its (rows x dim) temporaries.
+DISTANCE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -54,14 +57,16 @@ class RLHyperparams:
     def __post_init__(self):
         if not 0.0 < self.margin < 1.0:
             raise ConfigError("margin: must be in (0, 1)")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate: must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning_rate: must be finite and > 0")
         if self.epochs < 0:
             raise ConfigError("epochs: must be >= 0")
         if self.loss_sign not in ("corrected", "as_written"):
             raise ConfigError(f"loss_sign: unknown mode {self.loss_sign!r}")
-        if self.negative_ratio is not None and self.negative_ratio <= 0:
-            raise ConfigError("negative_ratio: must be > 0 or None")
+        if self.negative_ratio is not None and not (
+            math.isfinite(self.negative_ratio) and self.negative_ratio > 0
+        ):
+            raise ConfigError("negative_ratio: must be finite and > 0, or None")
         if self.seed is not None and self.seed < 0:
             raise ConfigError("seed: must be >= 0")
 
@@ -152,38 +157,46 @@ def feature_matrix(
     mismatches get the worst score the unit-ball geometry allows.
     """
     cands = Candidates.of(pairs, records_a, records_b)
-    a_vals = records_a.value_matrix[cands.a]
-    b_vals = records_b.value_matrix[cands.b]
-    shared = (a_vals >= 0) & (b_vals >= 0)
-    mismatch = shared & (a_vals != b_vals)
-    features = np.zeros(a_vals.shape)
+    n_attributes = records_a.value_matrix.shape[1]
+    features = np.zeros((len(cands), n_attributes))
+    defined = np.zeros(len(cands), dtype=bool)
     limit = store.value_vectors.shape[0] if n_known_values is None else n_known_values
     value_bound = math.sqrt(store.dim) if p == 1 else 1.0
 
-    for attr in range(a_vals.shape[1]):
-        rows = np.flatnonzero(mismatch[:, attr])
+    for attr in range(n_attributes):
+        # one attribute's values at a time, not (n_pairs, n_attributes) matrices
+        v = records_a.value_matrix[:, attr][cands.a]
+        u = records_b.value_matrix[:, attr][cands.b]
+        shared = (v >= 0) & (u >= 0)
+        defined |= shared
+        rows = np.flatnonzero(shared & (v != u))
         if not len(rows):
             continue
-        v = a_vals[rows, attr]
-        u = b_vals[rows, attr]
+        v, u = v[rows], u[rows]
         known = (v < limit) & (u < limit)
         if known.any():
-            # a term depends only on its (v, u) pair: compute each distinct one once
+            # a term depends only on its (v, u) pair: compute each distinct one
+            # once, DISTANCE_BLOCK rows at a time (a distance is rowwise, so the
+            # bits do not depend on the block)
             combos, inverse = np.unique(v[known] * limit + u[known], return_inverse=True)
             heads, tails = np.divmod(combos, limit)
-            residual = (
-                store.value_vectors[heads]
-                + store.attribute_vectors[attr]
-                - store.value_vectors[tails]
-            )
-            features[rows[known], attr] = -_distances(residual, p)[inverse]
+            distances = np.empty(len(combos))
+            for start in range(0, len(combos), DISTANCE_BLOCK):
+                block = slice(start, start + DISTANCE_BLOCK)
+                residual = (
+                    store.value_vectors[heads[block]]
+                    + store.attribute_vectors[attr]
+                    - store.value_vectors[tails[block]]
+                )
+                distances[block] = _distances(residual, p)
+            features[rows[known], attr] = -distances[inverse]
         if not known.all():
             attr_norm = float(
                 _distances(store.attribute_vectors[attr][None, :], p)[0]
             )
             features[rows[~known], attr] = -(2.0 * value_bound + attr_norm)
 
-    return features, shared.any(axis=1)
+    return features, defined
 
 
 def _epoch_loss_and_gradient(

@@ -131,6 +131,19 @@ class TestTrain:
         assert bundle.tau is not None
         assert bundle.weights is not None
 
+    def test_timings_json_lists_every_stage(self, run_dir):
+        timings = json.loads((run_dir / "timings.json").read_text(encoding="utf-8"))
+        assert list(timings) == [
+            "load", "partition", "block", "graph", "embed", "weights", "threshold", "evaluate",
+        ]
+        for stage in timings.values():
+            assert set(stage) == {"wall_s", "peak_rss_mb"}
+            assert stage["wall_s"] >= 0 and stage["peak_rss_mb"] > 0
+        peaks = [stage["peak_rss_mb"] for stage in timings.values()]
+        assert peaks == sorted(peaks)  # a high-water mark never falls
+        manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert "timings.json" in manifest["artifacts"]
+
     def test_merl_flag_keeps_uniform_weights(self, tmp_path, data_dir, experiment_config):
         out = tmp_path / "merl"
         assert main([
@@ -233,7 +246,7 @@ class TestPredict:
         assert row[4] == "non-match"
 
     def test_chunked_output_equals_one_call(self, tmp_path, data_dir, run_dir, monkeypatch):
-        import evolink.cli as cli_mod
+        import evolink.candidates as candidates_mod
 
         args = ["predict", "--model", str(run_dir / "model.bin"),
                 str(data_dir / "A.csv"), str(data_dir / "B.csv"), "--out"]
@@ -242,7 +255,7 @@ class TestPredict:
         n_pairs = len(read_csv(whole)) - 1
         chunk = next(c for c in (7, 11, 13) if n_pairs % c)
         assert n_pairs > 3 * chunk
-        monkeypatch.setattr(cli_mod, "PREDICT_CHUNK", chunk)
+        monkeypatch.setattr(candidates_mod, "PAIR_CHUNK", chunk)
         chunked = tmp_path / "chunked.csv"
         assert main([*args, str(chunked)]) == 0
         assert chunked.read_bytes() == whole.read_bytes()

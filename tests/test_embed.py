@@ -65,6 +65,14 @@ class TestInit:
         with pytest.raises(ConfigError):
             EmbedHyperparams(margin=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("margin", math.nan), ("margin", math.inf),
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+    ])
+    def test_non_finite_setting_refused_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: must be finite and > 0$"):
+            EmbedHyperparams(**{field: value})
+
 
 def store_with(vectors, attributes):
     value_vectors = np.array(vectors, dtype=float)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evolink.errors import BlockingCapError, ConfigError, StageError
@@ -665,6 +665,31 @@ class TestColumnarEquivalence:
             assert pair.probability == link_probability(head, tail, store, w)
         assert undefined > 0
 
+    @pytest.mark.parametrize("chunk", ("1", "7", "len-1"))
+    def test_chunked_scores_equal_one_piece_bit_for_bit(self, chunk, monkeypatch):
+        import evolink.candidates as candidates_mod
+        from evolink.embed import EmbeddingStore
+        from evolink.pipeline import score_pairs, scored_chunks
+        from evolink.weights import WeightVector
+
+        rng = np.random.default_rng(5)
+        a, b = random_record_sets(rng, 40, 40, missing=0.5)
+        store = EmbeddingStore(rng.normal(size=(len(a.dictionary), 6)), rng.normal(size=(3, 6)), 6)
+        w = WeightVector(rng.uniform(0.2, 3.0, size=3))
+        blocked = block_candidates(a, b, None)
+        some = [(p.a_entity, p.b_entity) for p in blocked][::17]
+        pairs = label_pairs(blocked, LinkedPairSet(some, "test")).pairs
+        whole = score_pairs(pairs, a, b, store, w, 1)
+        size = len(pairs) - 1 if chunk == "len-1" else int(chunk)
+        monkeypatch.setattr(candidates_mod, "PAIR_CHUNK", size)
+        chunked = score_pairs(pairs, a, b, store, w, 1)
+        assert np.isnan(whole.score).any()
+        for column in ("a", "b", "label", "score", "probability"):
+            assert getattr(chunked, column).tobytes() == getattr(whole, column).tobytes(), column
+        pieces = list(scored_chunks(pairs, a, b, store, w, 1))
+        assert [len(piece) for piece in pieces[:-1]] == [size] * (len(pieces) - 1)
+        assert np.concatenate([piece.score for piece in pieces]).tobytes() == whole.score.tobytes()
+
     def test_exact_match_baseline_matches_scalar_rule(self):
         rng = np.random.default_rng(4)
         a, b = random_record_sets(rng, 30, 30, missing=0.3)
@@ -679,3 +704,78 @@ class TestColumnarEquivalence:
             )
             expected.append(1.0 if hit else 0.0)
         assert [p.probability for p in out] == expected
+
+
+ROW_DTYPES = st.sampled_from([np.int64, np.int32])
+
+
+@settings(max_examples=200, deadline=None)
+@example(n_a=3, n_b=2, rows=[(0, 1), (2, 0)], truth=[], dtype=np.int64)
+@example(n_a=3, n_b=2, rows=[], truth=[(0, 1), (-1, 1), (2, 5)], dtype=np.int64)
+@given(
+    n_a=st.integers(1, 8),
+    n_b=st.integers(1, 8),
+    rows=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40),
+    truth=st.lists(st.tuples(st.integers(-2, 9), st.integers(-2, 9)), unique=True, max_size=20),
+    dtype=ROW_DTYPES,
+)
+def test_row_keyed_labels_equal_set_oracle(n_a, n_b, rows, truth, dtype):
+    """Candidates with repeated pairs, and truth ends outside the record
+    sets (row numbers outside 0..n-1 name no record): the row path, the id
+    path and truth_labels all equal set membership."""
+    from evolink.candidates import Candidates, truth_labels
+
+    schema = Schema(("x",))
+    d = ValueDictionary(1)
+    value = d.intern(0, "v")
+    a_ids = [11 * i + 5 for i in reversed(range(n_a))]  # row order differs from id order
+    b_ids = [13 * i - 40 for i in range(n_b)]
+    records_a = RecordSet(schema, d, [Record(i, {0: value}) for i in a_ids])
+    records_b = RecordSet(schema, d, [Record(i, {0: value}) for i in b_ids])
+
+    def a_id(i):
+        return a_ids[i] if 0 <= i < n_a else 1000 + i
+
+    def b_id(i):
+        return b_ids[i] if 0 <= i < n_b else 2000 + i
+
+    rows = [(i % n_a, j % n_b) for i, j in rows]
+    pairs = [(a_id(i), b_id(j)) for i, j in rows]
+    links = LinkedPairSet([(a_id(i), b_id(j)) for i, j in truth], "test")
+    truth_set = set(links.pairs)
+    expected = [pair in truth_set for pair in pairs]
+    expected_lost = len(truth_set - set(pairs))
+
+    cands = Candidates(
+        records_a, records_b,
+        np.array([i for i, _ in rows], dtype=dtype), np.array([j for _, j in rows], dtype=dtype),
+    )
+    by_rows = label_pairs(cands, links)
+    assert by_rows.pairs.label.tolist() == expected
+    assert by_rows.lost_links == expected_lost
+    by_ids = label_pairs([CandidatePair(*pair) for pair in pairs], links)
+    assert [p.label for p in by_ids.pairs] == expected
+    assert by_ids.lost_links == expected_lost
+    labels, lost = truth_labels(cands.a_ids, cands.b_ids, links)
+    assert (labels.tolist(), lost) == (expected, expected_lost)
+
+
+def test_int32_rows_label_on_keys_past_int32():
+    """Row keys a * len(records_b) + b go past 2**31 here; int32 row arrays
+    must not wrap."""
+    from evolink.candidates import Candidates
+
+    n = 46_341  # n * n > 2**31
+    schema = Schema(("x",))
+    d = ValueDictionary(1)
+    values = np.full((n, 1), d.intern(0, "v"))
+    records_a = RecordSet.from_columns(schema, d, np.arange(n), values)
+    records_b = RecordSet.from_columns(schema, d, n + np.arange(n), values)
+    cands = Candidates(
+        records_a, records_b,
+        np.array([n - 1, n - 2, 0], dtype=np.int32), np.array([n - 1, n - 1, 5], dtype=np.int32),
+    )
+    truth = LinkedPairSet([(n - 1, 2 * n - 1), (0, n + 5), (5, n + 5)], "test")
+    labeled = label_pairs(cands, truth)
+    assert labeled.pairs.label.tolist() == [True, False, True]
+    assert labeled.lost_links == 1

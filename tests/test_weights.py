@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evolink import weights as weights_mod
 from evolink.embed import EmbeddingStore
 from evolink.errors import ConfigError, UndefinedPairError
 from evolink.ingest import Record, RecordSet, Schema, ValueDictionary
@@ -266,6 +269,14 @@ class TestTrainWeights:
         with pytest.raises(TrainingError):
             train_weights([], neg, records_a, records_b, store, RLHyperparams())
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("negative_ratio", math.nan), ("negative_ratio", math.inf),
+    ])
+    def test_non_finite_setting_refused_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: must be finite and > 0"):
+            RLHyperparams(**{field: value})
+
     def test_hyperparameter_validation(self):
         with pytest.raises(ConfigError):
             RLHyperparams(margin=0.0)
@@ -501,34 +512,41 @@ class TestClassifyAndThreshold:
         assert tau == 0.9
 
 
+def mixed_value_setup(rng):
+    """Every A x B pair of two small record sets over three attributes, with
+    missing values and values beyond the first ``n_known`` (never trained)."""
+    schema = Schema(("a", "b", "c"))
+    d = ValueDictionary(3)
+    vocab = [[d.intern(attr, f"v{i}") for i in range(6)] for attr in range(3)]
+    n_known = len(d)
+    novel = [[d.intern(attr, f"new{i}") for i in range(2)] for attr in range(3)]
+    store = EmbeddingStore(
+        rng.normal(size=(len(d), 5)), rng.normal(size=(3, 5)), 5
+    )
+
+    def build(n, id_base):
+        records = []
+        for i in range(n):
+            values = {}
+            for attr in range(3):
+                draw = rng.random()
+                if draw < 0.2:
+                    continue  # missing
+                pool = novel[attr] if draw < 0.3 else vocab[attr]
+                values[attr] = pool[int(rng.integers(len(pool)))]
+            records.append(Record(id_base + 7 * i, values))
+        return RecordSet(schema, d, tuple(rng.permutation(records).tolist()))
+
+    records_a, records_b = build(30, 0), build(25, 5000)
+    pairs = [CandidatePair(ra.entity_id, rb.entity_id) for ra in records_a for rb in records_b]
+    return store, records_a, records_b, pairs, n_known
+
+
 class TestFeatureMatrixEquivalence:
     @pytest.mark.parametrize("p", (1, 2))
     def test_rows_match_pair_terms_with_unknown_values(self, p):
         rng = np.random.default_rng(17 + p)
-        schema = Schema(("a", "b", "c"))
-        d = ValueDictionary(3)
-        vocab = [[d.intern(attr, f"v{i}") for i in range(6)] for attr in range(3)]
-        n_known = len(d)
-        novel = [[d.intern(attr, f"new{i}") for i in range(2)] for attr in range(3)]
-        store = EmbeddingStore(
-            rng.normal(size=(len(d), 5)), rng.normal(size=(3, 5)), 5
-        )
-
-        def build(n, id_base):
-            records = []
-            for i in range(n):
-                values = {}
-                for attr in range(3):
-                    draw = rng.random()
-                    if draw < 0.2:
-                        continue  # missing
-                    pool = novel[attr] if draw < 0.3 else vocab[attr]
-                    values[attr] = pool[int(rng.integers(len(pool)))]
-                records.append(Record(id_base + 7 * i, values))
-            return RecordSet(schema, d, tuple(rng.permutation(records).tolist()))
-
-        records_a, records_b = build(30, 0), build(25, 5000)
-        pairs = [CandidatePair(ra.entity_id, rb.entity_id) for ra in records_a for rb in records_b]
+        store, records_a, records_b, pairs, n_known = mixed_value_setup(rng)
         features, defined = feature_matrix(pairs, records_a, records_b, store, p, n_known)
         bound = np.sqrt(5) if p == 1 else 1.0
         unknown_checked = 0
@@ -548,6 +566,29 @@ class TestFeatureMatrixEquivalence:
                 else:
                     assert features[i, attr] == terms[attr]
         assert unknown_checked > 0
+
+    @pytest.mark.parametrize("p", (1, 2))
+    @pytest.mark.parametrize("block", (1, 3))
+    def test_distance_blocks_keep_every_bit(self, p, block, monkeypatch):
+        store, records_a, records_b, pairs, n_known = mixed_value_setup(
+            np.random.default_rng(23 + p)
+        )
+        whole, whole_defined = feature_matrix(pairs, records_a, records_b, store, p, n_known)
+        monkeypatch.setattr(weights_mod, "DISTANCE_BLOCK", block)
+        features, defined = feature_matrix(pairs, records_a, records_b, store, p, n_known)
+        assert features.tobytes() == whole.tobytes()
+        assert np.array_equal(defined, whole_defined)
+        known_checked = 0
+        for i, pair in enumerate(pairs):
+            head, tail = records_a.get(pair.a_entity), records_b.get(pair.b_entity)
+            terms = pair_terms(head, tail, store, p)
+            assert defined[i] == (terms is not None)
+            for attr in range(3):
+                v, u = head.values.get(attr), tail.values.get(attr)
+                if v is None or u is None or max(v, u) < n_known:
+                    assert features[i, attr] == (0.0 if terms is None else terms[attr])
+                    known_checked += v is not None and u is not None and v != u
+        assert known_checked > 0
 
     def test_accepts_id_tuples_and_rejects_unknown_ids(self):
         from evolink.errors import LoadError
