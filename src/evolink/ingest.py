@@ -11,9 +11,9 @@ import codecs
 import csv
 import json
 import math
-import os
 import re
 import sys
+import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -494,11 +494,11 @@ ID_FILES = {
     "predictions": (5, None, "expected 5 columns"),
 }
 DECISION_COLUMN = 4  # of a predictions row: "match" or "non-match"
-INT64_MAX = np.uint64(2**63 - 1)
-MATCH = np.uint64(int.from_bytes(b"match", "little"))
-ON_MATCH = np.uint64(int.from_bytes(b"on-match", "little"))  # "non-match" but its first byte
-PAD = 20  # zero bytes on each side of a file's bytes: every digit column and
-# decision window stays inside the array
+BAD_ID = "bad entity id"
+ID_TEXT = re.compile(r"-?[0-9]+")
+# bytes on which np.loadtxt is laxer than the rules: it takes a sign and strips
+# whitespace around an int, and strips NULs from the end of a decision
+LAX_BYTES = b"+ \t\v\f\x1c\x1d\x1e\x1f\x00"
 
 
 class IdRows(NamedTuple):
@@ -511,37 +511,98 @@ class IdRows(NamedTuple):
     first_line: int  # the line number of row 0: 2 after a header, else 1
 
 
-def _parse_ids(padded: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """The int64 value of each field ``[lo, hi)`` of the file, whether it is
-    an id (ASCII ``-?[0-9]+``), and whether that id fits in 64 bits."""
-    neg = (hi > lo) & (padded[lo + PAD] == ord("-"))
-    length = hi - lo - neg
-    width = min(int(length.max()), 20) if len(length) else 0
-    skip = width - length  # digit columns left of the field
-    is_id = length > 0
-    value = np.zeros(len(lo), dtype=np.uint64)
-    over = np.zeros(len(lo), dtype=bool)
-    pos = hi + (PAD - width)  # in ``padded``, of each field's next digit column
-    for j in range(width):  # right-aligned digit columns
-        # a non-digit wraps above 9; a column left of the field counts 0
-        digit = (padded[pos] - ord("0")) * (skip <= j)
-        is_id &= digit <= 9
-        if width == 20:  # fewer digits cannot wrap uint64
-            over |= value > INT64_MAX // np.uint64(10)
-        value *= np.uint64(10)
-        value += digit
-        pos += 1
-    over |= value > INT64_MAX + neg
-    ids = value.view(np.int64)
-    ids = np.where(neg, -ids, ids)
-    # longer fields, rare, with Python's int: leading zeros may still fit
-    for i in np.flatnonzero(length > width).tolist():
-        text = padded[lo[i] + PAD:hi[i] + PAD].tobytes()
-        is_id[i] = bool(re.fullmatch(rb"-?[0-9]+", text))
-        if is_id[i]:
-            over[i] = not -(2**63) <= int(text) < 2**63
-            ids[i] = 0 if over[i] else int(text)
-    return ids, is_id, ~over
+def _id_value(text: str) -> int | None:
+    """The value of id text (``-?[0-9]+``), or None if it does not fit in int64."""
+    digits = text.lstrip("-").lstrip("0") or "0"
+    if len(digits) > 19:  # never fits, and int() refuses text of over 4,300 digits
+        return None
+    value = -int(digits) if text.startswith("-") else int(digits)
+    return value if -(2**63) <= value < 2**63 else None
+
+
+def _parse_line(line: str, kind: str, delimiter: str) -> tuple[int, int, bool] | str:
+    """One line of a ``kind`` file: its ids and whether its decision is
+    ``match``, or the first of its problems in the rules' order."""
+    cells = line.split(delimiter)
+    cells[-1] = cells[-1].removesuffix("\r")  # of a CR LF line end
+    fewest, most, columns_message = ID_FILES[kind]
+    if not fewest <= len(cells) <= (most or len(cells)):
+        return columns_message
+    if not (ID_TEXT.fullmatch(cells[0]) and ID_TEXT.fullmatch(cells[1])):
+        return BAD_ID
+    a_id, b_id = map(_id_value, cells[:2])
+    if a_id is None or b_id is None:
+        return "entity ids must fit in 64 bits"
+    decision = cells[DECISION_COLUMN] if kind == "predictions" else "match"
+    if decision not in ("match", "non-match"):
+        return f"unknown decision {decision!r}"
+    return a_id, b_id, decision == "match"
+
+
+def _strict_rows(path: Path, kind: str, fmt: TextFormat) -> IdRows:
+    """Read an id file line by line: the rules of ``read_id_rows``, for any
+    file ``_loadtxt_rows`` does not read."""
+    raw = path.read_bytes()
+    try:
+        text = raw.decode(fmt.encoding)
+    except UnicodeDecodeError as exc:
+        line = raw[:exc.start].count(b"\n") + 1
+        raise LoadError(f"{path}: line {line}: not {fmt.encoding} text") from None
+    rows, header = [], 0
+    lines = text.removesuffix("\n").split("\n") if text else []
+    for number, line in enumerate(lines, start=1):
+        row = _parse_line(line, kind, fmt.delimiter)
+        if row == BAD_ID and number == 1:
+            header = 1
+        elif isinstance(row, str):
+            raise LoadError(f"{path}: line {number}: {row}")
+        else:
+            rows.append(row)
+    table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    matches = table[:, 2] == 1 if kind == "predictions" else None
+    return IdRows(table[:, 0].copy(), table[:, 1].copy(), matches, 1 + header)
+
+
+def _loadtxt_rows(path: Path, kind: str, fmt: TextFormat) -> IdRows | None:
+    """Read an id file with one ``np.loadtxt`` call, or return None when its
+    bytes or loadtxt's result leave room for loadtxt to read it otherwise than
+    the rules do."""
+    data = path.read_bytes()
+    if (
+        codecs.lookup(fmt.encoding).name not in ("utf-8", "ascii")
+        or not data.isascii()
+        or any(byte in data for byte in LAX_BYTES.replace(fmt.delimiter.encode(), b""))
+        # loadtxt also ends a line at a CR that no LF follows
+        or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
+    ):
+        return None
+    n_lines = data.count(b"\n") + (data[-1:] not in (b"", b"\n"))  # the last LF is optional
+    end = data.find(b"\n")
+    first_line = data[:end if end >= 0 else None].decode()
+    header = int(_parse_line(first_line, kind, fmt.delimiter) == BAD_ID)
+    del data  # loadtxt reads the file itself, in pieces
+    columns = [("a", "<i8"), ("b", "<i8")] + [("decision", "S10")] * (kind == "predictions")
+    # a link has exactly its two columns; a row of the other kinds may have more
+    usecols = {"links": None, "pairs": (0, 1), "predictions": (0, 1, DECISION_COLUMN)}[kind]
+    with warnings.catch_warnings():
+        # a warning, e.g. loadtxt's for a file without data, sends the file to the loop
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(
+                path, dtype=columns, delimiter=fmt.delimiter, comments=None, skiprows=header,
+                usecols=usecols, ndmin=1, encoding="ascii",
+            )
+        # TypeError: a delimiter loadtxt refuses, such as CR or LF
+        except (ValueError, TypeError, Warning):
+            return None
+    if len(table) != n_lines - header:  # loadtxt skipped blank lines
+        return None
+    matches = None
+    if kind == "predictions":
+        matches = table["decision"] == b"match"
+        if not (matches | (table["decision"] == b"non-match")).all():
+            return None
+    return IdRows(table["a"].copy(), table["b"].copy(), matches, 1 + header)
 
 
 def _first_repeat(order: np.ndarray, same: np.ndarray) -> tuple[int, int] | None:
@@ -569,50 +630,10 @@ def _repeated_pair(a_ids: np.ndarray, b_ids: np.ndarray) -> tuple[int, int] | No
     return _first_repeat(order, (a_sorted[1:] == a_sorted[:-1]) & (b_sorted[1:] == b_sorted[:-1]))
 
 
-def _padded_bytes(path: Path, encoding: str) -> np.ndarray:
-    """The file decoded with ``encoding``, as UTF-8 bytes with PAD zero bytes
-    on each side."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        padded = np.zeros(size + 2 * PAD, dtype=np.uint8)
-        size = fh.readinto(memoryview(padded)[PAD:PAD + size])
-    padded = padded[:size + 2 * PAD]
-    utf8 = codecs.lookup(encoding).name in ("utf-8", "ascii")
-    if not (utf8 and padded.max() < 0x80):  # ASCII needs no decoding
-        raw = memoryview(padded)[PAD:PAD + size]
-        try:
-            text = str(raw, encoding)
-        except UnicodeDecodeError as exc:
-            line = raw[:exc.start].tobytes().count(b"\n") + 1
-            raise LoadError(f"{path}: line {line}: not {encoding} text") from None
-        if not utf8:
-            return np.frombuffer(bytes(PAD) + text.encode("utf-8") + bytes(PAD), dtype=np.uint8)
-    return padded
-
-
-def _separators(buf: np.ndarray, delimiter: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The position of every delimiter and line end (LF) in ``buf``, ascending,
-    with ``len(buf)`` ending a last line that has no LF; and the index in that
-    array of each line end."""
-    n = len(buf)
-    may_start = max(n - len(delimiter) + 1, 0)  # where a whole delimiter fits
-    is_sep = buf == ord("\n")
-    hits = buf[:may_start] == delimiter[0]
-    for k in range(1, len(delimiter)):  # a delimiter of several UTF-8 bytes
-        hits &= buf[k:k + may_start] == delimiter[k]
-    is_sep[:may_start] |= hits
-    seps = np.flatnonzero(is_sep)
-    line_end = np.flatnonzero(buf[seps] == ord("\n"))
-    if n and buf[-1] != ord("\n"):
-        seps = np.append(seps, n)
-        line_end = np.append(line_end, len(seps) - 1)
-    return seps, line_end
-
-
 def read_id_rows(
     path: str | Path, kind: str, fmt: TextFormat = TextFormat(delimiter=",")
 ) -> IdRows:
-    """Read a links, pairs or predictions file (``kind``) whole, with numpy.
+    """Read a links, pairs or predictions file (``kind``) whole.
 
     Each line is a row of ``fmt.delimiter``-separated fields, ended by LF or
     CR LF (or by the end of the file); fields are not quoted. The first two
@@ -621,70 +642,21 @@ def read_id_rows(
     a header and is skipped. The first malformed row, then the first row that
     repeats an earlier row's (a, b) pair, raises a LoadError naming the file
     and line.
+
+    A plain ASCII file is read by ``np.loadtxt``; any other, or one loadtxt
+    might read more leniently, line by line with the same rules.
     """
     path = Path(path)
-    fewest, most, columns_message = ID_FILES[kind]
-    padded = _padded_bytes(path, fmt.encoding)
-    buf = padded[PAD:-PAD]
-    delimiter = fmt.delimiter.encode("utf-8")
-    seps, line_end = _separators(buf, delimiter)
-    first = np.concatenate(([0], line_end[:-1] + 1))[:len(line_end)]
-    columns = line_end - first + 1
-    wrong = columns < fewest
-    if most is not None:
-        wrong |= columns > most
-    # lines from the first with the wrong column count on are never read
-    n_lines = int(np.argmax(wrong)) if wrong.any() else len(line_end)
-    ends = seps[line_end[:n_lines]]
-    starts = np.concatenate(([0], ends[:-1] + 1))[:n_lines]
-    stops = ends - (padded[ends + PAD - 1] == ord("\r"))  # without a CR before the LF
-    first = first[:n_lines]
-
-    def field(k):
-        """Start and stop of field ``k`` of each line."""
-        lo = starts if k == 0 else seps[first + k - 1] + len(delimiter)
-        return lo, np.minimum(seps[first + k], stops)
-
-    (lo_a, hi_a), (lo_b, hi_b) = field(0), field(1)
-    ids, is_id, fits = _parse_ids(
-        padded, np.concatenate((lo_a, lo_b)), np.concatenate((hi_a, hi_b))
-    )
-    is_id = is_id[:n_lines] & is_id[n_lines:]
-    header = int(n_lines > 0 and not is_id[0])
-    # per problem, whether each line is free of it; a header is free of all
-    checks = {
-        "bad entity id": is_id,
-        "entity ids must fit in 64 bits": fits[:n_lines] & fits[n_lines:],
-    }
-    matches = None
-    if kind == "predictions":
-        lo, hi = field(DECISION_COLUMN)
-        # the field's last 8 bytes as one little-endian word; both decisions end in "match"
-        tail = np.lib.stride_tricks.sliding_window_view(padded, 8)[hi + (PAD - 8)].view("<u8")[:, 0]
-        matches = (hi - lo == 5) & (tail >> np.uint64(24) == MATCH)
-        non_matches = (hi - lo == 9) & (tail == ON_MATCH) & (padded[lo + PAD] == ord("n"))
-        checks["unknown decision"] = matches | non_matches
-        matches = matches[header:]
-    # the first bad line; on a line with several problems, the first checked
-    bad_line, message = n_lines, columns_message
-    for text, good in checks.items():
-        good[:header] = True
-        if not good[:bad_line].all():
-            bad_line, message = int(np.argmin(good)), text
-    if bad_line < len(line_end):
-        if message == "unknown decision":
-            message += f" {buf[lo[bad_line]:hi[bad_line]].tobytes().decode()!r}"
-        raise LoadError(f"{path}: line {bad_line + 1}: {message}")
-
-    a_ids, b_ids = ids[header:n_lines], ids[n_lines + header:]
+    rows = _loadtxt_rows(path, kind, fmt) or _strict_rows(path, kind, fmt)
+    a_ids, b_ids, _, first_line = rows
     repeated = _repeated_pair(a_ids, b_ids)
     if repeated is not None:
         row, earlier = repeated
         raise LoadError(
-            f"{path}: line {row + 1 + header}: pair {a_ids[row]},{b_ids[row]} "
-            f"repeats line {earlier + 1 + header}"
+            f"{path}: line {row + first_line}: pair {a_ids[row]},{b_ids[row]} "
+            f"repeats line {earlier + first_line}"
         )
-    return IdRows(a_ids, b_ids, matches, 1 + header)
+    return rows
 
 
 def load_links(

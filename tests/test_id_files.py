@@ -1,5 +1,6 @@
-"""The links, pairs and predictions CSVs: one numpy reader, checked against
-the per-row ``csv.reader`` loops it replaced, and through the CLI."""
+"""The links, pairs and predictions CSVs: one reader, checked against the
+per-row ``csv.reader`` loops it replaced, its ``np.loadtxt`` path against its
+line loop, and through the CLI."""
 
 import contextlib
 import csv
@@ -11,9 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from evolink import ingest
 from evolink.candidates import truth_labels
 from evolink.cli import main
 from evolink.errors import LoadError
@@ -50,7 +52,7 @@ CELL = st.text(alphabet="0123456789.-+eEnaif", max_size=8)  # g, P and extra col
 TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",\r\n"), max_size=6)
 NOT_AN_ID = st.one_of(
     TEXT.filter(lambda t: not re.fullmatch(r"-?[0-9]+", t)),
-    st.sampled_from(["+5", " 5", "5 ", "5_0", '"5"', "1.0", "-", "", "٣", "５", "0x5"]),
+    st.sampled_from(["+5", " 5", "5 ", "5_0", '"5"', "1.0", "-", "", "٣", "５", "0x5", "\x1c5", "5\x00"]),
 )
 TOO_BIG = st.one_of(st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63) - 1)).map(str)
 
@@ -282,9 +284,69 @@ def test_predict_scores_the_pairs_the_csv_loop_reads(model_dir, data):
         assert scored == oracle_pairs(pairs)[0]
 
 
+# -- the loadtxt path against the line loop --------------------------------------
+# digits, the delimiter, the letters of the decisions, and what np.loadtxt is
+# laxer about than the rules: signs, whitespace, NULs and line ends
+ADVERSARIAL = "0123456789-+ \t\v\r\n\x00\xa0,matchno"
+
+
+@st.composite
+def adversarial_files(draw, kind):
+    """A ``kind`` file with or without a header, with up to three runs of
+    adversarial characters put in anywhere."""
+    text = file_text(kind, draw(rows_of(kind)), draw(layouts()))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.text(ADVERSARIAL, min_size=1, max_size=3)) + text[at:]
+    return text
+
+
+def outcome(path, kind):
+    """The rows ``read_id_rows`` reads, or its LoadError's text."""
+    try:
+        got = read_id_rows(path, kind)
+    except LoadError as exc:
+        return str(exc)
+    matches = None if got.matches is None else got.matches.tolist()
+    ids = got.a_ids.tolist(), got.b_ids.tolist(), got.a_ids.dtype, got.b_ids.dtype
+    return ids, matches, got.first_line
+
+
+@pytest.mark.parametrize("kind", ID_KINDS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_loadtxt_path_equals_the_line_loop(kind, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(tmp, "ids.csv", data.draw(adversarial_files(kind)))
+        fast = ingest._loadtxt_rows(path, kind, TextFormat(delimiter=","))
+        event("line loop" if fast is None else "loadtxt path")
+        got = outcome(path, kind)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_loadtxt_rows", lambda *args: None)
+            assert outcome(path, kind) == got
+
+
+@pytest.mark.parametrize("kind", ID_KINDS)
+@pytest.mark.parametrize("layout", [(True, "\n", True), (False, "\r\n", False)])
+def test_plain_ascii_files_take_the_loadtxt_path(tmp_path, kind, layout):
+    """The line loop is about ten times slower: files as evolink writes them stay off it."""
+    ids = [["-9223372036854775808", "9223372036854775807"], ["0", "00042"]]
+    rest = {
+        "links": [[], []],
+        "pairs": [["x"], []],
+        "predictions": [["-7.368213968170393", "1e-05", "match", "x"],
+                        ["-0.5", "0.0006305962463817614", "non-match"]],
+    }[kind]
+    rows = [a + b for a, b in zip(ids, rest)]
+    path = write(tmp_path, "ids.csv", file_text(kind, rows, layout))
+    got = ingest._loadtxt_rows(path, kind, TextFormat(delimiter=","))
+    assert got is not None
+    assert (got.a_ids.tolist(), got.b_ids.tolist()) == ([-(2**63), 0], [2**63 - 1, 42])
+
+
 # -- examples --------------------------------------------------------------------
 @pytest.mark.parametrize("kind", ID_KINDS)
-@pytest.mark.parametrize("end", [None, "", "\n", "\r\n"])  # None: an empty file
+@pytest.mark.parametrize("end", [None, "", "\n", "\r\n", "\r"])  # None: an empty file
 def test_empty_and_header_only_files_have_no_rows(tmp_path, kind, end):
     text = "" if end is None else HEADERS[kind] + end
     got = read_id_rows(write(tmp_path, "ids.csv", text), kind)
@@ -304,7 +366,8 @@ def test_extreme_and_zero_padded_ids(tmp_path):
 
 
 @pytest.mark.parametrize("cell", ["9223372036854775808", "-9223372036854775809",
-                                  "99999999999999999999", "000000000000000000000018446744073709551616"])
+                                  "99999999999999999999", "000000000000000000000018446744073709551616",
+                                  pytest.param("9" * 5000, id="5000-digits")])
 def test_ids_outside_int64_name_the_line(tmp_path, cell):
     path = write(tmp_path, "links.csv", f"a_id,b_id\n1,2\n{cell},3\n")
     with pytest.raises(LoadError, match=f"^{re.escape(str(path))}: line 3: entity ids must fit in 64 bits$"):
@@ -313,12 +376,31 @@ def test_ids_outside_int64_name_the_line(tmp_path, cell):
 
 @pytest.mark.parametrize("cell, value", [
     ("+5", 5), (" 5", 5), ("5 ", 5), ("5_0", 50), ('"5"', 5), ("５", 5),
+    ("\t5", 5), ("\v5", 5), ("\f5", 5), ("\xa05", 5), ("5\u2003", 5),
 ])
 def test_ids_that_int_accepted_are_now_refused(tmp_path, cell, value):
     path = write(tmp_path, "links.csv", f"a_id,b_id\n1,2\n{cell},3\n")
     assert oracle_links(path)[0] == [(1, 2), (value, 3)]
     with pytest.raises(LoadError, match=f"^{re.escape(str(path))}: line 3: bad entity id$"):
         read_id_rows(path, "links")
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("1,2\n\n3,4\n", "line 2: expected 2 columns"),  # loadtxt skips blank lines
+    ("1,2\r\n\r\n3,4\r\n", "line 2: expected 2 columns"),
+    ("a_id,b_id\n\n", "line 2: expected 2 columns"),  # and warns of a body without data
+    ("1,2\r3,4\n", "line 1: expected 2 columns"),  # it ends a line at a bare CR
+    ("a_id,b_id\n1,2\r\r\n", "line 2: bad entity id"),
+    ("1,2\n3,4\r", ([1, 3], [2, 4])),  # a CR ending the file goes, as one before an LF
+])
+def test_lines_that_loadtxt_reads_otherwise_keep_the_rules(tmp_path, text, expected):
+    path = write(tmp_path, "links.csv", text)
+    if isinstance(expected, str):
+        with pytest.raises(LoadError, match=f"^{re.escape(str(path))}: {expected}$"):
+            read_id_rows(path, "links")
+    else:
+        got = read_id_rows(path, "links")
+        assert (got.a_ids.tolist(), got.b_ids.tolist()) == expected
 
 
 def test_a_predictions_header_need_not_start_with_a_id(tmp_path):
@@ -330,6 +412,7 @@ def test_a_predictions_header_need_not_start_with_a_id(tmp_path):
 @pytest.mark.parametrize("decision", [
     "xon-match", "Non-match", "non-matcH", "non_match", "nonmatch", "non-match ", " match",
     "matchx", "atch", "mat", "natch", "on-match", "no-match", "non-non-match",
+    "match\x00", "non-match\x00", "\x00match", "match\r", "non-matchxy",
 ])
 def test_near_miss_decisions_are_unknown(tmp_path, decision):
     path = write(tmp_path, "preds.csv", f"1,2,0,0.5,match\r\n3,4,0,0.5,{decision}\r\n")

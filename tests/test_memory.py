@@ -1,4 +1,4 @@
-"""Working-memory budgets of the per-pair layers.
+"""Working-memory budgets of the per-pair layers and the id-file reader.
 
 tracemalloc sees every numpy buffer, and for fixed inputs its peak is the
 same on every run, so these budgets are exact checks rather than timings.
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from evolink.embed import EmbeddingStore
-from evolink.ingest import LinkedPairSet, RecordSet, Schema, ValueDictionary
+from evolink.ingest import LinkedPairSet, RecordSet, Schema, ValueDictionary, read_id_rows
 from evolink.pipeline import block_candidates, label_pairs
 from evolink.weights import feature_matrix
 
@@ -76,3 +76,26 @@ def test_label_pairs_budget(wide_blocks):
     assert labeled.pairs.label.any()
     # per pair: the label itself; the constant covers one chunk's keys and lookups
     assert peak <= 2 * len(pairs) + 4 * MB, peak / len(pairs)
+
+
+@pytest.fixture(scope="module")
+def predictions_file(tmp_path_factory):
+    """250,000 rows as ``predict`` writes them, about 60 bytes a row."""
+    n = 250_000
+    g = np.random.default_rng(0).normal(-5.0, 4.0, n)
+    rows = zip((np.arange(n) // 50).tolist(), (10**6 + np.arange(n) % 50).tolist(),
+               g.tolist(), (1 / (1 + np.exp(-g))).tolist())
+    path = tmp_path_factory.mktemp("ids") / "predictions.csv"
+    path.write_text("a_id,b_id,g,P,decision\n" + "".join(
+        f"{a},{b},{gi!r},{p!r},{'match' if p >= 0.5 else 'non-match'}\n" for a, b, gi, p in rows
+    ), encoding="utf-8")
+    return path, n
+
+
+def test_read_id_rows_budget(predictions_file):
+    path, n = predictions_file
+    rows, peak = peak_above_start(lambda: read_id_rows(path, "predictions"))
+    assert len(rows.a_ids) == n and rows.matches.any()
+    # per row: the file's bytes, read once to check them, and later loadtxt's
+    # table and the columns taken from it; the two are never held together
+    assert peak <= 100 * n + 4 * MB, peak / n
