@@ -458,12 +458,14 @@ def load_records(
                     f"got {len(row)}"
                 )
             if id_col is not None:
-                try:
-                    entity_id = int(row[id_col])
-                except ValueError:
-                    raise LoadError(
-                        f"{path}: line {lineno}: bad entity id {row[id_col]!r}"
-                    ) from None
+                # the id syntax of the id files: ASCII -?[0-9]+ within int64
+                text = row[id_col]
+                if not ID_TEXT.fullmatch(text):
+                    raise LoadError(f"{path}: line {lineno}: bad entity id {text!r}")
+                # 18 characters always fit; int() alone is the fast path for them
+                entity_id = int(text) if len(text) < 19 else _id_value(text)
+                if entity_id is None:
+                    raise LoadError(f"{path}: line {lineno}: entity ids must fit in 64 bits")
             else:
                 entity_id = start_entity_id + len(ids)
             ids.append(entity_id)
@@ -571,7 +573,6 @@ def _loadtxt_rows(path: Path, kind: str, fmt: TextFormat) -> IdRows | None:
     if (
         codecs.lookup(fmt.encoding).name not in ("utf-8", "ascii")
         or not data.isascii()
-        or any(byte in data for byte in LAX_BYTES.replace(fmt.delimiter.encode(), b""))
         # loadtxt also ends a line at a CR that no LF follows
         or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
     ):
@@ -580,6 +581,11 @@ def _loadtxt_rows(path: Path, kind: str, fmt: TextFormat) -> IdRows | None:
     end = data.find(b"\n")
     first_line = data[:end if end >= 0 else None].decode()
     header = int(_parse_line(first_line, kind, fmt.delimiter) == BAD_ID)
+    # loadtxt skips a header unread, so only the rows' bytes need to be plain
+    rows_start = end + 1 if header else 0
+    lax = LAX_BYTES.replace(fmt.delimiter.encode(), b"")
+    if any(data.find(byte, rows_start) >= 0 for byte in lax):
+        return None
     del data  # loadtxt reads the file itself, in pieces
     columns = [("a", "<i8"), ("b", "<i8")] + [("decision", "S10")] * (kind == "predictions")
     # a link has exactly its two columns; a row of the other kinds may have more

@@ -20,9 +20,13 @@ from .errors import ConfigError, TrainingError, UndefinedPairError
 from .ingest import Record, RecordSet
 
 _P_FLOOR = 1e-15  # keeps probabilities strictly inside (0, 1)
-# Distinct (v, u) value pairs whose distances feature_matrix computes at once;
-# bounds its (rows x dim) temporaries.
-DISTANCE_BLOCK = 4096
+# Distinct (v, u) value pairs whose distances feature_matrix computes at once:
+# a block's (rows x dim) residuals, 400 kB at dim 50, stay in cache.
+DISTANCE_BLOCK = 1024
+# A table over all pairs of an attribute's values is used while it has at
+# most this many slots per key it serves; past that, sorting the keys is
+# cheaper (ValuePairTerms).
+TABLE_SLOTS_PER_KEY = 4
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,157 @@ def link_probability(
     return sigmoid(g_score(head, tail, store, w, p))
 
 
+class _ValuePairTable:
+    """One attribute's value ranks on each side, and, when dense, the term of
+    every (v, u) pair of ranks: v * width + u of ``terms``."""
+
+    def __init__(self, column_a: np.ndarray, column_b: np.ndarray, limit: int,
+                 unknown_term: float, n_pairs: int):
+        # rank each value among those present on either side, so the d values
+        # below ``limit`` (those with a trained vector) rank first; a missing
+        # value (-1) indexes the flags' last slot and ranks past them all
+        both = np.concatenate((column_a, column_b))
+        top = int(both.max(initial=-1)) + 1
+        present = np.zeros(top + 1, dtype=bool)
+        present[both] = True
+        present[top] = False
+        self.values = np.flatnonzero(present)
+        rank_of = np.cumsum(present, dtype=np.int32) - 1
+        rank_of[top] = len(self.values)
+        ranks = rank_of[both].astype(np.int64)
+        self.d = int(np.searchsorted(self.values, limit))
+        self.missing = len(self.values)  # the rank of a missing value
+        self.width = self.missing + 1
+        # record row -> its part of a pair's key: keys_a[a] + keys_b[b]
+        self.keys_a = ranks[: len(column_a)] * self.width
+        self.keys_b = ranks[len(column_a) :]
+        self.unknown_term = unknown_term
+        self.heads = None  # each known value's vector plus the attribute's, once needed
+        self.terms = None
+        if _dense(self.width * self.width, n_pairs):
+            # NaN marks a known mismatch whose distance is not computed yet
+            terms = np.full((self.width, self.width), unknown_term)
+            terms[: self.d, : self.d] = np.nan
+            np.fill_diagonal(terms, 0.0)
+            terms[self.missing, :] = terms[:, self.missing] = 0.0
+            self.terms = terms.reshape(-1)
+
+
+def _dense(size: int, n_keys: int) -> bool:
+    """Whether a table of ``size`` slots costs no more than sorting ``n_keys`` keys."""
+    return size <= TABLE_SLOTS_PER_KEY * n_keys
+
+
+class ValuePairTerms:
+    """``pair_terms`` for pairs of rows of two record sets: ``features`` gives
+    one row of terms per pair, and each distinct (v, u) value pair's distance
+    is computed once, however many pairs or calls share it.
+
+    Each attribute keys its values on their ranks among its values present on
+    either side (missing ranks last), so a pair of values is one integer,
+    v * width + u. While the width² slots are at most ``TABLE_SLOTS_PER_KEY``
+    per pair to be scored (``n_pairs``), the attribute keeps a table of the
+    term of every such key, filled as pairs first need them; otherwise it
+    sorts each call's mismatching pairs with ``np.unique``. Distances come
+    from a copy of the attribute's trained value vectors plus its attribute
+    vector, made once per table. With ``keep`` every attribute's table lasts
+    as long as this object (for consecutive chunks of one set of pairs);
+    otherwise each is freed once its attribute is done.
+    """
+
+    def __init__(
+        self,
+        records_a: RecordSet,
+        records_b: RecordSet,
+        store: EmbeddingStore,
+        p: int = 2,
+        n_known_values: int | None = None,
+        n_pairs: int = 0,
+        keep: bool = True,
+    ):
+        self.records_a, self.records_b, self.store, self.p = records_a, records_b, store, p
+        self.limit = store.value_vectors.shape[0] if n_known_values is None else n_known_values
+        self.n_pairs = n_pairs
+        self._tables: dict[int, _ValuePairTable] | None = {} if keep else None
+
+    def _table(self, attr: int) -> _ValuePairTable:
+        table = None if self._tables is None else self._tables.get(attr)
+        if table is None:
+            # an untrained value's mismatch: the worst the unit-ball geometry allows
+            value_bound = math.sqrt(self.store.dim) if self.p == 1 else 1.0
+            attr_norm = float(_distances(self.store.attribute_vectors[attr][None, :], self.p)[0])
+            table = _ValuePairTable(
+                self.records_a.value_matrix[:, attr],
+                self.records_b.value_matrix[:, attr],
+                self.limit,
+                -(2.0 * value_bound + attr_norm),
+                self.n_pairs,
+            )
+            if self._tables is not None:
+                self._tables[attr] = table
+        return table
+
+    def features(self, cands: Candidates) -> tuple[np.ndarray, np.ndarray]:
+        """(features, defined) of ``feature_matrix`` for these candidates."""
+        features = np.zeros((len(cands), self.records_a.value_matrix.shape[1]))
+        for attr in range(features.shape[1]):
+            table = self._table(attr)
+            keys = table.keys_a[cands.a] + table.keys_b[cands.b]
+            if table.terms is not None:
+                features[:, attr] = self._looked_up(attr, table, keys)
+            else:
+                self._sorted(attr, table, keys, features[:, attr])
+        return features, _scorable(cands)
+
+    def _looked_up(self, attr: int, table: _ValuePairTable, keys: np.ndarray) -> np.ndarray:
+        """The terms of pairs of ranks ``keys`` from the table, after
+        computing the distances it lacks."""
+        terms = table.terms[keys]
+        fresh = np.isnan(terms)
+        if fresh.any():
+            keys = keys[fresh]
+            if _dense(len(table.terms), len(keys)):
+                flags = np.zeros(len(table.terms), dtype=bool)
+                flags[keys] = True
+                pairs = np.flatnonzero(flags)
+            else:
+                pairs = np.unique(keys)
+            table.terms[pairs] = -self._distances(attr, table, pairs)
+            terms[fresh] = table.terms[keys]
+        return terms
+
+    def _sorted(self, attr: int, table: _ValuePairTable, keys: np.ndarray, column: np.ndarray) -> None:
+        """Write the terms of pairs of ranks ``keys`` into ``column``,
+        computing the distance of each distinct known mismatch once."""
+        v, u = np.divmod(keys, table.width)
+        rows = np.flatnonzero((v != u) & (v != table.missing) & (u != table.missing))
+        known = (v[rows] < table.d) & (u[rows] < table.d)
+        pairs, inverse = np.unique(keys[rows[known]], return_inverse=True)
+        column[rows[known]] = -self._distances(attr, table, pairs)[inverse]
+        column[rows[~known]] = table.unknown_term
+
+    def _distances(self, attr: int, table: _ValuePairTable, pairs: np.ndarray) -> np.ndarray:
+        """Distances of the known rank pairs ``pairs`` (keys): the floats of
+        ``embed._distances``, computed in place DISTANCE_BLOCK rows at a time
+        (a distance is rowwise, so the bits do not depend on the block)."""
+        if table.heads is None:
+            known = table.values[: table.d]
+            table.heads = self.store.value_vectors[known] + self.store.attribute_vectors[attr]
+        heads, tails = np.divmod(pairs, table.width)
+        tails = table.values[tails]
+        distances = np.empty(len(pairs))
+        for start in range(0, len(pairs), DISTANCE_BLOCK):
+            block = slice(start, start + DISTANCE_BLOCK)
+            residual = table.heads[heads[block]]
+            residual -= self.store.value_vectors[tails[block]]
+            if self.p == 1:
+                np.abs(residual, out=residual)
+            else:
+                residual *= residual
+            distances[block] = residual.sum(axis=1)
+        return distances if self.p == 1 else np.sqrt(distances)
+
+
 def feature_matrix(
     pairs: Sequence,
     records_a: RecordSet,
@@ -148,6 +303,8 @@ def feature_matrix(
     store: EmbeddingStore,
     p: int = 2,
     n_known_values: int | None = None,
+    *,
+    terms: ValuePairTerms | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """pair_terms over many pairs (Candidates, CandidatePairs or id tuples).
 
@@ -155,48 +312,16 @@ def feature_matrix(
     and defined marks pairs with at least one shared present attribute.
     Value ids at or beyond ``n_known_values`` have no trained vector; their
     mismatches get the worst score the unit-ball geometry allows.
+    ``terms``, a ``ValuePairTerms`` over the same records, store, ``p`` and
+    ``n_known_values``, carries the distances already computed by earlier
+    calls; without it each call computes its own.
     """
     cands = Candidates.of(pairs, records_a, records_b)
-    n_attributes = records_a.value_matrix.shape[1]
-    features = np.zeros((len(cands), n_attributes))
-    defined = np.zeros(len(cands), dtype=bool)
-    limit = store.value_vectors.shape[0] if n_known_values is None else n_known_values
-    value_bound = math.sqrt(store.dim) if p == 1 else 1.0
-
-    for attr in range(n_attributes):
-        # one attribute's values at a time, not (n_pairs, n_attributes) matrices
-        v = records_a.value_matrix[:, attr][cands.a]
-        u = records_b.value_matrix[:, attr][cands.b]
-        shared = (v >= 0) & (u >= 0)
-        defined |= shared
-        rows = np.flatnonzero(shared & (v != u))
-        if not len(rows):
-            continue
-        v, u = v[rows], u[rows]
-        known = (v < limit) & (u < limit)
-        if known.any():
-            # a term depends only on its (v, u) pair: compute each distinct one
-            # once, DISTANCE_BLOCK rows at a time (a distance is rowwise, so the
-            # bits do not depend on the block)
-            combos, inverse = np.unique(v[known] * limit + u[known], return_inverse=True)
-            heads, tails = np.divmod(combos, limit)
-            distances = np.empty(len(combos))
-            for start in range(0, len(combos), DISTANCE_BLOCK):
-                block = slice(start, start + DISTANCE_BLOCK)
-                residual = (
-                    store.value_vectors[heads[block]]
-                    + store.attribute_vectors[attr]
-                    - store.value_vectors[tails[block]]
-                )
-                distances[block] = _distances(residual, p)
-            features[rows[known], attr] = -distances[inverse]
-        if not known.all():
-            attr_norm = float(
-                _distances(store.attribute_vectors[attr][None, :], p)[0]
-            )
-            features[rows[~known], attr] = -(2.0 * value_bound + attr_norm)
-
-    return features, defined
+    if terms is None:
+        terms = ValuePairTerms(
+            records_a, records_b, store, p, n_known_values, len(cands), keep=False
+        )
+    return terms.features(cands)
 
 
 def _epoch_loss_and_gradient(

@@ -344,6 +344,23 @@ def test_plain_ascii_files_take_the_loadtxt_path(tmp_path, kind, layout):
     assert (got.a_ids.tolist(), got.b_ids.tolist()) == ([-(2**63), 0], [2**63 - 1, 42])
 
 
+@pytest.mark.parametrize("kind", ID_KINDS)
+@pytest.mark.parametrize("lax", list(ingest.LAX_BYTES.decode()))
+def test_a_header_with_lax_bytes_takes_the_loadtxt_path(tmp_path, kind, lax):
+    """loadtxt skips the header unread: only the rows' bytes must be plain."""
+    header = HEADERS[kind].replace("_", lax)  # e.g. "a id,b id"
+    rows = {"links": ["1,2", "-3,4"], "pairs": ["1,2,x", "-3,4"],
+            "predictions": ["1,2,-1.5,0.25,match", "-3,4,nan,0.0,non-match"]}[kind]
+    path = write(tmp_path, "ids.csv", "\n".join([header, *rows]) + "\n")
+    fast = ingest._loadtxt_rows(path, kind, TextFormat(delimiter=","))
+    assert fast is not None
+    slow = ingest._strict_rows(path, kind, TextFormat(delimiter=","))
+    assert fast.first_line == slow.first_line == 2
+    for got, expected in zip(fast[:3], slow[:3]):
+        assert np.array_equal(got, expected)
+        assert got is None or got.dtype == expected.dtype
+
+
 # -- examples --------------------------------------------------------------------
 @pytest.mark.parametrize("kind", ID_KINDS)
 @pytest.mark.parametrize("end", [None, "", "\n", "\r\n", "\r"])  # None: an empty file

@@ -15,8 +15,8 @@ import pytest
 
 from evolink.embed import EmbeddingStore
 from evolink.ingest import LinkedPairSet, RecordSet, Schema, ValueDictionary, read_id_rows
-from evolink.pipeline import block_candidates, label_pairs
-from evolink.weights import feature_matrix
+from evolink.pipeline import block_candidates, label_pairs, scored_chunks
+from evolink.weights import WeightVector, feature_matrix
 
 MB = 1 << 20
 
@@ -33,13 +33,11 @@ def peak_above_start(fn):
     return result, peak
 
 
-@pytest.fixture(scope="module")
-def wide_blocks():
+def blocked_pairs(n_values):
     """About 250,000 blocked pairs of 2,000 x 2,000 records in 16 blocks; the
-    two other attributes have 3,000 values a side, so almost every
-    mismatching pair of values is a distinct one."""
+    two other attributes have ``n_values`` values a side."""
     rng = np.random.default_rng(0)
-    n, n_blocks, n_values = 2000, 16, 3000
+    n, n_blocks = 2000, 16
     schema = Schema(("block", "x", "y"), blocking_attribute=0)
     d = ValueDictionary(3)
     blocks = np.array([d.intern(0, f"b{i}") for i in range(n_blocks)])
@@ -57,6 +55,18 @@ def wide_blocks():
     return records_a, records_b, store, pairs, truth
 
 
+@pytest.fixture(scope="module")
+def wide_blocks():
+    """3,000 values a side: almost every mismatching pair of values is a distinct one."""
+    return blocked_pairs(3000)
+
+
+@pytest.fixture(scope="module")
+def shared_values():
+    """300 values a side: the chunks share most of their value pairs."""
+    return blocked_pairs(300)
+
+
 def test_feature_matrix_budget(wide_blocks):
     records_a, records_b, store, pairs, _ = wide_blocks
     (features, defined), peak = peak_above_start(
@@ -68,6 +78,31 @@ def test_feature_matrix_budget(wide_blocks):
     # sort of its mismatching value pairs; the constant covers one block of
     # (rows x dim) residuals
     assert peak <= output + 160 * len(pairs) + 8 * MB, (peak - output) / len(pairs)
+
+
+def test_scored_chunks_budget(shared_values):
+    records_a, records_b, store, pairs, _ = shared_values
+    w = WeightVector(np.ones(3))
+    half = pairs.take(slice(0, len(pairs) // 2))
+
+    def score(cands):
+        return lambda: sum(len(s) for s in scored_chunks(cands, records_a, records_b, store, w))
+
+    score(pairs)()  # numpy imports some of its modules on first use
+    n, peak = peak_above_start(score(pairs))
+    n_half, half_peak = peak_above_start(score(half))
+    assert n == len(pairs) > 200_000 and n_half == len(half)
+    slots = sum(
+        (len(np.unique(np.concatenate([r.value_matrix[:, attr] for r in (records_a, records_b)]))) + 1) ** 2
+        for attr in range(3)
+    )
+    assert slots < len(pairs)  # every attribute keeps its table
+    # per attribute: a float per pair of its values, kept for the whole call;
+    # per chunk: its columns, features and results, which the constant
+    # covers. Nothing is kept per pair: twice the pairs cost less than even
+    # an int32 column of the extra ones.
+    assert peak <= 8 * slots + 8 * MB, peak
+    assert peak - half_peak <= 4 * (n - n_half), (peak, half_peak)
 
 
 def test_label_pairs_budget(wide_blocks):

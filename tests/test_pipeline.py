@@ -690,6 +690,34 @@ class TestColumnarEquivalence:
         assert [len(piece) for piece in pieces[:-1]] == [size] * (len(pieces) - 1)
         assert np.concatenate([piece.score for piece in pieces]).tobytes() == whole.score.tobytes()
 
+    def test_chunks_share_their_value_pair_distances(self, monkeypatch):
+        import evolink.candidates as candidates_mod
+        import evolink.weights as weights_mod
+        from evolink.embed import EmbeddingStore
+        from evolink.pipeline import score_pairs, scored_chunks
+        from evolink.weights import WeightVector
+
+        rng = np.random.default_rng(8)
+        a, b = random_record_sets(rng, 40, 40, missing=0.2)
+        store = EmbeddingStore(rng.normal(size=(len(a.dictionary), 6)), rng.normal(size=(3, 6)), 6)
+        w = WeightVector(rng.uniform(0.2, 3.0, size=3))
+        pairs = block_candidates(a, b, None)
+        whole = score_pairs(pairs, a, b, store, w)
+        computed = []
+        compute = weights_mod.ValuePairTerms._distances
+
+        def counting(self, attr, table, keys):
+            computed.extend((attr, key) for key in keys.tolist())
+            return compute(self, attr, table, keys)
+
+        monkeypatch.setattr(weights_mod.ValuePairTerms, "_distances", counting)
+        monkeypatch.setattr(candidates_mod, "PAIR_CHUNK", 7)
+        pieces = list(scored_chunks(pairs, a, b, store, w))
+        assert len(pieces) > 100
+        assert np.concatenate([p.score for p in pieces]).tobytes() == whole.score.tobytes()
+        # every chunk shares one table per attribute: no distance is computed twice
+        assert computed and len(computed) == len(set(computed))
+
     def test_exact_match_baseline_matches_scalar_rule(self):
         rng = np.random.default_rng(4)
         a, b = random_record_sets(rng, 30, 30, missing=0.3)

@@ -108,3 +108,33 @@ def test_one_bad_line_is_named_by_load_records_and_train(case, side):
             code = main(["train", str(data), "--config", str(config), "--out", str(data / "run")])
         assert code == 2
         assert err.getvalue() == f"error: stage 'load' failed: {bad}: line {line}: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("+5", "bad entity id '+5'"),
+    (" 6 ", "bad entity id ' 6 '"),
+    ("٣", "bad entity id '٣'"),
+    ("1_0", "bad entity id '1_0'"),
+    ("0x1", "bad entity id '0x1'"),
+    ("", "bad entity id ''"),
+    (str(2**63), "entity ids must fit in 64 bits"),
+    (str(-(2**63) - 1), "entity ids must fit in 64 bits"),
+    ("1" * 5000, "entity ids must fit in 64 bits"),
+])
+def test_records_ids_follow_the_id_file_syntax(tmp_path, text, message):
+    # the records id column reads ids as the links, pairs and predictions files do
+    path = tmp_path / "records.csv"
+    path.write_text(f"entity_id,{','.join(ATTRIBUTES)}\n7,a,b,c\n{text},a,b,c\n", encoding="utf-8")
+    with pytest.raises(LoadError) as exc:
+        load_records(path, SCHEMA, CSV)
+    assert str(exc.value) == f"{path}: line 3: {message}"
+
+
+@pytest.mark.parametrize("text, value", [
+    ("-0", 0), ("007", 7), (str(2**63 - 1), 2**63 - 1), (str(-(2**63)), -(2**63)),
+])
+def test_records_ids_at_the_edges_of_the_syntax(tmp_path, text, value):
+    path = tmp_path / "records.csv"
+    path.write_text(f"entity_id,{','.join(ATTRIBUTES)}\n{text},a,b,c\n", encoding="utf-8")
+    records, _ = load_records(path, SCHEMA, CSV)
+    assert records.id_array.tolist() == [value]

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from evolink import weights as weights_mod
 from evolink.embed import EmbeddingStore
 from evolink.errors import ConfigError, UndefinedPairError
 from evolink.ingest import Record, RecordSet, Schema, ValueDictionary
+from evolink.candidates import Candidates
 from evolink.pipeline import CandidatePair
 from evolink.weights import (
     RLHyperparams,
@@ -599,6 +600,114 @@ class TestFeatureMatrixEquivalence:
         assert np.array_equal(by_pair, by_tuple)
         with pytest.raises(LoadError, match="unknown entity id 99"):
             feature_matrix([(0, 99)], records_a, records_b, store)
+
+
+def value_pair_setup(rng, n_a, n_b, n_values, n_novel, missing):
+    """Every A x B pair of two record sets over three attributes with domains
+    of ``n_values`` trained values plus ``n_novel`` untrained ones each, as
+    Candidates; returns (store, candidates, n_known)."""
+    schema = Schema(("a", "b", "c"))
+    d = ValueDictionary(3)
+    vocab = [[d.intern(attr, f"v{i}") for i in range(n)] for attr, n in enumerate(n_values)]
+    n_known = len(d)
+    pools = [np.array(vocab[attr] + [d.intern(attr, f"new{i}") for i in range(n_novel)])
+             for attr in range(3)]
+    store = EmbeddingStore(rng.normal(size=(len(d), 4)), rng.normal(size=(3, 4)), 4)
+
+    def side(n, id_base):
+        matrix = np.stack([pool[rng.integers(len(pool), size=n)] for pool in pools], axis=1)
+        matrix[rng.random((n, 3)) < missing] = -1
+        return RecordSet.from_columns(schema, d, id_base + 3 * np.arange(n), matrix)
+
+    records_a, records_b = side(n_a, 0), side(n_b, 10_000)
+    a, b = np.divmod(np.arange(n_a * n_b), n_b)
+    return store, Candidates(records_a, records_b, a, b), n_known
+
+
+def assert_rows_are_pair_terms(features, defined, cands, store, p, n_known):
+    bound = math.sqrt(store.dim) if p == 1 else 1.0
+    for i, pair in enumerate(cands):
+        head, tail = cands.records_a.get(pair.a_entity), cands.records_b.get(pair.b_entity)
+        terms = pair_terms(head, tail, store, p)
+        assert defined[i] == (terms is not None)
+        for attr in range(3):
+            v, u = head.values.get(attr), tail.values.get(attr)
+            if v is not None and u is not None and v != u and max(v, u) >= n_known:
+                attr_norm = np.linalg.norm(store.attribute_vectors[attr], ord=p)
+                assert features[i, attr] == pytest.approx(-(2 * bound + attr_norm))
+            else:
+                assert features[i, attr] == (0.0 if terms is None else terms[attr])
+
+
+class TestValuePairTables:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.tuples(st.integers(1, 14), st.integers(1, 14)),
+        n_values=st.tuples(*[st.integers(1, 40)] * 3),
+        n_novel=st.integers(0, 3),
+        missing=st.sampled_from([0.0, 0.3]),
+        p=st.sampled_from([1, 2]),
+        chunk=st.integers(1, 50),
+    )
+    def test_rank_tables_equal_pair_terms_and_the_unique_path(
+        self, seed, sizes, n_values, n_novel, missing, p, chunk
+    ):
+        store, cands, n_known = value_pair_setup(
+            np.random.default_rng(seed), *sizes, n_values, n_novel, missing
+        )
+        a, b = cands.records_a, cands.records_b
+        features, defined = feature_matrix(cands, a, b, store, p, n_known)
+        assert_rows_are_pair_terms(features, defined, cands, store, p, n_known)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(weights_mod, "TABLE_SLOTS_PER_KEY", 0)  # np.unique everywhere
+            sorted_features, sorted_defined = feature_matrix(cands, a, b, store, p, n_known)
+        assert sorted_features.tobytes() == features.tobytes()
+        assert np.array_equal(sorted_defined, defined)
+
+        # consecutive chunks sharing one set of tables: the same bits, and each
+        # distinct known mismatch's distance computed once where a table is kept
+        terms = weights_mod.ValuePairTerms(a, b, store, p, n_known, len(cands))
+        computed = {attr: [] for attr in range(3)}
+        compute = terms._distances
+
+        def counting(attr, table, pairs):
+            computed[attr] += pairs.tolist()
+            return compute(attr, table, pairs)
+
+        terms._distances = counting
+        chunks = [
+            feature_matrix(cands.take(slice(start, start + chunk)), a, b, store, p, n_known, terms=terms)
+            for start in range(0, len(cands), chunk)
+        ]
+        assert np.concatenate([f for f, _ in chunks]).tobytes() == features.tobytes()
+        assert np.array_equal(np.concatenate([d for _, d in chunks]), defined)
+        for attr in range(3):
+            dense = terms._table(attr).terms is not None
+            event("table" if dense else "np.unique fallback")
+            v, u = a.value_matrix[cands.a, attr], b.value_matrix[cands.b, attr]
+            known = (v >= 0) & (u >= 0) & (v != u) & (v < n_known) & (u < n_known)
+            distinct = len(set(zip(v[known].tolist(), u[known].tolist())))
+            if dense:
+                assert len(computed[attr]) == len(set(computed[attr])) == distinct
+            else:
+                assert len(set(computed[attr])) == distinct
+
+    @pytest.mark.parametrize("p", (1, 2))
+    def test_a_domain_past_the_table_rule_sorts_instead(self, p):
+        store, cands, n_known = value_pair_setup(
+            np.random.default_rng(p), 1, 20, (60, 60, 2), 2, 0.1
+        )
+        terms = weights_mod.ValuePairTerms(
+            cands.records_a, cands.records_b, store, p, n_known, len(cands)
+        )
+        assert terms._table(0).terms is None and terms._table(1).terms is None
+        assert terms._table(2).terms is not None
+        features, defined = feature_matrix(
+            cands, cands.records_a, cands.records_b, store, p, n_known, terms=terms
+        )
+        assert_rows_are_pair_terms(features, defined, cands, store, p, n_known)
 
 
 class TestOverflow:
