@@ -150,16 +150,15 @@ def score_pairs(
     Pairs with no shared attribute get score NaN and probability 0.0. Pairs
     beyond one chunk (``candidates.PAIR_CHUNK``) are scored a chunk at a time
     by ``scored_chunks``, so the working memory beyond the two result columns
-    does not grow with their number. ``terms`` is passed on to
-    ``feature_matrix``.
+    does not grow with their number. ``terms``, the value-pair tables that
+    ``scored_chunks`` shares across its chunks, is passed on to
+    ``feature_matrix`` (a call of more than one chunk builds its own).
     """
     cands = Candidates.of(pairs, records_a, records_b)
     parts = pair_slices(len(cands))
     if len(parts) > 1:
         score, probability = np.empty(len(cands)), np.empty(len(cands))
-        chunks = scored_chunks(
-            cands, records_a, records_b, store, w, p, n_known_values, terms=terms
-        )
+        chunks = scored_chunks(cands, records_a, records_b, store, w, p, n_known_values)
         for part, scored in zip(parts, chunks):
             score[part], probability[part] = scored.score, scored.probability
         return replace(cands, score=score, probability=probability)
@@ -183,19 +182,14 @@ def scored_chunks(
     w: WeightVector,
     p: int = 2,
     n_known_values: int | None = None,
-    *,
-    terms: weights_mod.ValuePairTerms | None = None,
 ) -> Iterator[Candidates]:
     """``score_pairs`` over consecutive chunks of the pairs, in order.
 
-    The chunks share one ``ValuePairTerms`` (``terms`` if given), so a value
-    pair's distance is computed once per call, not once per chunk.
+    The chunks share one ``weights.ValuePairTerms``, so a value pair's
+    distance is computed once per call, not once per chunk.
     """
     cands = Candidates.of(pairs, records_a, records_b)
-    if terms is None:
-        terms = weights_mod.ValuePairTerms(
-            records_a, records_b, store, p, n_known_values, len(cands)
-        )
+    terms = weights_mod.ValuePairTerms(records_a, records_b, store, p, n_known_values, len(cands))
     for part in pair_slices(len(cands)):
         yield score_pairs(
             cands.take(part), records_a, records_b, store, w, p, n_known_values, terms=terms

@@ -264,7 +264,9 @@ class ValuePairTerms:
             terms[fresh] = table.terms[keys]
         return terms
 
-    def _sorted(self, attr: int, table: _ValuePairTable, keys: np.ndarray, column: np.ndarray) -> None:
+    def _sorted(
+        self, attr: int, table: _ValuePairTable, keys: np.ndarray, column: np.ndarray
+    ) -> None:
         """Write the terms of pairs of ranks ``keys`` into ``column``,
         computing the distance of each distinct known mismatch once."""
         v, u = np.divmod(keys, table.width)

@@ -92,10 +92,8 @@ def test_scored_chunks_budget(shared_values):
     n, peak = peak_above_start(score(pairs))
     n_half, half_peak = peak_above_start(score(half))
     assert n == len(pairs) > 200_000 and n_half == len(half)
-    slots = sum(
-        (len(np.unique(np.concatenate([r.value_matrix[:, attr] for r in (records_a, records_b)]))) + 1) ** 2
-        for attr in range(3)
-    )
+    values = np.concatenate([records_a.value_matrix, records_b.value_matrix])
+    slots = sum((len(np.unique(values[:, attr])) + 1) ** 2 for attr in range(3))
     assert slots < len(pairs)  # every attribute keeps its table
     # per attribute: a float per pair of its values, kept for the whole call;
     # per chunk: its columns, features and results, which the constant

@@ -678,7 +678,9 @@ class TestValuePairTables:
 
         terms._distances = counting
         chunks = [
-            feature_matrix(cands.take(slice(start, start + chunk)), a, b, store, p, n_known, terms=terms)
+            feature_matrix(
+                cands.take(slice(start, start + chunk)), a, b, store, p, n_known, terms=terms
+            )
             for start in range(0, len(cands), chunk)
         ]
         assert np.concatenate([f for f, _ in chunks]).tobytes() == features.tobytes()
