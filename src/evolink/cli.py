@@ -189,7 +189,6 @@ def write_predictions(
 
 def cmd_predict(args: argparse.Namespace) -> int:
     bundle: ModelBundle = load_model(args.model)
-    n_known = bundle.store.value_vectors.shape[0]
 
     records_a, dictionary = load_records(
         args.records_a, bundle.schema, CSV_FORMAT, dictionary=bundle.dictionary
@@ -226,7 +225,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     with open(out_path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write("a_id,b_id,g,P,decision\n")
         write_predictions(fh, pipeline.scored_chunks(
-            candidates, records_a, records_b, bundle.store, weights, bundle.embed_hp.norm, n_known
+            candidates, records_a, records_b, bundle.store, weights, bundle.embed_hp.norm
         ), records_a, records_b, tau)
     print(f"scored {len(candidates)} pairs -> {out_path}")
     return 0

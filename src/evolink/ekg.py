@@ -105,20 +105,15 @@ def _graph(values, heads, tails, n_entities, n_attribute_triples) -> EvolutionKG
 
 
 def build_ekg(
-    records_a: RecordSet,
-    records_b: RecordSet,
-    train_links: LinkedPairSet,
-    include_identity_triples: bool = False,
-    include_reverse_triples: bool = False,
+    records_a: RecordSet, records_b: RecordSet, train_links: LinkedPairSet, er: bool = False
 ) -> EvolutionKG:
     """Assemble the graph from two record sets and their training links.
 
     Evolution triples are directed A -> B (earlier -> later record) and
     deduplicated: one per attribute whose values on a linked pair are both
-    present and differ. Identical values produce a triple only when
-    ``include_identity_triples`` is set; ``include_reverse_triples`` adds
-    the B -> A direction as well (the degenerate, direction-blind graph
-    variant).
+    present and differ. ``er`` builds the degenerate, direction-blind graph
+    variant instead: identical values give a triple too, and every triple
+    also comes in the B -> A direction.
     """
     if records_a.dictionary is not records_b.dictionary:
         raise DomainError("record sets must share one value dictionary")
@@ -129,10 +124,10 @@ def build_ekg(
     a_rows, b_rows = train_links.rows(records_a, records_b)
     head, tail = records_a.value_matrix[a_rows], records_b.value_matrix[b_rows]
     keep = (head >= 0) & (tail >= 0)
-    if not include_identity_triples:
+    if not er:
         keep &= head != tail
     heads, tails = head[keep], tail[keep]
-    if include_reverse_triples:
+    if er:
         heads, tails = np.concatenate([heads, tails]), np.concatenate([tails, heads])
     n_cells = int((records_a.value_matrix >= 0).sum() + (records_b.value_matrix >= 0).sum())
     return _graph(records_a.dictionary, heads, tails, len(records_a) + len(records_b), n_cells)

@@ -38,11 +38,6 @@ class EmbeddingStore:
         ):
             raise TrainingError("non-finite embedding entries")
 
-    def copy(self) -> "EmbeddingStore":
-        return EmbeddingStore(
-            self.value_vectors.copy(), self.attribute_vectors.copy(), self.dim
-        )
-
 
 @dataclass(frozen=True)
 class EmbedHyperparams:

@@ -7,7 +7,6 @@ stable for the lifetime of the dictionary that produced it.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import json
 import math
@@ -24,6 +23,10 @@ import numpy as np
 from .errors import ConfigError, DomainError, LoadError, SchemaMismatchError
 
 DEFAULT_NULL_MARKERS = ("", "illegible", "NA")
+# the encoding of every records and id file, read or written, and the name
+# (in any case) of a records file's optional id column
+ENCODING = "utf-8"
+ID_COLUMN = "entity_id"
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -135,12 +138,11 @@ class Schema:
 
 @dataclass(frozen=True)
 class TextFormat:
-    """Delimited-text descriptor for record files."""
+    """The settable layout of delimited text files: the delimiter, and the
+    cells that mark a missing value. The encoding is always ``ENCODING``."""
 
     delimiter: str = ";"
-    encoding: str = "utf-8"
     null_markers: tuple[str, ...] = DEFAULT_NULL_MARKERS
-    id_column: str = "entity_id"
 
     def __post_init__(self):
         if len(self.delimiter) != 1:
@@ -404,10 +406,10 @@ def load_records(
     dictionary: ValueDictionary | None = None,
     start_entity_id: int = 0,
 ) -> tuple[RecordSet, ValueDictionary]:
-    """Read one delimited file into standardized, interned records.
+    """Read one delimited UTF-8 file into standardized, interned records.
 
     The header must carry the schema's attribute names (case-insensitive, in
-    order), optionally plus an id column named ``fmt.id_column`` anywhere.
+    order), optionally plus an id column named ``ID_COLUMN`` anywhere.
     Cells matching a null marker after standardization become missing
     attributes. Pass an existing ``dictionary`` to share value ids across
     files (required when two files will be compared to each other).
@@ -418,14 +420,14 @@ def load_records(
     elif dictionary.n_attributes != schema.n_attributes:
         raise SchemaMismatchError("dictionary attribute count does not match schema")
 
-    with open(path, newline="", encoding=fmt.encoding) as fh:
-        reader = csv.reader(fh, delimiter=fmt.delimiter)
+    with open(path, newline="", encoding=ENCODING) as fh:
+        reader = _decoded_rows(csv.reader(fh, delimiter=fmt.delimiter), path)
         try:
             header = next(reader)
         except StopIteration:
             raise LoadError(f"{path}: empty file") from None
 
-        id_name = standardize(fmt.id_column)
+        id_name = standardize(ID_COLUMN)
         id_col = None
         attr_cols: list[int] = []
         for i, name in enumerate(header):
@@ -488,6 +490,26 @@ def load_records(
         raise LoadError(f"{path}: {message}") from None
 
 
+def _text(raw: bytes, path: Path) -> str:
+    """The bytes of the file at ``path`` as text; bytes that are not
+    ``ENCODING`` text raise a LoadError naming their line."""
+    try:
+        return raw.decode(ENCODING)
+    except UnicodeDecodeError as exc:
+        line = raw[: exc.start].count(b"\n") + 1
+        raise LoadError(f"{path}: line {line}: not {ENCODING} text") from None
+
+
+def _decoded_rows(reader: Iterator[list[str]], path: Path) -> Iterator[list[str]]:
+    """The rows of a csv reader over the file at ``path``; a row it cannot
+    decode raises ``_text``'s LoadError."""
+    try:
+        yield from reader
+    except UnicodeDecodeError:
+        _text(path.read_bytes(), path)
+        raise
+
+
 # Per kind of id file: the fewest and most columns a row may have (None: no
 # limit), and the message for a row outside them.
 ID_FILES = {
@@ -544,12 +566,7 @@ def _parse_line(line: str, kind: str, delimiter: str) -> tuple[int, int, bool] |
 def _strict_rows(path: Path, kind: str, fmt: TextFormat) -> IdRows:
     """Read an id file line by line: the rules of ``read_id_rows``, for any
     file ``_loadtxt_rows`` does not read."""
-    raw = path.read_bytes()
-    try:
-        text = raw.decode(fmt.encoding)
-    except UnicodeDecodeError as exc:
-        line = raw[:exc.start].count(b"\n") + 1
-        raise LoadError(f"{path}: line {line}: not {fmt.encoding} text") from None
+    text = _text(path.read_bytes(), path)
     rows, header = [], 0
     lines = text.removesuffix("\n").split("\n") if text else []
     for number, line in enumerate(lines, start=1):
@@ -571,8 +588,7 @@ def _loadtxt_rows(path: Path, kind: str, fmt: TextFormat) -> IdRows | None:
     the rules do."""
     data = path.read_bytes()
     if (
-        codecs.lookup(fmt.encoding).name not in ("utf-8", "ascii")
-        or not data.isascii()
+        not data.isascii()
         # loadtxt also ends a line at a CR that no LF follows
         or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
     ):
@@ -674,15 +690,14 @@ def load_links(
     return LinkedPairSet(np.column_stack((rows.a_ids, rows.b_ids)), provenance)
 
 
-def write_records_csv(
-    records: RecordSet, path: str | Path, delimiter: str = ",", id_column: str = "entity_id"
-) -> None:
-    """Write records with a header row; missing attributes become empty cells."""
+def write_records_csv(records: RecordSet, path: str | Path) -> None:
+    """Write records as CSV with a header row, ids in an ``ID_COLUMN`` column
+    first; missing attributes become empty cells."""
     # indexed by value id; the trailing "" is what a missing value's -1 picks
     strings = [text for _, _, text in records.dictionary.entries()] + [""]
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        writer.writerow([id_column, *records.schema.attributes])
+    with open(path, "w", newline="\n", encoding=ENCODING) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([ID_COLUMN, *records.schema.attributes])
         writer.writerows(
             [entity_id, *map(strings.__getitem__, row)]
             for entity_id, row in zip(
@@ -691,9 +706,10 @@ def write_records_csv(
         )
 
 
-def write_links_csv(links: LinkedPairSet, path: str | Path, delimiter: str = ",") -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+def write_links_csv(links: LinkedPairSet, path: str | Path) -> None:
+    """Write links as CSV with an ``a_id,b_id`` header row."""
+    with open(path, "w", newline="\n", encoding=ENCODING) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["a_id", "b_id"])
         writer.writerows(zip(links.a_ids.tolist(), links.b_ids.tolist()))
 

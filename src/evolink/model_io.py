@@ -105,6 +105,8 @@ def load_model(path: str | Path) -> ModelBundle:
         raise LoadError(f"{path}: value dictionary entries are not unique")
 
     dim = header["dim"]
+    if embed_hp.dim != dim:
+        raise LoadError(f"{path}: embed.dim: {embed_hp.dim} does not match dim {dim}")
     n_values = len(header["values"])
     payload = raw[newline + 1 :]
     expected = (n_values + n_attrs) * dim * 8

@@ -141,7 +141,6 @@ def score_pairs(
     store: EmbeddingStore,
     w: WeightVector,
     p: int = 2,
-    n_known_values: int | None = None,
     *,
     terms: weights_mod.ValuePairTerms | None = None,
 ) -> Candidates:
@@ -158,12 +157,12 @@ def score_pairs(
     parts = pair_slices(len(cands))
     if len(parts) > 1:
         score, probability = np.empty(len(cands)), np.empty(len(cands))
-        chunks = scored_chunks(cands, records_a, records_b, store, w, p, n_known_values)
+        chunks = scored_chunks(cands, records_a, records_b, store, w, p)
         for part, scored in zip(parts, chunks):
             score[part], probability[part] = scored.score, scored.probability
         return replace(cands, score=score, probability=probability)
     features, defined = weights_mod.feature_matrix(
-        cands, records_a, records_b, store, p, n_known_values, terms=terms
+        cands, records_a, records_b, store, p, terms=terms
     )
     # one dot product per row rather than a matrix-vector product: each score
     # then equals g_score's bit for bit, whatever the number of rows
@@ -181,7 +180,6 @@ def scored_chunks(
     store: EmbeddingStore,
     w: WeightVector,
     p: int = 2,
-    n_known_values: int | None = None,
 ) -> Iterator[Candidates]:
     """``score_pairs`` over consecutive chunks of the pairs, in order.
 
@@ -189,11 +187,9 @@ def scored_chunks(
     distance is computed once per call, not once per chunk.
     """
     cands = Candidates.of(pairs, records_a, records_b)
-    terms = weights_mod.ValuePairTerms(records_a, records_b, store, p, n_known_values, len(cands))
+    terms = weights_mod.ValuePairTerms(cands, store, p)
     for part in pair_slices(len(cands)):
-        yield score_pairs(
-            cands.take(part), records_a, records_b, store, w, p, n_known_values, terms=terms
-        )
+        yield score_pairs(cands.take(part), records_a, records_b, store, w, p, terms=terms)
 
 
 def _labels_and_probabilities(pairs: Sequence[CandidatePair]) -> tuple[np.ndarray, np.ndarray]:
@@ -258,7 +254,8 @@ SOURCE_TYPES = {
         "a": "str", "b": "str", "truth": "str", "format": None,
     }, ("attributes",)),
 }
-# the settable TextFormat fields; its encoding and id column stay fixed
+# the TextFormat fields with their JSON types; the encoding and the id
+# column's name are fixed (ingest.ENCODING, ingest.ID_COLUMN)
 FORMAT_TYPES = {"delimiter": "str", "null_markers": "list[str]"}
 FILE_KEYS = ("a", "b", "truth")
 
@@ -474,13 +471,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             )
 
     with _stage("graph", timings):
-        degenerate = config.kg_variant == "er"
         graph = ekg_mod.build_ekg(
-            train.records_a,
-            train.records_b,
-            train.links,
-            include_identity_triples=degenerate,
-            include_reverse_triples=degenerate,
+            train.records_a, train.records_b, train.links, er=config.kg_variant == "er"
         )
 
     with _stage("embed", timings):

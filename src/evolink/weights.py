@@ -187,35 +187,27 @@ def _dense(size: int, n_keys: int) -> bool:
 
 
 class ValuePairTerms:
-    """``pair_terms`` for pairs of rows of two record sets: ``features`` gives
-    one row of terms per pair, and each distinct (v, u) value pair's distance
-    is computed once, however many pairs or calls share it.
+    """``pair_terms`` for the pairs of one ``Candidates``: ``features`` gives
+    one row of terms per pair of any chunk of them, and each distinct (v, u)
+    value pair's distance is computed once, however many pairs or calls
+    share it.
 
     Each attribute keys its values on their ranks among its values present on
     either side (missing ranks last), so a pair of values is one integer,
     v * width + u. While the width² slots are at most ``TABLE_SLOTS_PER_KEY``
-    per pair to be scored (``n_pairs``), the attribute keeps a table of the
-    term of every such key, filled as pairs first need them; otherwise it
-    sorts each call's mismatching pairs with ``np.unique``. Distances come
-    from a copy of the attribute's trained value vectors plus its attribute
-    vector, made once per table. With ``keep`` every attribute's table lasts
-    as long as this object (for consecutive chunks of one set of pairs);
-    otherwise each is freed once its attribute is done.
+    per candidate pair, the attribute keeps a table of the term of every such
+    key, filled as pairs first need them; otherwise it sorts each call's
+    mismatching pairs with ``np.unique``. A value is trained if it has a row
+    in the store's ``value_vectors``. Distances come from a copy of the
+    attribute's trained value vectors plus its attribute vector, made once
+    per table. With ``keep`` every attribute's table lasts as long as this
+    object (for consecutive chunks of the candidates); otherwise each is freed
+    once its attribute is done.
     """
 
-    def __init__(
-        self,
-        records_a: RecordSet,
-        records_b: RecordSet,
-        store: EmbeddingStore,
-        p: int = 2,
-        n_known_values: int | None = None,
-        n_pairs: int = 0,
-        keep: bool = True,
-    ):
-        self.records_a, self.records_b, self.store, self.p = records_a, records_b, store, p
-        self.limit = store.value_vectors.shape[0] if n_known_values is None else n_known_values
-        self.n_pairs = n_pairs
+    def __init__(self, cands: Candidates, store: EmbeddingStore, p: int = 2, keep: bool = True):
+        self.records_a, self.records_b = cands.records_a, cands.records_b
+        self.store, self.p, self.n_pairs = store, p, len(cands)
         self._tables: dict[int, _ValuePairTable] | None = {} if keep else None
 
     def _table(self, attr: int) -> _ValuePairTable:
@@ -227,7 +219,7 @@ class ValuePairTerms:
             table = _ValuePairTable(
                 self.records_a.value_matrix[:, attr],
                 self.records_b.value_matrix[:, attr],
-                self.limit,
+                self.store.value_vectors.shape[0],
                 -(2.0 * value_bound + attr_norm),
                 self.n_pairs,
             )
@@ -304,7 +296,6 @@ def feature_matrix(
     records_b: RecordSet,
     store: EmbeddingStore,
     p: int = 2,
-    n_known_values: int | None = None,
     *,
     terms: ValuePairTerms | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -312,17 +303,15 @@ def feature_matrix(
 
     Returns (features, defined) where features is (n_pairs, n_attributes)
     and defined marks pairs with at least one shared present attribute.
-    Value ids at or beyond ``n_known_values`` have no trained vector; their
-    mismatches get the worst score the unit-ball geometry allows.
-    ``terms``, a ``ValuePairTerms`` over the same records, store, ``p`` and
-    ``n_known_values``, carries the distances already computed by earlier
-    calls; without it each call computes its own.
+    Value ids past the rows of ``store.value_vectors`` have no trained
+    vector; their mismatches get the worst score the unit-ball geometry
+    allows. ``terms``, a ``ValuePairTerms`` over candidates these pairs are a
+    chunk of, with the same store and ``p``, carries the distances already
+    computed by earlier calls; without it each call computes its own.
     """
     cands = Candidates.of(pairs, records_a, records_b)
     if terms is None:
-        terms = ValuePairTerms(
-            records_a, records_b, store, p, n_known_values, len(cands), keep=False
-        )
+        terms = ValuePairTerms(cands, store, p, keep=False)
     return terms.features(cands)
 
 

@@ -279,7 +279,6 @@ class TestPredict:
         scored = pipeline.score_pairs(
             pipeline.block_candidates(records_a, records_b, bundle.schema.blocking_attribute),
             records_a, records_b, bundle.store, bundle.weights, bundle.embed_hp.norm,
-            len(bundle.store.value_vectors),
         )
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")

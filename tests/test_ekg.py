@@ -45,14 +45,13 @@ class TestBuild:
         links = LinkedPairSet(((0, 1),), "train")
         kg = build_ekg(a, b, links)
         assert len(kg.evolution) == 0
-        kg_id = build_ekg(a, b, links, include_identity_triples=True)
+        kg_id = build_ekg(a, b, links, er=True)
         assert EvolutionTriple(puig, puig, 0) in kg_id.evolution
 
     def test_reverse_triples_flag(self, civil_toy):
         ids = civil_toy["ids"]
         kg = build_ekg(
-            civil_toy["records_a"], civil_toy["records_b"], civil_toy["links"],
-            include_reverse_triples=True,
+            civil_toy["records_a"], civil_toy["records_b"], civil_toy["links"], er=True
         )
         assert EvolutionTriple(ids["m"], ids["s"], 0) in kg.evolution
         assert len(kg.evolution) == 4
@@ -386,17 +385,27 @@ def reference_evolution(records_a, records_b, links, identity, reverse):
     return evolution
 
 
+def variant_triples(records_a, records_b, links, identity, reverse):
+    """The triples ``reference_evolution`` gives with these flags, taken from
+    the two graph variants: the er graph is the ekg graph, its triples
+    reversed and the identity triples."""
+    ekg = build_ekg(records_a, records_b, links).evolution
+    er = build_ekg(records_a, records_b, links, er=True).evolution
+    same = {t for t in er if t.head_value == t.tail_value}
+    return (er - same if reverse else ekg) | (same if identity else set())
+
+
 class TestMatrixBuild:
     @pytest.mark.parametrize("identity", [False, True])
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("seed", range(6))
     def test_evolution_equals_reference_loop(self, seed, identity, reverse):
+        """(False, False) is the ekg graph and (True, True) the er graph; the
+        mixed flags check the er graph's parts."""
         a, b, links = random_linked_sets(np.random.default_rng(seed))
-        kg = build_ekg(
-            a, b, links, include_identity_triples=identity, include_reverse_triples=reverse
-        )
-        assert kg.evolution == reference_evolution(a, b, links, identity, reverse)
-        assert all(type(v) is int for t in kg.evolution for v in t)
+        triples = variant_triples(a, b, links, identity, reverse)
+        assert triples == reference_evolution(a, b, links, identity, reverse)
+        assert all(type(v) is int for t in triples for v in t)
 
     @pytest.mark.parametrize("identity", [False, True])
     @pytest.mark.parametrize("reverse", [False, True])
@@ -432,11 +441,8 @@ class TestMatrixBuild:
         if reverse:
             triples = np.concatenate([triples, triples[:, [1, 0, 2]]])
         by_rows = frozenset(map(EvolutionTriple._make, np.unique(triples, axis=0).tolist()))
-        kg = build_ekg(
-            a, b, links, include_identity_triples=identity, include_reverse_triples=reverse
-        )
         assert len(by_rows) > 10
-        assert kg.evolution == by_rows
+        assert variant_triples(a, b, links, identity, reverse) == by_rows
 
     @pytest.mark.parametrize("seed", range(4))
     def test_counts_equal_the_store_sizes(self, seed):
@@ -455,7 +461,7 @@ class TestMatrixBuild:
 
     def test_no_links_gives_an_empty_graph(self):
         a, b, _ = random_linked_sets(np.random.default_rng(0))
-        kg = build_ekg(a, b, LinkedPairSet((), "train"), True, True)
+        kg = build_ekg(a, b, LinkedPairSet((), "train"), er=True)
         assert kg.evolution == frozenset()
         assert kg.counts()["entities"] == len(a) + len(b)
 

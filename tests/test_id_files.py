@@ -452,11 +452,12 @@ def test_not_utf8_names_the_line(tmp_path):
 
 def test_multibyte_delimiter_and_other_encoding(tmp_path):
     path = tmp_path / "links.csv"
-    path.write_bytes("a_id§b_id\n1§2\n-3§4".encode("latin-1"))
-    links = load_links(path, TextFormat(delimiter="§", encoding="latin-1"))
-    assert links.pairs == ((1, 2), (-3, 4))
     path.write_bytes("a_id☃b_id\n1☃2\n".encode("utf-8"))
     assert load_links(path, TextFormat(delimiter="☃")).pairs == ((1, 2),)
+    # files are UTF-8: one in another encoding is refused, not read
+    path.write_bytes("a_id§b_id\n1§2\n-3§4".encode("latin-1"))
+    with pytest.raises(LoadError, match="links.csv: line 1: not utf-8 text"):
+        load_links(path, TextFormat(delimiter="§"))
 
 
 def test_repeated_link_names_both_lines(tmp_path):

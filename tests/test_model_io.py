@@ -131,6 +131,7 @@ class TestHeaderValues:
         ("blocking_attribute", 1, "blocking_attribute: id 1 out of range"),
         ("tau", "x", "tau: expected float | None, got 'x'"),
         ("depth", 3, "depth: unknown key"),
+        ("embed.dim", 7, "embed.dim: 7 does not match dim 6"),
     ])
     def test_malformed_value_named(self, civil_toy, tmp_path, key, value, message):
         path = tmp_path / "model.bin"

@@ -138,3 +138,15 @@ def test_records_ids_at_the_edges_of_the_syntax(tmp_path, text, value):
     path.write_text(f"entity_id,{','.join(ATTRIBUTES)}\n{text},a,b,c\n", encoding="utf-8")
     records, _ = load_records(path, SCHEMA, CSV)
     assert records.id_array.tolist() == [value]
+
+
+@pytest.mark.parametrize("bad_line", [1, 3, 5000])
+def test_records_not_in_utf8_name_the_line(tmp_path, bad_line):
+    # the decoder reads the file in chunks, well past the line it fails on
+    lines = [f"entity_id,{','.join(ATTRIBUTES)}"] + [f"{i},a,b,c" for i in range(6000)]
+    lines[bad_line - 1] = lines[bad_line - 1].replace("a", "\xe9", 1)
+    path = tmp_path / "records.csv"
+    path.write_bytes("\n".join(lines).encode("latin-1"))
+    with pytest.raises(LoadError) as exc:
+        load_records(path, SCHEMA, CSV)
+    assert str(exc.value) == f"{path}: line {bad_line}: not utf-8 text"

@@ -148,9 +148,8 @@ class TestFeatureMatrix:
             (*records_b.records, Record(3, {0: novel, 1: tail.values[1]})),
         )
         pairs = [CandidatePair(0, 3)]
-        features, defined = feature_matrix(
-            pairs, records_a, extended_b, store, n_known_values=4
-        )
+        assert novel == store.value_vectors.shape[0]  # past the trained rows
+        features, defined = feature_matrix(pairs, records_a, extended_b, store)
         assert defined.all()
         assert features[0, 0] == pytest.approx(-(2.0 + 0.5))
 
@@ -543,12 +542,18 @@ def mixed_value_setup(rng):
     return store, records_a, records_b, pairs, n_known
 
 
+def trained_rows(store, n_known):
+    """The store of the first ``n_known`` value rows: values past them are untrained."""
+    return EmbeddingStore(store.value_vectors[:n_known], store.attribute_vectors, store.dim)
+
+
 class TestFeatureMatrixEquivalence:
     @pytest.mark.parametrize("p", (1, 2))
     def test_rows_match_pair_terms_with_unknown_values(self, p):
         rng = np.random.default_rng(17 + p)
         store, records_a, records_b, pairs, n_known = mixed_value_setup(rng)
-        features, defined = feature_matrix(pairs, records_a, records_b, store, p, n_known)
+        trained = trained_rows(store, n_known)
+        features, defined = feature_matrix(pairs, records_a, records_b, trained, p)
         bound = np.sqrt(5) if p == 1 else 1.0
         unknown_checked = 0
         for i, pair in enumerate(pairs):
@@ -574,9 +579,10 @@ class TestFeatureMatrixEquivalence:
         store, records_a, records_b, pairs, n_known = mixed_value_setup(
             np.random.default_rng(23 + p)
         )
-        whole, whole_defined = feature_matrix(pairs, records_a, records_b, store, p, n_known)
+        trained = trained_rows(store, n_known)
+        whole, whole_defined = feature_matrix(pairs, records_a, records_b, trained, p)
         monkeypatch.setattr(weights_mod, "DISTANCE_BLOCK", block)
-        features, defined = feature_matrix(pairs, records_a, records_b, store, p, n_known)
+        features, defined = feature_matrix(pairs, records_a, records_b, trained, p)
         assert features.tobytes() == whole.tobytes()
         assert np.array_equal(defined, whole_defined)
         known_checked = 0
@@ -657,18 +663,19 @@ class TestValuePairTables:
             np.random.default_rng(seed), *sizes, n_values, n_novel, missing
         )
         a, b = cands.records_a, cands.records_b
-        features, defined = feature_matrix(cands, a, b, store, p, n_known)
+        trained = trained_rows(store, n_known)
+        features, defined = feature_matrix(cands, a, b, trained, p)
         assert_rows_are_pair_terms(features, defined, cands, store, p, n_known)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(weights_mod, "TABLE_SLOTS_PER_KEY", 0)  # np.unique everywhere
-            sorted_features, sorted_defined = feature_matrix(cands, a, b, store, p, n_known)
+            sorted_features, sorted_defined = feature_matrix(cands, a, b, trained, p)
         assert sorted_features.tobytes() == features.tobytes()
         assert np.array_equal(sorted_defined, defined)
 
         # consecutive chunks sharing one set of tables: the same bits, and each
         # distinct known mismatch's distance computed once where a table is kept
-        terms = weights_mod.ValuePairTerms(a, b, store, p, n_known, len(cands))
+        terms = weights_mod.ValuePairTerms(cands, trained, p)
         computed = {attr: [] for attr in range(3)}
         compute = terms._distances
 
@@ -678,9 +685,7 @@ class TestValuePairTables:
 
         terms._distances = counting
         chunks = [
-            feature_matrix(
-                cands.take(slice(start, start + chunk)), a, b, store, p, n_known, terms=terms
-            )
+            feature_matrix(cands.take(slice(start, start + chunk)), a, b, trained, p, terms=terms)
             for start in range(0, len(cands), chunk)
         ]
         assert np.concatenate([f for f, _ in chunks]).tobytes() == features.tobytes()
@@ -701,13 +706,12 @@ class TestValuePairTables:
         store, cands, n_known = value_pair_setup(
             np.random.default_rng(p), 1, 20, (60, 60, 2), 2, 0.1
         )
-        terms = weights_mod.ValuePairTerms(
-            cands.records_a, cands.records_b, store, p, n_known, len(cands)
-        )
+        trained = trained_rows(store, n_known)
+        terms = weights_mod.ValuePairTerms(cands, trained, p)
         assert terms._table(0).terms is None and terms._table(1).terms is None
         assert terms._table(2).terms is not None
         features, defined = feature_matrix(
-            cands, cands.records_a, cands.records_b, store, p, n_known, terms=terms
+            cands, cands.records_a, cands.records_b, trained, p, terms=terms
         )
         assert_rows_are_pair_terms(features, defined, cands, store, p, n_known)
 
