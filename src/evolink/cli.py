@@ -38,7 +38,7 @@ from .ingest import (
     write_records_csv,
 )
 from .model_io import ModelBundle, load_model, save_model
-from .weights import classify
+from .weights import check_threshold, classify
 
 CSV_FORMAT = TextFormat(delimiter=",")
 # One predictions row: ids, then g and P at full precision (repr), then the decision.
@@ -188,6 +188,8 @@ def write_predictions(
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    # checked before any file is read or written (the model's tau by load_model)
+    check_threshold(args.threshold, "--threshold")
     bundle: ModelBundle = load_model(args.model)
 
     records_a, dictionary = load_records(
@@ -222,11 +224,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
         tau = 0.5
 
     out_path = Path(args.out)
+    chunks = pipeline.scored_chunks(candidates, bundle.store, weights, bundle.embed_hp.norm)
     with open(out_path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write("a_id,b_id,g,P,decision\n")
-        write_predictions(fh, pipeline.scored_chunks(
-            candidates, records_a, records_b, bundle.store, weights, bundle.embed_hp.norm
-        ), records_a, records_b, tau)
+        write_predictions(fh, chunks, records_a, records_b, tau)
     print(f"scored {len(candidates)} pairs -> {out_path}")
     return 0
 

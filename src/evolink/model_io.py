@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .embed import EmbeddingStore, EmbedHyperparams
-from .errors import ConfigError, LoadError
+from .errors import ConfigError, LoadError, TrainingError
 from .ingest import Schema, ValueDictionary, json_fits, read_fields, read_object
-from .weights import WeightVector
+from .weights import WeightVector, check_threshold
 
 FORMAT_TAG = "evolink-model/1"
 # the header's keys besides "format", with their JSON types; "embed" holds EmbedHyperparams
@@ -86,6 +86,7 @@ def load_model(path: str | Path) -> ModelBundle:
         header = read_object(header, "", {"format": "str", **HEADER_TYPES}, HEADER_KEYS)
         embed_hp = read_fields(EmbedHyperparams, header["embed"], "embed", EMBED_KEYS)
         schema = Schema(tuple(header["attributes"]), header["blocking_attribute"])
+        check_threshold(header["tau"])
     except ConfigError as exc:
         raise LoadError(f"{path}: {exc}") from None
     n_attrs = schema.n_attributes
@@ -117,13 +118,17 @@ def load_model(path: str | Path) -> ModelBundle:
     flat = np.frombuffer(payload, dtype="<f8")
     value_vectors = flat[: n_values * dim].reshape(n_values, dim).copy()
     attribute_vectors = flat[n_values * dim :].reshape(n_attrs, dim).copy()
+    try:
+        store = EmbeddingStore(value_vectors, attribute_vectors, dim)
+    except TrainingError as exc:
+        raise LoadError(f"{path}: payload: {exc}") from None
 
     if weights is not None:
         weights = WeightVector(np.array(weights, dtype=float))
     return ModelBundle(
         schema=schema,
         dictionary=dictionary,
-        store=EmbeddingStore(value_vectors, attribute_vectors, dim),
+        store=store,
         embed_hp=embed_hp,
         weights=weights,
         rl_margin=header["rl_margin"],

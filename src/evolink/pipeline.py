@@ -141,28 +141,36 @@ def score_pairs(
     store: EmbeddingStore,
     w: WeightVector,
     p: int = 2,
-    *,
-    terms: weights_mod.ValuePairTerms | None = None,
 ) -> Candidates:
-    """Attach match scores and probabilities.
-
-    Pairs with no shared attribute get score NaN and probability 0.0. Pairs
-    beyond one chunk (``candidates.PAIR_CHUNK``) are scored a chunk at a time
-    by ``scored_chunks``, so the working memory beyond the two result columns
-    does not grow with their number. ``terms``, the value-pair tables that
-    ``scored_chunks`` shares across its chunks, is passed on to
-    ``feature_matrix`` (a call of more than one chunk builds its own).
-    """
+    """Attach match scores and probabilities: those of ``scored_chunks``,
+    collected into two columns, so the working memory beyond them does not
+    grow with the number of pairs."""
     cands = Candidates.of(pairs, records_a, records_b)
-    parts = pair_slices(len(cands))
-    if len(parts) > 1:
-        score, probability = np.empty(len(cands)), np.empty(len(cands))
-        chunks = scored_chunks(cands, records_a, records_b, store, w, p)
-        for part, scored in zip(parts, chunks):
-            score[part], probability[part] = scored.score, scored.probability
-        return replace(cands, score=score, probability=probability)
+    score, probability = np.empty(len(cands)), np.empty(len(cands))
+    for part, scored in zip(pair_slices(len(cands)), scored_chunks(cands, store, w, p)):
+        score[part], probability[part] = scored.score, scored.probability
+    return replace(cands, score=score, probability=probability)
+
+
+def scored_chunks(
+    cands: Candidates, store: EmbeddingStore, w: WeightVector, p: int = 2
+) -> Iterator[Candidates]:
+    """The candidates with scores and probabilities, ``PAIR_CHUNK`` pairs at a time,
+    in order; a pair with no shared attribute gets score NaN and probability 0.0.
+    The chunks share one ``weights.ValuePairTerms``: a distance is computed once per call."""
+    terms = weights_mod.ValuePairTerms(cands, store, p)
+    for part in pair_slices(len(cands)):
+        yield _scored_chunk(cands.take(part), terms, w)
+
+
+def _scored_chunk(
+    chunk: Candidates, terms: weights_mod.ValuePairTerms, w: WeightVector
+) -> Candidates:
+    """One chunk with its scores. A function of its own, so that the chunk's
+    features are freed before ``scored_chunks`` yields it, not kept while
+    the caller writes it."""
     features, defined = weights_mod.feature_matrix(
-        cands, records_a, records_b, store, p, terms=terms
+        chunk, chunk.records_a, chunk.records_b, terms.store, terms.p, terms=terms
     )
     # one dot product per row rather than a matrix-vector product: each score
     # then equals g_score's bit for bit, whatever the number of rows
@@ -170,26 +178,7 @@ def score_pairs(
     scores[~defined] = np.nan
     probs = sigmoid(scores)
     probs[~defined] = 0.0
-    return replace(cands, score=scores, probability=probs)
-
-
-def scored_chunks(
-    pairs: Sequence[CandidatePair],
-    records_a: RecordSet,
-    records_b: RecordSet,
-    store: EmbeddingStore,
-    w: WeightVector,
-    p: int = 2,
-) -> Iterator[Candidates]:
-    """``score_pairs`` over consecutive chunks of the pairs, in order.
-
-    The chunks share one ``weights.ValuePairTerms``, so a value pair's
-    distance is computed once per call, not once per chunk.
-    """
-    cands = Candidates.of(pairs, records_a, records_b)
-    terms = weights_mod.ValuePairTerms(cands, store, p)
-    for part in pair_slices(len(cands)):
-        yield score_pairs(cands.take(part), records_a, records_b, store, w, p, terms=terms)
+    return replace(chunk, score=scores, probability=probs)
 
 
 def _labels_and_probabilities(pairs: Sequence[CandidatePair]) -> tuple[np.ndarray, np.ndarray]:

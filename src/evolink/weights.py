@@ -200,18 +200,17 @@ class ValuePairTerms:
     mismatching pairs with ``np.unique``. A value is trained if it has a row
     in the store's ``value_vectors``. Distances come from a copy of the
     attribute's trained value vectors plus its attribute vector, made once
-    per table. With ``keep`` every attribute's table lasts as long as this
-    object (for consecutive chunks of the candidates); otherwise each is freed
-    once its attribute is done.
+    per table. Every table, once built, lasts as long as this object, so
+    consecutive chunks of the candidates share it.
     """
 
-    def __init__(self, cands: Candidates, store: EmbeddingStore, p: int = 2, keep: bool = True):
+    def __init__(self, cands: Candidates, store: EmbeddingStore, p: int = 2):
         self.records_a, self.records_b = cands.records_a, cands.records_b
         self.store, self.p, self.n_pairs = store, p, len(cands)
-        self._tables: dict[int, _ValuePairTable] | None = {} if keep else None
+        self._tables: dict[int, _ValuePairTable] = {}
 
     def _table(self, attr: int) -> _ValuePairTable:
-        table = None if self._tables is None else self._tables.get(attr)
+        table = self._tables.get(attr)
         if table is None:
             # an untrained value's mismatch: the worst the unit-ball geometry allows
             value_bound = math.sqrt(self.store.dim) if self.p == 1 else 1.0
@@ -223,8 +222,7 @@ class ValuePairTerms:
                 -(2.0 * value_bound + attr_norm),
                 self.n_pairs,
             )
-            if self._tables is not None:
-                self._tables[attr] = table
+            self._tables[attr] = table
         return table
 
     def features(self, cands: Candidates) -> tuple[np.ndarray, np.ndarray]:
@@ -307,11 +305,11 @@ def feature_matrix(
     vector; their mismatches get the worst score the unit-ball geometry
     allows. ``terms``, a ``ValuePairTerms`` over candidates these pairs are a
     chunk of, with the same store and ``p``, carries the distances already
-    computed by earlier calls; without it each call computes its own.
+    computed by earlier calls; without it each call builds its own.
     """
     cands = Candidates.of(pairs, records_a, records_b)
     if terms is None:
-        terms = ValuePairTerms(cands, store, p, keep=False)
+        terms = ValuePairTerms(cands, store, p)
     return terms.features(cands)
 
 
@@ -501,10 +499,15 @@ def weight_gradient_check(
     return GradientCheckResult(max_err, checked, 0)
 
 
+def check_threshold(tau: float | None, name: str = "tau") -> None:
+    """Refuse a threshold outside (0, 1), NaN included, naming ``name``; None (unset) passes."""
+    if tau is not None and not 0.0 < tau < 1.0:
+        raise ConfigError(f"{name}: must be in (0, 1), got {tau!r}")
+
+
 def classify(probability, tau: float):
     """Match decision: probability at or above the threshold (elementwise on arrays)."""
-    if not 0.0 < tau < 1.0:
-        raise ConfigError("tau: must be in (0, 1)")
+    check_threshold(tau)
     return probability >= tau
 
 

@@ -8,6 +8,8 @@ files of another kind. An exit of 2 prints exactly one ``error:`` line.
 import contextlib
 import io
 import json
+import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -81,13 +83,24 @@ def files(tmp_path_factory):
                  a=data / "A.csv", b=data / "B.csv", truth=data / "truth_links.csv")
     assert run(["predict", "--model", model, paths["a"], paths["b"],
                 "--out", paths["predictions"]])[0] == 0
-    # a model whose header gives embed.dim 7 over its 4-wide vectors
+    # models whose header gives embed.dim 7 over its 4-wide vectors, or tau 7.0
+    # or 0, and one whose payload starts with a NaN
     raw = model.read_bytes()
     newline = raw.index(b"\n")
-    header = json.loads(raw[:newline])
-    header["embed"]["dim"] = 7
-    paths["wide_model"] = root / "wide-model.bin"
-    paths["wide_model"].write_bytes(json.dumps(header).encode() + raw[newline:])
+    for name, key, value in (
+        ("wide_model", "embed", {**json.loads(raw[:newline])["embed"], "dim": 7}),
+        ("tau7_model", "tau", 7.0),
+        ("tau0_model", "tau", 0),
+    ):
+        header = {**json.loads(raw[:newline]), key: value}
+        paths[name] = root / f"{name}.bin"
+        paths[name].write_bytes(json.dumps(header).encode() + raw[newline:])
+    paths["nan_model"] = root / "nan_model.bin"
+    paths["nan_model"].write_bytes(
+        raw[: newline + 1] + struct.pack("<d", math.nan) + raw[newline + 9 :]
+    )
+    paths["header_pairs"] = root / "header-pairs.csv"  # a pairs file with no pairs
+    paths["header_pairs"].write_text("a_id,b_id\n", encoding="utf-8")
     paths["latin1"] = root / "latin1.csv"  # A.csv with one cell in latin-1
     paths["latin1"].write_bytes(paths["a"].read_bytes().replace(b"single", b"c\xe9libataire", 1))
     return paths
@@ -130,10 +143,12 @@ COMMANDS = st.one_of(
         *RUN_FLAGS,
     ),
     st.tuples(
-        arg("predict"), flag("--model", "@model", *PATHS, "@a", "@wide_model"),
+        arg("predict"),
+        flag("--model", "@model", *PATHS, "@a", "@wide_model", "@tau7_model", "@tau0_model",
+             "@nan_model"),
         arg("@a", *PATHS, "@truth"), arg("@b", *PATHS),
-        flag("--pairs", None, "@truth", *PATHS, "@a"),
-        flag("--threshold", None, 0.5, 0, 1, "nan", "inf", "1e400"),
+        flag("--pairs", None, "@truth", "@header_pairs", *PATHS, "@a"),
+        flag("--threshold", None, 0.5, 0, 1, 5, "nan", "inf", "1e400"),
         flag("--out", NEW, EMPTY_DIR, BELOW_MISSING),
     ),
     st.tuples(
@@ -159,13 +174,17 @@ def resolve(token, files):
 @settings(max_examples=400, deadline=None)
 @given(argv=COMMANDS)
 def test_every_command_line_exits_0_or_2_with_one_error_line(files, argv):
-    code, _, err = run([resolve(token, files) for token in argv])
+    resolved = [resolve(token, files) for token in argv]
+    code, _, err = run(resolved)
     event(f"{argv[0]} exits {code}")
     assert code in (0, 2)
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
     else:
         assert err == ""
+    if argv[0] == "predict" and code == 2 and NEW in argv:
+        # a refused predict writes no predictions file
+        assert not Path(resolved[argv.index(NEW)]).exists(), err
 
 
 def test_a_model_whose_embed_dim_is_not_its_dim_exits_2(files, tmp_path):
@@ -173,3 +192,32 @@ def test_a_model_whose_embed_dim_is_not_its_dim_exits_2(files, tmp_path):
                         "--out", tmp_path / "out.csv"])
     assert code == 2
     assert err == f"error: {files['wide_model']}: embed.dim: 7 does not match dim 4\n"
+
+
+@pytest.mark.parametrize("threshold, pairs", [
+    ("5", "header_pairs"), ("0", None), ("nan", None), ("1e400", None),
+])
+def test_a_threshold_outside_0_1_exits_2_before_out_is_written(files, tmp_path, threshold, pairs):
+    out = tmp_path / "out.csv"
+    pairs_flag = ["--pairs", files[pairs]] if pairs else []
+    code, _, err = run(["predict", "--model", files["model"], files["a"], files["b"],
+                        *pairs_flag, "--threshold", threshold, "--out", out])
+    assert code == 2
+    assert err == f"error: --threshold: must be in (0, 1), got {float(threshold)!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, message", [
+    ("tau7_model", "tau: must be in (0, 1), got 7.0"),
+    ("tau0_model", "tau: must be in (0, 1), got 0"),
+    ("nan_model", "payload: non-finite embedding entries"),
+])
+def test_a_model_with_a_bad_tau_or_payload_exits_2_before_out_is_written(
+    files, tmp_path, model, message
+):
+    out = tmp_path / "out.csv"
+    code, _, err = run(["predict", "--model", files[model], files["a"], files["b"],
+                        "--out", out])
+    assert code == 2
+    assert err == f"error: {files[model]}: {message}\n"
+    assert not out.exists()

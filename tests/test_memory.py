@@ -86,7 +86,7 @@ def test_scored_chunks_budget(shared_values):
     half = pairs.take(slice(0, len(pairs) // 2))
 
     def score(cands):
-        return lambda: sum(len(s) for s in scored_chunks(cands, records_a, records_b, store, w))
+        return lambda: sum(len(s) for s in scored_chunks(cands, store, w))
 
     score(pairs)()  # numpy imports some of its modules on first use
     n, peak = peak_above_start(score(pairs))

@@ -130,6 +130,9 @@ class TestHeaderValues:
         ("attributes", ["civil_status", "Civil_Status"], "attributes: names must be unique"),
         ("blocking_attribute", 1, "blocking_attribute: id 1 out of range"),
         ("tau", "x", "tau: expected float | None, got 'x'"),
+        ("tau", 7.0, "tau: must be in (0, 1), got 7.0"),
+        ("tau", 0, "tau: must be in (0, 1), got 0"),
+        ("tau", 1.0, "tau: must be in (0, 1), got 1.0"),
         ("depth", 3, "depth: unknown key"),
         ("embed.dim", 7, "embed.dim: 7 does not match dim 6"),
     ])
@@ -138,6 +141,19 @@ class TestHeaderValues:
         save_model(path, toy_bundle(civil_toy))
         rewrite_header(path, key, value)
         with pytest.raises(LoadError, match=re.escape(f"{path}: {message}")):
+            load_model(path)
+
+    @pytest.mark.parametrize("column", [0, -1])
+    def test_non_finite_payload_named(self, civil_toy, tmp_path, column):
+        path = tmp_path / "model.bin"
+        save_model(path, toy_bundle(civil_toy))
+        head, payload = path.read_bytes().split(b"\n", 1)
+        vectors = np.frombuffer(payload, dtype="<f8").copy()
+        vectors[column] = np.inf if column else np.nan  # a value or an attribute vector
+        path.write_bytes(head + b"\n" + vectors.tobytes())
+        with pytest.raises(LoadError, match=re.escape(
+            f"{path}: payload: non-finite embedding entries"
+        )):
             load_model(path)
 
     @pytest.mark.parametrize("entry", [

@@ -686,7 +686,7 @@ class TestColumnarEquivalence:
         assert np.isnan(whole.score).any()
         for column in ("a", "b", "label", "score", "probability"):
             assert getattr(chunked, column).tobytes() == getattr(whole, column).tobytes(), column
-        pieces = list(scored_chunks(pairs, a, b, store, w, 1))
+        pieces = list(scored_chunks(pairs, store, w, 1))
         assert [len(piece) for piece in pieces[:-1]] == [size] * (len(pieces) - 1)
         assert np.concatenate([piece.score for piece in pieces]).tobytes() == whole.score.tobytes()
 
@@ -712,7 +712,7 @@ class TestColumnarEquivalence:
 
         monkeypatch.setattr(weights_mod.ValuePairTerms, "_distances", counting)
         monkeypatch.setattr(candidates_mod, "PAIR_CHUNK", 7)
-        pieces = list(scored_chunks(pairs, a, b, store, w))
+        pieces = list(scored_chunks(pairs, store, w))
         assert len(pieces) > 100
         assert np.concatenate([p.score for p in pieces]).tobytes() == whole.score.tobytes()
         # every chunk shares one table per attribute: no distance is computed twice
