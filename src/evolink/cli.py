@@ -25,6 +25,7 @@ import numpy as np
 from . import pipeline
 from .candidates import Candidates, Metrics, truth_labels
 from .errors import ConfigError, EvolinkError
+from .floattext import repr_rows
 from .ingest import (
     RecordSet,
     SynthConfig,
@@ -43,12 +44,12 @@ from .weights import check_threshold, classify
 CSV_FORMAT = TextFormat(delimiter=",")
 # One predictions row: ids, then g and P at full precision (repr), then the decision.
 PREDICTION_ROW = "%d,%d,%r,%r,%s\n"
-# Rows the predictions writer joins into one string: its strings take about
-# 150 bytes a row, so joining a whole chunk at once would raise predict's peak
-# memory by several MB, at no gain in speed.
+# Rows the predictions writer builds as one byte matrix: with the renderer's
+# temporaries they take about 650 bytes a row, so a whole chunk at once would
+# raise predict's peak memory by about 40 MB, and run no faster.
 WRITE_ROWS = 1 << 13
 # a row's last field, with the comma before it, indexed by its decision
-DECISION_TEXT = np.array([",non-match\n", ",match\n"], dtype=object)
+DECISION_TEXT = np.array([b",non-match\n", b",match\n"])
 
 
 def _digest(path: Path) -> str:
@@ -164,33 +165,48 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def write_predictions(
     fh, chunks: Iterable[Candidates], records_a: RecordSet, records_b: RecordSet, tau: float
 ) -> None:
-    """Write each scored chunk as one ``PREDICTION_ROW`` line per pair.
+    """Write each scored chunk to the binary file ``fh``, one
+    ``PREDICTION_ROW`` line per pair.
 
-    The rows are built column by column: each record's id is formatted once,
-    as "<id>,", and gathered by the pairs' row arrays; g and P are repr'd a
-    column at a time. The columns are interleaved into one list by slice
-    assignment, six slots a row (the comma between g and P has its own), and
-    joined ``WRITE_ROWS`` rows at a time. No field ever needs quoting, so
-    these are the bytes csv.writer would write.
+    ``WRITE_ROWS`` rows at a time are built as one byte matrix, a column
+    block per field: the ids, each record's formatted once as "<id>," and
+    gathered by the pairs' row arrays; g and P as ``floattext.repr_rows``
+    renders them; the decision with its comma and newline. The fields' NUL
+    padding is dropped from the matrix's bytes in one ``bytes.translate``.
+    No field ever needs quoting, so these are the bytes csv.writer would
+    write.
     """
-    a_text = np.array(list(map("%d,".__mod__, records_a.id_array.tolist())), dtype=object)
-    b_text = np.array(list(map("%d,".__mod__, records_b.id_array.tolist())), dtype=object)
+    a_text, b_text = _id_text(records_a), _id_text(records_b)
     for scored in chunks:
         for start in range(0, len(scored), WRITE_ROWS):
             piece = scored.take(slice(start, start + WRITE_ROWS))
-            row = [","] * (6 * len(piece))
-            row[0::6] = a_text[piece.a].tolist()
-            row[1::6] = b_text[piece.b].tolist()
-            row[2::6] = map(repr, piece.score.tolist())
-            row[4::6] = map(repr, piece.probability.tolist())
-            row[5::6] = DECISION_TEXT[classify(piece.probability, tau).view(np.uint8)].tolist()
-            fh.write("".join(row))
+            decision = DECISION_TEXT[classify(piece.probability, tau).view(np.uint8)]
+            fields = [_byte_columns(a_text[piece.a]), _byte_columns(b_text[piece.b]),
+                      repr_rows(piece.score), np.full((len(piece), 1), ord(","), np.uint8),
+                      repr_rows(piece.probability), _byte_columns(decision)]
+            fh.write(np.concatenate(fields, axis=1).tobytes().translate(None, b"\0"))
+
+
+def _id_text(records: RecordSet) -> np.ndarray:
+    """Each record's "<id>," as a NUL-padded ``S`` array."""
+    return np.array([b"%d," % i for i in records.id_array.tolist()], dtype=np.bytes_)
+
+
+def _byte_columns(text: np.ndarray) -> np.ndarray:
+    """An ``S`` array as a (rows, itemsize) uint8 matrix."""
+    return text.view(np.uint8).reshape(len(text), text.dtype.itemsize)
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    # checked before any file is read or written (the model's tau by load_model)
+    """Score the records files' blocked pairs, or the ``--pairs`` file's,
+    and write them to ``--out`` (``write_predictions``). The threshold and
+    the model are checked before any records file is read, and ``--out`` is
+    opened only once every input has been read."""
     check_threshold(args.threshold, "--threshold")
     bundle: ModelBundle = load_model(args.model)
+    weights = bundle.weights
+    if weights is None:
+        raise EvolinkError(f"{args.model}: model carries no attribute weights")
 
     records_a, dictionary = load_records(
         args.records_a, bundle.schema, CSV_FORMAT, dictionary=bundle.dictionary
@@ -216,17 +232,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
             records_a, records_b, bundle.schema.blocking_attribute
         )
 
-    weights = bundle.weights
-    if weights is None:
-        raise EvolinkError(f"{args.model}: model carries no attribute weights")
     tau = args.threshold if args.threshold is not None else bundle.tau
     if tau is None:
         tau = 0.5
 
     out_path = Path(args.out)
     chunks = pipeline.scored_chunks(candidates, bundle.store, weights, bundle.embed_hp.norm)
-    with open(out_path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("a_id,b_id,g,P,decision\n")
+    with open(out_path, "wb") as fh:
+        fh.write(b"a_id,b_id,g,P,decision\n")
         write_predictions(fh, chunks, records_a, records_b, tau)
     print(f"scored {len(candidates)} pairs -> {out_path}")
     return 0

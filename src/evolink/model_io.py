@@ -18,7 +18,7 @@ import numpy as np
 from .embed import EmbeddingStore, EmbedHyperparams
 from .errors import ConfigError, LoadError, TrainingError
 from .ingest import Schema, ValueDictionary, json_fits, read_fields, read_object
-from .weights import WeightVector, check_threshold
+from .weights import WeightVector, check_loss_sign, check_margin, check_threshold
 
 FORMAT_TAG = "evolink-model/1"
 # the header's keys besides "format", with their JSON types; "embed" holds EmbedHyperparams
@@ -87,6 +87,10 @@ def load_model(path: str | Path) -> ModelBundle:
         embed_hp = read_fields(EmbedHyperparams, header["embed"], "embed", EMBED_KEYS)
         schema = Schema(tuple(header["attributes"]), header["blocking_attribute"])
         check_threshold(header["tau"])
+        if header["rl_margin"] is not None:
+            check_margin(header["rl_margin"], "rl_margin")
+        if header["loss_sign"] is not None:
+            check_loss_sign(header["loss_sign"])
     except ConfigError as exc:
         raise LoadError(f"{path}: {exc}") from None
     n_attrs = schema.n_attributes

@@ -47,6 +47,18 @@ class WeightVector:
         return {name: float(w) for name, w in zip(attribute_names, self.weights)}
 
 
+def check_margin(margin: float, name: str = "margin") -> None:
+    """Refuse a hinge margin outside (0, 1), NaN included, naming ``name``."""
+    if not 0.0 < margin < 1.0:
+        raise ConfigError(f"{name}: must be in (0, 1), got {margin!r}")
+
+
+def check_loss_sign(loss_sign: str) -> None:
+    """Refuse a loss mode other than "corrected" and "as_written"."""
+    if loss_sign not in ("corrected", "as_written"):
+        raise ConfigError(f"loss_sign: unknown mode {loss_sign!r}")
+
+
 @dataclass(frozen=True)
 class RLHyperparams:
     margin: float = 0.3  # hinge margin on the probability scale
@@ -59,14 +71,12 @@ class RLHyperparams:
     seed: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.margin < 1.0:
-            raise ConfigError("margin: must be in (0, 1)")
+        check_margin(self.margin)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError("learning_rate: must be finite and > 0")
         if self.epochs < 0:
             raise ConfigError("epochs: must be >= 0")
-        if self.loss_sign not in ("corrected", "as_written"):
-            raise ConfigError(f"loss_sign: unknown mode {self.loss_sign!r}")
+        check_loss_sign(self.loss_sign)
         if self.negative_ratio is not None and not (
             math.isfinite(self.negative_ratio) and self.negative_ratio > 0
         ):

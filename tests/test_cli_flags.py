@@ -83,14 +83,18 @@ def files(tmp_path_factory):
                  a=data / "A.csv", b=data / "B.csv", truth=data / "truth_links.csv")
     assert run(["predict", "--model", model, paths["a"], paths["b"],
                 "--out", paths["predictions"]])[0] == 0
-    # models whose header gives embed.dim 7 over its 4-wide vectors, or tau 7.0
-    # or 0, and one whose payload starts with a NaN
+    # models whose header gives embed.dim 7 over its 4-wide vectors, tau 7.0
+    # or 0, rl_margin 7.0, loss_sign "bogus" or no weights, and one whose
+    # payload starts with a NaN
     raw = model.read_bytes()
     newline = raw.index(b"\n")
     for name, key, value in (
         ("wide_model", "embed", {**json.loads(raw[:newline])["embed"], "dim": 7}),
         ("tau7_model", "tau", 7.0),
         ("tau0_model", "tau", 0),
+        ("margin_model", "rl_margin", 7.0),
+        ("sign_model", "loss_sign", "bogus"),
+        ("weightless_model", "weights", None),
     ):
         header = {**json.loads(raw[:newline]), key: value}
         paths[name] = root / f"{name}.bin"
@@ -145,7 +149,7 @@ COMMANDS = st.one_of(
     st.tuples(
         arg("predict"),
         flag("--model", "@model", *PATHS, "@a", "@wide_model", "@tau7_model", "@tau0_model",
-             "@nan_model"),
+             "@nan_model", "@margin_model", "@sign_model", "@weightless_model"),
         arg("@a", *PATHS, "@truth"), arg("@b", *PATHS),
         flag("--pairs", None, "@truth", "@header_pairs", *PATHS, "@a"),
         flag("--threshold", None, 0.5, 0, 1, 5, "nan", "inf", "1e400"),
@@ -211,6 +215,8 @@ def test_a_threshold_outside_0_1_exits_2_before_out_is_written(files, tmp_path, 
     ("tau7_model", "tau: must be in (0, 1), got 7.0"),
     ("tau0_model", "tau: must be in (0, 1), got 0"),
     ("nan_model", "payload: non-finite embedding entries"),
+    ("margin_model", "rl_margin: must be in (0, 1), got 7.0"),
+    ("sign_model", "loss_sign: unknown mode 'bogus'"),
 ])
 def test_a_model_with_a_bad_tau_or_payload_exits_2_before_out_is_written(
     files, tmp_path, model, message
@@ -220,4 +226,13 @@ def test_a_model_with_a_bad_tau_or_payload_exits_2_before_out_is_written(
                         "--out", out])
     assert code == 2
     assert err == f"error: {files[model]}: {message}\n"
+    assert not out.exists()
+
+
+def test_a_model_without_weights_exits_2_before_a_records_file_is_read(files, tmp_path):
+    out = tmp_path / "out.csv"
+    code, _, err = run(["predict", "--model", files["weightless_model"], files["missing"],
+                        files["b"], "--out", out])
+    assert code == 2
+    assert err == f"error: {files['weightless_model']}: model carries no attribute weights\n"
     assert not out.exists()

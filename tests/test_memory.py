@@ -8,11 +8,14 @@ whole input at once, exceeds it at the sizes used here.
 """
 
 import gc
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from evolink.candidates import Candidates, pair_slices
+from evolink.cli import WRITE_ROWS, write_predictions
 from evolink.embed import EmbeddingStore
 from evolink.ingest import LinkedPairSet, RecordSet, Schema, ValueDictionary, read_id_rows
 from evolink.pipeline import block_candidates, label_pairs, scored_chunks
@@ -132,3 +135,31 @@ def test_read_id_rows_budget(predictions_file):
     # per row: the file's bytes, read once to check them, and later loadtxt's
     # table and the columns taken from it; the two are never held together
     assert peak <= 100 * n + 4 * MB, peak / n
+
+
+def test_write_predictions_budget(shared_values):
+    records_a, records_b, _, pairs, _ = shared_values
+    rng = np.random.default_rng(1)
+    g = rng.normal(-8.0, 4.0, len(pairs))
+    scored = Candidates(records_a, records_b, pairs.a, pairs.b, score=g,
+                        probability=1 / (1 + np.exp(-g)))
+    parts = pair_slices(len(scored))
+    assert len(parts) >= 4
+
+    def write(n_parts):
+        chunks = [scored.take(part) for part in parts[:n_parts]]
+
+        def run():
+            with open(os.devnull, "wb") as fh:
+                write_predictions(fh, chunks, records_a, records_b, 0.5)
+
+        return run
+
+    write(1)()  # the renderer builds its tables on first use
+    _, peak = peak_above_start(write(len(parts)))
+    _, one_chunk_peak = peak_above_start(write(1))
+    # per row of one WRITE_ROWS block: its byte matrix and that matrix's
+    # bytes, about 120 each, and the renderer's uint64 temporaries; nothing
+    # is kept per chunk or per pair
+    assert peak <= 800 * WRITE_ROWS + 1 * MB, peak / WRITE_ROWS
+    assert peak - one_chunk_peak <= 64 * 1024, (peak, one_chunk_peak)

@@ -135,6 +135,9 @@ class TestHeaderValues:
         ("tau", 1.0, "tau: must be in (0, 1), got 1.0"),
         ("depth", 3, "depth: unknown key"),
         ("embed.dim", 7, "embed.dim: 7 does not match dim 6"),
+        ("rl_margin", 7.0, "rl_margin: must be in (0, 1), got 7.0"),
+        ("rl_margin", 0, "rl_margin: must be in (0, 1), got 0"),
+        ("loss_sign", "bogus", "loss_sign: unknown mode 'bogus'"),
     ])
     def test_malformed_value_named(self, civil_toy, tmp_path, key, value, message):
         path = tmp_path / "model.bin"

@@ -62,14 +62,14 @@ def test_writer_text_equals_the_row_format(chunk, cands, tau, write_rows):
     if cands.probability.size and 0 < cands.probability[0] < 1:
         tau = cands.probability[0]  # a P equal to tau is a match
     size = len(cands) - 1 if chunk == "n-1" else int(chunk)
-    fh = io.StringIO()
+    fh = io.BytesIO()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(candidates_mod, "PAIR_CHUNK", size)
         patch.setattr(cli, "WRITE_ROWS", write_rows)
         parts = pair_slices(len(cands))
         cli.write_predictions(fh, map(cands.take, parts), cands.records_a, cands.records_b, tau)
     assert len(parts) == -(-len(cands) // size)
-    assert fh.getvalue() == expected_text(cands, tau)
+    assert fh.getvalue() == expected_text(cands, tau).encode()
 
 
 def test_both_decisions_and_the_float_edges():
@@ -79,13 +79,13 @@ def test_both_decisions_and_the_float_edges():
         score=np.array([np.nan, -0.0, 5e-324, 1e16, -123.456]),
         probability=np.array([0.0, 0.5, 0.25, 1 - 1e-15, 1e-15]),
     )
-    fh = io.StringIO()
+    fh = io.BytesIO()
     cli.write_predictions(fh, [cands], cands.records_a, cands.records_b, 0.25)
     assert fh.getvalue() == (
-        "-9223372036854775808,-1,nan,0.0,non-match\n"
-        "9223372036854775807,0,-0.0,0.5,match\n"
-        "-9223372036854775808,0,5e-324,0.25,match\n"
-        "9223372036854775807,-1,1e+16,0.999999999999999,match\n"
-        "9223372036854775807,0,-123.456,1e-15,non-match\n"
+        b"-9223372036854775808,-1,nan,0.0,non-match\n"
+        b"9223372036854775807,0,-0.0,0.5,match\n"
+        b"-9223372036854775808,0,5e-324,0.25,match\n"
+        b"9223372036854775807,-1,1e+16,0.999999999999999,match\n"
+        b"9223372036854775807,0,-123.456,1e-15,non-match\n"
     )
-    assert fh.getvalue() == expected_text(cands, 0.25)
+    assert fh.getvalue() == expected_text(cands, 0.25).encode()
