@@ -68,7 +68,6 @@ from .weights import (
     classify,
     g_score,
     link_probability,
-    mismatch_indicator,
     select_threshold,
     train_weights,
 )

@@ -39,7 +39,7 @@ from .ingest import (
     write_records_csv,
 )
 from .model_io import ModelBundle, load_model, save_model
-from .weights import check_threshold, classify
+from .weights import HINGES, check_threshold, classify
 
 CSV_FORMAT = TextFormat(delimiter=",")
 # One predictions row: ids, then g and P at full precision (repr), then the decision.
@@ -289,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--merl", action="store_true", help="skip weight learning (all-ones weights)")
         p.add_argument("--kg", choices=("ekg", "er"), default=None)
-        p.add_argument("--loss-sign", dest="loss_sign", choices=("corrected", "as-written"), default=None)
+        p.add_argument("--loss-sign", dest="loss_sign",
+                       choices=[mode.replace("_", "-") for mode in HINGES], default=None)
         p.set_defaults(func=cmd_train if name == "train" else cmd_experiment)
 
     p = sub.add_parser("predict", help="score candidate pairs with a trained model")

@@ -120,9 +120,7 @@ def ea_score(
                     f"value {value} is outside attribute {a}'s domain"
                 )
     residual = store.value_vectors[v] + store.attribute_vectors[a] - store.value_vectors[u]
-    if p == 1:
-        return -float(np.abs(residual).sum())
-    return -float(np.sqrt((residual * residual).sum()))
+    return -float(_distances(residual[None, :], p)[0])
 
 
 def scatter_rows(index: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -404,12 +404,12 @@ def load_records(
     schema: Schema,
     fmt: TextFormat = TextFormat(),
     dictionary: ValueDictionary | None = None,
-    start_entity_id: int = 0,
 ) -> tuple[RecordSet, ValueDictionary]:
     """Read one delimited UTF-8 file into standardized, interned records.
 
     The header must carry the schema's attribute names (case-insensitive, in
-    order), optionally plus an id column named ``ID_COLUMN`` anywhere.
+    order), optionally plus an id column named ``ID_COLUMN`` anywhere;
+    without one, rows are numbered from 0.
     Cells matching a null marker after standardization become missing
     attributes. Pass an existing ``dictionary`` to share value ids across
     files (required when two files will be compared to each other).
@@ -469,7 +469,7 @@ def load_records(
                 if entity_id is None:
                     raise LoadError(f"{path}: line {lineno}: entity ids must fit in 64 bits")
             else:
-                entity_id = start_entity_id + len(ids)
+                entity_id = len(ids)
             ids.append(entity_id)
             row_cells = []
             for attr, (col, memo) in enumerate(zip(attr_cols, memos)):

@@ -366,9 +366,6 @@ class ExperimentReport:
     tau: float
     validation_f: float
     metrics: Metrics
-    mode: str
-    kg_variant: str
-    loss_sign: str
 
 
 class StageTiming(NamedTuple):
@@ -490,6 +487,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         tau, validation_f = select_threshold(scored_val.probability, scored_val.label)
 
     with _stage("evaluate", timings):
+        if not len(test.links):
+            raise ConfigError("ratios: the test split holds no link; its metrics are undefined")
         scored_test = score_pairs(
             labeled["test"], test.records_a, test.records_b, store, w, p=embed_hp.norm
         )
@@ -506,9 +505,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         tau=tau,
         validation_f=validation_f,
         metrics=metrics,
-        mode=config.mode,
-        kg_variant=config.kg_variant,
-        loss_sign=config.rl.loss_sign,
     )
     bundle = ModelBundle(
         schema=schema,
@@ -568,9 +564,9 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> None:
         )
 
     lines = ["record linkage run report", "=" * 26, ""]
-    lines.append(f"mode: {report.mode}")
-    lines.append(f"kg_variant: {report.kg_variant}")
-    lines.append(f"loss_sign: {report.loss_sign}")
+    lines.append(f"mode: {report.config['mode']}")
+    lines.append(f"kg_variant: {report.config['kg_variant']}")
+    lines.append(f"loss_sign: {report.config['rl']['loss_sign']}")
     lines.append(
         "seeds: " + " ".join(f"{k}={v}" for k, v in sorted(report.seeds.items()))
     )

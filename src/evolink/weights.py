@@ -53,9 +53,20 @@ def check_margin(margin: float, name: str = "margin") -> None:
         raise ConfigError(f"{name}: must be in (0, 1), got {margin!r}")
 
 
+# Each loss mode's hinge max(0, offset + sign * P) on a positive and on a
+# negative pair, as margin -> (offset, sign); an active hinge's slope in P is
+# sign. Every reader of the loss mode takes its rule from here.
+HINGES = {
+    # push P up on true pairs, down on false pairs
+    "corrected": (lambda m: (m, -1.0), lambda m: (-(1.0 - m), 1.0)),
+    # the paper's literal reading: penalizes high P on true pairs
+    "as_written": (lambda m: (m, 1.0), lambda m: (m, -1.0)),
+}
+
+
 def check_loss_sign(loss_sign: str) -> None:
-    """Refuse a loss mode other than "corrected" and "as_written"."""
-    if loss_sign not in ("corrected", "as_written"):
+    """Refuse a loss mode that ``HINGES`` does not name."""
+    if loss_sign not in HINGES:
         raise ConfigError(f"loss_sign: unknown mode {loss_sign!r}")
 
 
@@ -64,7 +75,7 @@ class RLHyperparams:
     margin: float = 0.3  # hinge margin on the probability scale
     learning_rate: float = 0.5
     epochs: int = 200
-    loss_sign: str = "corrected"  # or "as_written"
+    loss_sign: str = "corrected"  # a key of HINGES
     negative_ratio: float | None = 10.0  # negatives per positive each epoch
     nonnegative: bool = False
     # None: unset; an experiment derives it from its own seed, a bare call uses 0
@@ -85,9 +96,9 @@ class RLHyperparams:
             raise ConfigError("seed: must be >= 0")
 
 
-def mismatch_indicator(v: int, u: int) -> int:
-    """0 when the two value ids are equal, 1 otherwise."""
-    return 0 if v == u else 1
+def hinge(hp: RLHyperparams, positive: bool) -> tuple[float, float]:
+    """(offset, sign) of ``hp``'s hinge on a positive or a negative pair."""
+    return HINGES[hp.loss_sign][0 if positive else 1](hp.margin)
 
 
 def sigmoid(g):
@@ -329,37 +340,19 @@ def _epoch_loss_and_gradient(
     w: np.ndarray,
     hp: RLHyperparams,
 ) -> tuple[float, np.ndarray]:
-    g_pos = features_pos @ w
-    g_neg = features_neg @ w
-    # unclipped, unlike sigmoid(): the trained weights depend on these exact floats
-    with np.errstate(over="ignore"):
-        p_pos = 1.0 / (1.0 + np.exp(-g_pos))
-        p_neg = 1.0 / (1.0 + np.exp(-g_neg))
     grad = np.zeros_like(w)
-
-    if hp.loss_sign == "corrected":
-        # push P up on true pairs, down on false pairs
-        loss_pos = np.maximum(0.0, hp.margin - p_pos)
-        act = loss_pos > 0
+    losses = []
+    for features, positive in ((features_pos, True), (features_neg, False)):
+        offset, sign = hinge(hp, positive)
+        # unclipped, unlike sigmoid(): the trained weights depend on these exact floats
+        with np.errstate(over="ignore"):
+            prob = 1.0 / (1.0 + np.exp(-(features @ w)))
+        loss = np.maximum(0.0, offset + sign * prob)
+        act = loss > 0
         if act.any():
-            grad -= ((p_pos * (1 - p_pos))[act, None] * features_pos[act]).sum(axis=0)
-        loss_neg = np.maximum(0.0, p_neg - (1.0 - hp.margin))
-        act = loss_neg > 0
-        if act.any():
-            grad += ((p_neg * (1 - p_neg))[act, None] * features_neg[act]).sum(axis=0)
-    else:
-        # literal reading: penalizes high P on true pairs
-        loss_pos = np.maximum(0.0, hp.margin + p_pos)
-        act = loss_pos > 0
-        if act.any():
-            grad += ((p_pos * (1 - p_pos))[act, None] * features_pos[act]).sum(axis=0)
-        loss_neg = np.maximum(0.0, hp.margin - p_neg)
-        act = loss_neg > 0
-        if act.any():
-            grad -= ((p_neg * (1 - p_neg))[act, None] * features_neg[act]).sum(axis=0)
-
-    total = float(loss_pos.sum() + loss_neg.sum())
-    return total, grad
+            grad += sign * ((prob * (1 - prob))[act, None] * features[act]).sum(axis=0)
+        losses.append(loss.sum())
+    return float(losses[0] + losses[1]), grad
 
 
 def _scorable(cands: Candidates) -> np.ndarray:
@@ -369,6 +362,13 @@ def _scorable(cands: Candidates) -> np.ndarray:
     present_a = np.packbits(cands.records_a.value_matrix >= 0, axis=1)
     present_b = np.packbits(cands.records_b.value_matrix >= 0, axis=1)
     return (present_a[cands.a] & present_b[cands.b]).any(axis=1)
+
+
+def _inert_negatives(hp: RLHyperparams) -> bool:
+    """Whether no negative's hinge can bind while P <= 0.5, as it is while
+    every weight is >= 0: a rising hinge with offset + 0.5 <= 0 stays 0."""
+    offset, sign = hinge(hp, positive=False)
+    return sign > 0 and offset + 0.5 <= 0
 
 
 def train_weights(
@@ -391,10 +391,19 @@ def train_weights(
     ``negative_ratio`` set, at most that many scorable negatives per positive.
     Deterministic given the seed.
 
+    A pair's hinge is max(0, offset + sign * P), with (offset, sign) from
+    ``HINGES`` for margin m:
+
+        mode        positive    negative
+        corrected   (m, -1)     (-(1 - m), +1)
+        as_written  (m, +1)     (m, -1)
+
     Every feature is <= 0 (minus a distance, or 0). So while every weight is
-    >= 0, each pair has g <= 0 and P <= 0.5, and under the corrected loss
-    with a margin <= 0.5 a negative's hinge max(0, P - (1 - margin)) is
-    exactly 0. An epoch in that state skips the negatives' draw, gather and
+    >= 0, each pair has g <= 0 and P <= 0.5, and when the negatives' row has
+    sign +1 and offset + 0.5 <= 0 every negative's hinge is exactly 0
+    (``_inert_negatives``); in the table that is corrected with m <= 0.5, as
+    -(1 - m) + 0.5 <= 0 holds exactly then.
+    An epoch in that state skips the negatives' draw, gather and
     products, which would add exactly 0 to the loss and the gradient; only
     their count enters the mean, taken from value presence. Negative
     features are built the first time an epoch needs them, which under the
@@ -420,8 +429,7 @@ def train_weights(
     if hp.negative_ratio is not None:
         n_draw = min(n_draw, int(round(hp.negative_ratio * len(feats_pos))))
     n_used = len(feats_pos) + n_draw
-    # under the corrected hinge with margin <= 0.5, negatives bind only once a weight is < 0
-    skippable = hp.loss_sign == "corrected" and hp.margin <= 0.5
+    skippable = _inert_negatives(hp)
     no_negatives = np.zeros((0, len(w)))
     feats_neg = None
 
@@ -454,14 +462,8 @@ def train_weights(
 
 def pair_loss(terms: np.ndarray, positive: bool, w: np.ndarray, hp: RLHyperparams) -> float:
     """Hinge loss of one scored pair under the configured sign mode."""
-    prob = sigmoid(float(np.dot(w, terms)))
-    if hp.loss_sign == "corrected":
-        if positive:
-            return max(0.0, hp.margin - prob)
-        return max(0.0, prob - (1.0 - hp.margin))
-    if positive:
-        return max(0.0, hp.margin + prob)
-    return max(0.0, hp.margin - prob)
+    offset, sign = hinge(hp, positive)
+    return max(0.0, offset + sign * sigmoid(float(np.dot(w, terms))))
 
 
 def weight_gradient_check(
@@ -476,19 +478,12 @@ def weight_gradient_check(
         raise ConfigError("epsilon: must be in [1e-7, 1e-3]")
     prob = sigmoid(float(np.dot(w, terms)))
     slack = 10.0 * epsilon * max(1.0, float(np.abs(terms).max(initial=0.0)))
-
-    if hp.loss_sign == "corrected":
-        boundary = hp.margin - prob if positive else prob - (1.0 - hp.margin)
-        sign = -1.0 if positive else 1.0
-        active = boundary > 0
-    else:
-        boundary = hp.margin + prob if positive else hp.margin - prob
-        sign = 1.0 if positive else -1.0
-        active = boundary > 0
+    offset, sign = hinge(hp, positive)
+    boundary = offset + sign * prob
     if abs(boundary) <= slack:
         return GradientCheckResult(0.0, 0, len(w))
 
-    grad = sign * prob * (1.0 - prob) * terms if active else np.zeros_like(terms)
+    grad = sign * prob * (1.0 - prob) * terms if boundary > 0 else np.zeros_like(terms)
 
     max_err = 0.0
     checked = 0
@@ -531,9 +526,13 @@ def select_threshold(
 
     Sweeps 99 evenly spaced thresholds; ties break toward the larger
     threshold (favoring precision). Returns (threshold, best F-score).
+    Labels with no true pair leave F at 0 for every threshold, so they are
+    refused.
     """
     probs = np.asarray(probabilities, dtype=float)
     truth = np.asarray(labels, dtype=bool)
+    if not truth.any():
+        raise TrainingError("no true pair among the labels; no threshold is defined")
     best_tau, best_f = THRESHOLD_GRID[0], -1.0
     for tau in THRESHOLD_GRID:
         f = Metrics.from_decisions(probs >= tau, truth).f_score

@@ -160,9 +160,9 @@ class TestLoadRecords:
         a = write(tmp_path, "a.csv", "name;birth_year;civil_status\nmaria;1867;single\n")
         b = write(tmp_path, "b.csv", "name;birth_year;civil_status\nmaria;1901;married\n")
         records_a, d = load_records(a, THREE_COL)
-        records_b, _ = load_records(b, THREE_COL, dictionary=d, start_entity_id=100)
+        records_b, _ = load_records(b, THREE_COL, dictionary=d)
         assert records_a.records[0].values[0] == records_b.records[0].values[0]
-        assert records_b.records[0].entity_id == 100
+        assert records_b.records[0].entity_id == 0
 
 
 def random_records(rng, n=30, n_values=(3, 5, 2), missing=0.3):

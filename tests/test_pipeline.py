@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evolink.cli import main
 from evolink.errors import BlockingCapError, ConfigError, StageError
 from evolink.ingest import (
     LinkedPairSet,
@@ -209,7 +210,7 @@ class TestRunExperiment:
     def test_werl_mode_trains_weights(self):
         result = run_experiment(small_config())
         assert len(result.report.weights_loss) == 60
-        assert result.report.mode == "werl"
+        assert result.report.config["mode"] == "werl"
 
     def test_er_variant_runs_with_identity_and_reverse(self):
         plain = run_experiment(small_config())
@@ -269,6 +270,33 @@ class TestRunExperiment:
         )
         with pytest.raises(StageError, match="load"):
             run_experiment(config)
+
+    # an empty validation split leaves the threshold undefined, an empty test
+    # split the test metrics; a zero ratio in the config makes either
+    EMPTY_SPLITS = [
+        ([0.8, 0.0, 0.2], "threshold", "no true pair among the labels"),
+        ([0.8, 0.2, 0.0], "evaluate", "the test split holds no link"),
+    ]
+
+    @pytest.mark.parametrize("ratios, stage, message", EMPTY_SPLITS)
+    def test_an_empty_split_fails_its_stage(self, ratios, stage, message):
+        config = small_config(ratios=ratios, embed={"dim": 4, "epochs": 2}, rl={"epochs": 2})
+        with pytest.raises(StageError, match=f"^stage '{stage}' failed: .*{message}") as info:
+            run_experiment(config)
+        assert info.value.stage == stage
+
+    @pytest.mark.parametrize("ratios, stage, message", EMPTY_SPLITS)
+    def test_an_empty_split_exits_2_without_a_report(self, tmp_path, capsys, ratios, stage, message):
+        raw = {**small_config().to_dict(), "ratios": ratios,
+               "embed": {"dim": 4, "epochs": 2}, "rl": {"epochs": 2}}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: stage '{stage}' failed: ") and message in errors[0]
+        assert not out.exists()
 
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="mode"):

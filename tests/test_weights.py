@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from evolink import weights as weights_mod
 from evolink.embed import EmbeddingStore
-from evolink.errors import ConfigError, UndefinedPairError
+from evolink.errors import ConfigError, TrainingError, UndefinedPairError
 from evolink.ingest import Record, RecordSet, Schema, ValueDictionary
 from evolink.candidates import Candidates
 from evolink.pipeline import CandidatePair
@@ -19,7 +19,7 @@ from evolink.weights import (
     feature_matrix,
     g_score,
     link_probability,
-    mismatch_indicator,
+    pair_loss,
     pair_terms,
     select_threshold,
     sigmoid,
@@ -42,18 +42,6 @@ def two_attribute_setup():
     records_a = RecordSet(schema, d, (head,))
     records_b = RecordSet(schema, d, (tail, Record(2, {0: a0v0, 1: a1v0})))
     return store, records_a, records_b, head, tail
-
-
-class TestMismatchIndicator:
-    def test_equal_is_zero(self):
-        assert mismatch_indicator(7, 7) == 0
-
-    def test_different_is_one(self):
-        assert mismatch_indicator(7, 9) == 1
-
-    @given(st.integers(0, 50), st.integers(0, 50))
-    def test_symmetric(self, v, u):
-        assert mismatch_indicator(v, u) == mismatch_indicator(u, v)
 
 
 class TestSigmoid:
@@ -456,6 +444,104 @@ class TestInertNegatives:
         assert grad.tobytes() == bare_grad.tobytes()
 
 
+def reference_epoch_loss_and_gradient(features_pos, features_neg, w, hp):
+    """Reference for ``_epoch_loss_and_gradient``: each loss mode's hinges
+    written out in a branch of their own, independent of ``weights.HINGES``."""
+    g_pos = features_pos @ w
+    g_neg = features_neg @ w
+    with np.errstate(over="ignore"):
+        p_pos = 1.0 / (1.0 + np.exp(-g_pos))
+        p_neg = 1.0 / (1.0 + np.exp(-g_neg))
+    grad = np.zeros_like(w)
+
+    if hp.loss_sign == "corrected":
+        loss_pos = np.maximum(0.0, hp.margin - p_pos)
+        act = loss_pos > 0
+        if act.any():
+            grad -= ((p_pos * (1 - p_pos))[act, None] * features_pos[act]).sum(axis=0)
+        loss_neg = np.maximum(0.0, p_neg - (1.0 - hp.margin))
+        act = loss_neg > 0
+        if act.any():
+            grad += ((p_neg * (1 - p_neg))[act, None] * features_neg[act]).sum(axis=0)
+    else:
+        loss_pos = np.maximum(0.0, hp.margin + p_pos)
+        act = loss_pos > 0
+        if act.any():
+            grad += ((p_pos * (1 - p_pos))[act, None] * features_pos[act]).sum(axis=0)
+        loss_neg = np.maximum(0.0, hp.margin - p_neg)
+        act = loss_neg > 0
+        if act.any():
+            grad -= ((p_neg * (1 - p_neg))[act, None] * features_neg[act]).sum(axis=0)
+
+    total = float(loss_pos.sum() + loss_neg.sum())
+    return total, grad
+
+
+def reference_pair_loss(terms, positive, w, hp):
+    """Reference for ``pair_loss``, one branch per loss mode and side."""
+    prob = sigmoid(float(np.dot(w, terms)))
+    if hp.loss_sign == "corrected":
+        if positive:
+            return max(0.0, hp.margin - prob)
+        return max(0.0, prob - (1.0 - hp.margin))
+    if positive:
+        return max(0.0, hp.margin + prob)
+    return max(0.0, hp.margin - prob)
+
+
+def any_features(n_rows, n_attr):
+    # |feature * weight| <= 1e200, so g reaches far past exp's overflow at
+    # about 709 without a sum ever overflowing to inf
+    return st.lists(
+        st.lists(st.floats(-1e100, 1e100), min_size=n_attr, max_size=n_attr),
+        min_size=n_rows, max_size=n_rows,
+    ).map(lambda rows: np.array(rows, dtype=float).reshape(n_rows, n_attr))
+
+
+margins = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+loss_signs = st.sampled_from(sorted(weights_mod.HINGES))
+
+
+@st.composite
+def hinge_epochs(draw):
+    n_attr = draw(st.integers(1, 4))
+    pos = draw(any_features(draw(st.integers(0, 6)), n_attr))
+    neg = draw(any_features(draw(st.integers(0, 6)), n_attr))
+    w = np.array(draw(st.lists(st.floats(-1e100, 1e100), min_size=n_attr, max_size=n_attr)))
+    hp = RLHyperparams(margin=draw(margins), loss_sign=draw(loss_signs))
+    return pos, neg, w, hp
+
+
+class TestHingeTable:
+    """Every reader of ``weights.HINGES`` gives the floats of the branches it
+    replaced, bit for bit. Swapping the negatives' sign of either mode in the
+    table, for one, fails both tests here."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hinge_epochs())
+    def test_epoch_loss_and_pair_loss_equal_the_branches(self, epoch):
+        pos, neg, w, hp = epoch
+        total, grad = _epoch_loss_and_gradient(pos, neg, w, hp)
+        ref_total, ref_grad = reference_epoch_loss_and_gradient(pos, neg, w, hp)
+        assert np.float64(total).tobytes() == np.float64(ref_total).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        event("g overflows" if np.abs(np.concatenate((pos, neg)) @ w).max(initial=0) > 709
+              else "g finite")
+        for positive, rows in ((True, pos), (False, neg)):
+            for terms in rows:
+                assert np.float64(pair_loss(terms, positive, w, hp)).tobytes() == (
+                    np.float64(reference_pair_loss(terms, positive, w, hp)).tobytes()
+                )
+
+    @given(margins, loss_signs)
+    @example(0.5, "corrected")
+    @example(math.nextafter(0.5, 0.0), "corrected")
+    @example(math.nextafter(0.5, 1.0), "corrected")
+    def test_negatives_skip_exactly_under_corrected_margins_up_to_half(self, margin, loss_sign):
+        hp = RLHyperparams(margin=margin, loss_sign=loss_sign)
+        assert weights_mod._inert_negatives(hp) == (loss_sign == "corrected" and margin <= 0.5)
+
+
 class TestWeightGradientCheck:
     def test_active_hinges_match_finite_differences(self, rng):
         worst = 0.0
@@ -510,6 +596,11 @@ class TestClassifyAndThreshold:
         tau, f = select_threshold(probs, labels)
         assert f == 1.0
         assert tau == 0.9
+
+    @pytest.mark.parametrize("labels", [[], [False, False, False]])
+    def test_labels_without_a_true_pair_are_refused(self, labels):
+        with pytest.raises(TrainingError, match="no true pair among the labels"):
+            select_threshold([0.2, 0.5, 0.9][: len(labels)], labels)
 
 
 def mixed_value_setup(rng):
