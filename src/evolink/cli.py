@@ -10,7 +10,6 @@ configuration or data errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -27,6 +26,8 @@ from .candidates import Candidates, Metrics, truth_labels
 from .errors import ConfigError, EvolinkError
 from .floattext import repr_rows
 from .ingest import (
+    DECISIONS,
+    PREDICTION_COLUMNS,
     RecordSet,
     SynthConfig,
     TextFormat,
@@ -35,6 +36,7 @@ from .ingest import (
     load_links,
     load_records,
     read_id_rows,
+    write_csv,
     write_links_csv,
     write_records_csv,
 )
@@ -49,7 +51,7 @@ PREDICTION_ROW = "%d,%d,%r,%r,%s\n"
 # raise predict's peak memory by about 40 MB, and run no faster.
 WRITE_ROWS = 1 << 13
 # a row's last field, with the comma before it, indexed by its decision
-DECISION_TEXT = np.array([b",non-match\n", b",match\n"])
+DECISION_TEXT = np.array([f",{decision}\n".encode() for decision in DECISIONS])
 
 
 def _digest(path: Path) -> str:
@@ -88,11 +90,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     write_records_csv(data.records_a, out / "A.csv")
     write_records_csv(data.records_b, out / "B.csv")
     write_links_csv(data.links, out / "truth_links.csv")
-    with open(out / "evolution_rules.csv", "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["attribute", "from", "to", "probability"])
-        for rule in config.evolution_rules:
-            writer.writerow([rule.attribute, rule.source, rule.target, repr(rule.probability)])
+    write_csv(out / "evolution_rules.csv", ["attribute", "from", "to", "probability"], (
+        [rule.attribute, rule.source, rule.target, repr(rule.probability)]
+        for rule in config.evolution_rules
+    ))
 
     artifacts = [out / n for n in ("A.csv", "B.csv", "truth_links.csv", "evolution_rules.csv")]
     _write_manifest(out, "generate", {"seed": args.seed}, [Path(args.config)], artifacts, args.config)
@@ -239,7 +240,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     chunks = pipeline.scored_chunks(candidates, bundle.store, weights, bundle.embed_hp.norm)
     with open(out_path, "wb") as fh:
-        fh.write(b"a_id,b_id,g,P,decision\n")
+        fh.write(",".join(PREDICTION_COLUMNS).encode() + b"\n")
         write_predictions(fh, chunks, records_a, records_b, tau)
     print(f"scored {len(candidates)} pairs -> {out_path}")
     return 0

@@ -75,8 +75,7 @@ def init_embeddings(ekg: EvolutionKG, hp: EmbedHyperparams) -> EmbeddingStore:
     rng = np.random.default_rng(hp.seed or 0)
     bound = 6.0 / math.sqrt(hp.dim)
     value_vectors = rng.uniform(-bound, bound, size=(len(ekg.values), hp.dim))
-    norms = np.linalg.norm(value_vectors, axis=1, keepdims=True)
-    value_vectors /= np.maximum(norms, 1e-12)
+    value_vectors /= np.maximum(_distances(value_vectors, 2), 1e-12)[:, None]
     attribute_vectors = rng.uniform(
         -bound, bound, size=(ekg.values.n_attributes, hp.dim)
     )
@@ -84,6 +83,8 @@ def init_embeddings(ekg: EvolutionKG, hp: EmbedHyperparams) -> EmbeddingStore:
 
 
 def _distances(residual: np.ndarray, p: int) -> np.ndarray:
+    """The p-norm (p = 1 or 2) of each row: every norm and distance evolink
+    computes is this function's."""
     if p == 1:
         return np.abs(residual).sum(axis=1)
     return np.sqrt((residual * residual).sum(axis=1))
@@ -223,7 +224,7 @@ def train_embeddings(
                 touched = np.concatenate([h, t, negs])
                 check = touched[unsettled[touched]]
                 rows = values[check]
-                norms = np.sqrt((rows * rows).sum(axis=1))
+                norms = _distances(rows, 2)
                 over = norms > 1.0
                 values[check[over]] = rows[over] / norms[over, None]
                 unsettled[check] = over

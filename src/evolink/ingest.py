@@ -215,6 +215,16 @@ class Record:
     values: Mapping[int, int]
 
 
+# A direct table over a range of keys is used while it has at most this many
+# slots per key it serves; past that, sorting or searching the keys is cheaper.
+TABLE_SLOTS_PER_KEY = 4
+
+
+def dense_table(size: int, n_keys: int) -> bool:
+    """Whether a table of ``size`` slots costs no more than sorting ``n_keys`` keys."""
+    return size <= TABLE_SLOTS_PER_KEY * n_keys
+
+
 def id_ranks(ids, known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Position of each id in the sorted, distinct ``known`` (some position in
     range where it is absent, 0 if ``known`` is empty), and whether it is there.
@@ -229,7 +239,7 @@ def id_ranks(ids, known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=bool)
     low = int(known[0])
     span = int(known[-1]) - low + 1
-    if span <= 4 * len(ids):  # a direct table costs no more than a binary search
+    if dense_table(span, len(ids)):
         table = np.zeros(span, dtype=np.int64)
         table[known - low] = np.arange(len(known))
         offset = ids - low  # wraps out of [0, span) for ids far outside it
@@ -510,14 +520,18 @@ def _decoded_rows(reader: Iterator[list[str]], path: Path) -> Iterator[list[str]
         raise
 
 
+# The header of a predictions file, and a row's decision, indexed by whether
+# the pair is a match.
+PREDICTION_COLUMNS = ("a_id", "b_id", "g", "P", "decision")
+DECISIONS = ("non-match", "match")
+DECISION_COLUMN = PREDICTION_COLUMNS.index("decision")
 # Per kind of id file: the fewest and most columns a row may have (None: no
 # limit), and the message for a row outside them.
 ID_FILES = {
     "links": (2, 2, "expected 2 columns"),
     "pairs": (2, None, "expected two id columns"),
-    "predictions": (5, None, "expected 5 columns"),
+    "predictions": (len(PREDICTION_COLUMNS), None, f"expected {len(PREDICTION_COLUMNS)} columns"),
 }
-DECISION_COLUMN = 4  # of a predictions row: "match" or "non-match"
 BAD_ID = "bad entity id"
 ID_TEXT = re.compile(r"-?[0-9]+")
 # bytes on which np.loadtxt is laxer than the rules: it takes a sign and strips
@@ -557,10 +571,10 @@ def _parse_line(line: str, kind: str, delimiter: str) -> tuple[int, int, bool] |
     a_id, b_id = map(_id_value, cells[:2])
     if a_id is None or b_id is None:
         return "entity ids must fit in 64 bits"
-    decision = cells[DECISION_COLUMN] if kind == "predictions" else "match"
-    if decision not in ("match", "non-match"):
+    decision = cells[DECISION_COLUMN] if kind == "predictions" else DECISIONS[True]
+    if decision not in DECISIONS:
         return f"unknown decision {decision!r}"
-    return a_id, b_id, decision == "match"
+    return a_id, b_id, decision == DECISIONS[True]
 
 
 def _strict_rows(path: Path, kind: str, fmt: TextFormat) -> IdRows:
@@ -621,8 +635,8 @@ def _loadtxt_rows(path: Path, kind: str, fmt: TextFormat) -> IdRows | None:
         return None
     matches = None
     if kind == "predictions":
-        matches = table["decision"] == b"match"
-        if not (matches | (table["decision"] == b"non-match")).all():
+        matches = table["decision"] == DECISIONS[True].encode()
+        if not (matches | (table["decision"] == DECISIONS[False].encode())).all():
             return None
     return IdRows(table["a"].copy(), table["b"].copy(), matches, 1 + header)
 
@@ -660,7 +674,7 @@ def read_id_rows(
     Each line is a row of ``fmt.delimiter``-separated fields, ended by LF or
     CR LF (or by the end of the file); fields are not quoted. The first two
     fields are ids, ASCII ``-?[0-9]+`` within int64; a predictions row's fifth
-    field is ``match`` or ``non-match``. A first line whose ids do not parse is
+    field is one of ``DECISIONS``. A first line whose ids do not parse is
     a header and is skipped. The first malformed row, then the first row that
     repeats an earlier row's (a, b) pair, raises a LoadError naming the file
     and line.
@@ -690,28 +704,28 @@ def load_links(
     return LinkedPairSet(np.column_stack((rows.a_ids, rows.b_ids)), provenance)
 
 
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write ``header``, then ``rows``, as ``ENCODING`` CSV with LF line ends."""
+    with open(path, "w", newline="\n", encoding=ENCODING) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_records_csv(records: RecordSet, path: str | Path) -> None:
     """Write records as CSV with a header row, ids in an ``ID_COLUMN`` column
     first; missing attributes become empty cells."""
     # indexed by value id; the trailing "" is what a missing value's -1 picks
     strings = [text for _, _, text in records.dictionary.entries()] + [""]
-    with open(path, "w", newline="\n", encoding=ENCODING) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([ID_COLUMN, *records.schema.attributes])
-        writer.writerows(
-            [entity_id, *map(strings.__getitem__, row)]
-            for entity_id, row in zip(
-                records.id_array.tolist(), records.value_matrix.tolist()
-            )
-        )
+    write_csv(path, [ID_COLUMN, *records.schema.attributes], (
+        [entity_id, *map(strings.__getitem__, row)]
+        for entity_id, row in zip(records.id_array.tolist(), records.value_matrix.tolist())
+    ))
 
 
 def write_links_csv(links: LinkedPairSet, path: str | Path) -> None:
     """Write links as CSV with an ``a_id,b_id`` header row."""
-    with open(path, "w", newline="\n", encoding=ENCODING) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["a_id", "b_id"])
-        writer.writerows(zip(links.a_ids.tolist(), links.b_ids.tolist()))
+    write_csv(path, ["a_id", "b_id"], zip(links.a_ids.tolist(), links.b_ids.tolist()))
 
 
 def _allocate(n: int, ratios: Sequence[float]) -> list[int]:
@@ -724,6 +738,16 @@ def _allocate(n: int, ratios: Sequence[float]) -> list[int]:
     for i in fractional[:remainder]:
         base[i] += 1
     return base
+
+
+def check_ratios(ratios: Sequence[float]) -> None:
+    """Refuse split ratios that are not three non-negative fractions summing to 1."""
+    if len(ratios) != 3:
+        raise ConfigError("ratios: expected three fractions")
+    if any(r < 0 for r in ratios):
+        raise ConfigError("ratios: fractions must be non-negative")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError(f"ratios: must sum to 1, got {sum(ratios)!r}")
 
 
 def partition(
@@ -739,12 +763,7 @@ def partition(
     records; records not touched by any link are spread across the splits
     with the same ratios. Deterministic for a fixed seed.
     """
-    if len(ratios) != 3:
-        raise ConfigError("ratios: expected three fractions")
-    if any(r < 0 for r in ratios):
-        raise ConfigError("ratios: fractions must be non-negative")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"ratios: must sum to 1, got {sum(ratios)!r}")
+    check_ratios(ratios)
     if len(links) == 0:
         raise ConfigError("links: empty link set")
 

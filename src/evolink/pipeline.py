@@ -9,7 +9,6 @@ and is deterministic given its seeds.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import sys
@@ -46,6 +45,7 @@ from .ingest import (
     SynthConfig,
     TextFormat,
     build,
+    check_ratios,
     generate_synthetic,
     load_links,
     load_records,
@@ -53,6 +53,7 @@ from .ingest import (
     read_fields,
     read_json,
     read_object,
+    write_csv,
 )
 from .model_io import ModelBundle
 from .weights import RLHyperparams, WeightVector, select_threshold, sigmoid, train_weights
@@ -303,8 +304,7 @@ class ExperimentConfig:
             raise ConfigError(f"mode: unknown mode {self.mode!r}")
         if self.kg_variant not in ("ekg", "er"):
             raise ConfigError(f"kg_variant: unknown variant {self.kg_variant!r}")
-        if len(self.ratios) != 3:
-            raise ConfigError("ratios: expected three fractions")
+        check_ratios(self.ratios)
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
         object.__setattr__(self, "data_source", _read_source(self.source))
@@ -519,14 +519,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(report, bundle, (train, validation, test), scored_test, timings)
 
 
-def _write_loss_csv(path: Path, losses: Sequence[float]) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "loss"])
-        for i, loss in enumerate(losses):
-            writer.writerow([i, repr(float(loss))])
-
-
 def write_report(report: ExperimentReport, out_dir: str | Path) -> None:
     """Write the fixed run-directory layout.
 
@@ -547,21 +539,20 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> None:
     (out / "config.json").write_text(
         json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    _write_loss_csv(out / "loss_embed.csv", report.embed_loss)
-    _write_loss_csv(out / "loss_weights.csv", report.weights_loss)
+    for name, losses in (("loss_embed.csv", report.embed_loss),
+                         ("loss_weights.csv", report.weights_loss)):
+        write_csv(out / name, ["epoch", "loss"],
+                  ([i, repr(float(loss))] for i, loss in enumerate(losses)))
 
     m = report.metrics
-    with open(out / "metrics.csv", "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["accuracy", "precision", "recall", "f_score", "tp", "fp", "tn", "fn", "tau"]
-        )
-        writer.writerow(
-            [
-                repr(m.accuracy), repr(m.precision), repr(m.recall), repr(m.f_score),
-                m.tp, m.fp, m.tn, m.fn, repr(report.tau),
-            ]
-        )
+    write_csv(
+        out / "metrics.csv",
+        ["accuracy", "precision", "recall", "f_score", "tp", "fp", "tn", "fn", "tau"],
+        [[
+            repr(m.accuracy), repr(m.precision), repr(m.recall), repr(m.f_score),
+            m.tp, m.fp, m.tn, m.fn, repr(report.tau),
+        ]],
+    )
 
     lines = ["record linkage run report", "=" * 26, ""]
     lines.append(f"mode: {report.config['mode']}")

@@ -15,18 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from .candidates import Candidates, Metrics
-from .embed import EmbeddingStore, GradientCheckResult, _distances
+from .embed import EmbeddingStore, GradientCheckResult, _distances, ea_score
 from .errors import ConfigError, TrainingError, UndefinedPairError
-from .ingest import Record, RecordSet
+from .ingest import Record, RecordSet, dense_table, id_ranks
 
 _P_FLOOR = 1e-15  # keeps probabilities strictly inside (0, 1)
 # Distinct (v, u) value pairs whose distances feature_matrix computes at once:
 # a block's (rows x dim) residuals, 400 kB at dim 50, stay in cache.
 DISTANCE_BLOCK = 1024
-# A table over all pairs of an attribute's values is used while it has at
-# most this many slots per key it serves; past that, sorting the keys is
-# cheaper (ValuePairTerms).
-TABLE_SLOTS_PER_KEY = 4
 
 
 @dataclass(frozen=True)
@@ -101,16 +97,20 @@ def hinge(hp: RLHyperparams, positive: bool) -> tuple[float, float]:
     return HINGES[hp.loss_sign][0 if positive else 1](hp.margin)
 
 
-def sigmoid(g):
-    """Logistic function clipped to [1e-15, 1 - 1e-15], elementwise.
-
-    Takes a float or an array and returns the same kind. Below g of about
-    -709, exp(-g) overflows to inf and P to 0 before the clip; that limit is
-    the intended one, so the overflow is not reported.
-    """
+def _logistic(g):
+    """1 / (1 + exp(-g)), elementwise and unclipped. Below g of about -709,
+    exp(-g) overflows to inf and the result to 0; that limit is the intended
+    one, so the overflow is not reported."""
     with np.errstate(over="ignore"):
-        prob = 1.0 / (1.0 + np.exp(-np.asarray(g, dtype=float)))
-    prob = np.clip(prob, _P_FLOOR, 1.0 - _P_FLOOR)
+        return 1.0 / (1.0 + np.exp(-g))
+
+
+def sigmoid(g):
+    """The logistic function clipped to [1e-15, 1 - 1e-15], elementwise.
+
+    Takes a float or an array and returns the same kind.
+    """
+    prob = np.clip(_logistic(np.asarray(g, dtype=float)), _P_FLOOR, 1.0 - _P_FLOOR)
     return float(prob) if prob.ndim == 0 else prob
 
 
@@ -132,12 +132,7 @@ def pair_terms(
             continue
         shared = True
         if v != u:
-            residual = (
-                store.value_vectors[v]
-                + store.attribute_vectors[attr]
-                - store.value_vectors[u]
-            )
-            terms[attr] = -float(_distances(residual[None, :], p)[0])
+            terms[attr] = ea_score(v, u, attr, store, p)
     return terms if shared else None
 
 
@@ -172,20 +167,16 @@ class _ValuePairTable:
 
     def __init__(self, column_a: np.ndarray, column_b: np.ndarray, limit: int,
                  unknown_term: float, n_pairs: int):
-        # rank each value among those present on either side, so the d values
+        # rank each value among those present on either side (a missing
+        # value's -1 counts in the bincount's dropped slot 0), so the d values
         # below ``limit`` (those with a trained vector) rank first; a missing
-        # value (-1) indexes the flags' last slot and ranks past them all
+        # value ranks past them all
         both = np.concatenate((column_a, column_b))
-        top = int(both.max(initial=-1)) + 1
-        present = np.zeros(top + 1, dtype=bool)
-        present[both] = True
-        present[top] = False
-        self.values = np.flatnonzero(present)
-        rank_of = np.cumsum(present, dtype=np.int32) - 1
-        rank_of[top] = len(self.values)
-        ranks = rank_of[both].astype(np.int64)
+        self.values = np.flatnonzero(np.bincount(both + 1)[1:])
+        ranks, present = id_ranks(both, self.values)
         self.d = int(np.searchsorted(self.values, limit))
         self.missing = len(self.values)  # the rank of a missing value
+        ranks[~present] = self.missing
         self.width = self.missing + 1
         # record row -> its part of a pair's key: keys_a[a] + keys_b[b]
         self.keys_a = ranks[: len(column_a)] * self.width
@@ -193,18 +184,13 @@ class _ValuePairTable:
         self.unknown_term = unknown_term
         self.heads = None  # each known value's vector plus the attribute's, once needed
         self.terms = None
-        if _dense(self.width * self.width, n_pairs):
+        if dense_table(self.width * self.width, n_pairs):
             # NaN marks a known mismatch whose distance is not computed yet
             terms = np.full((self.width, self.width), unknown_term)
             terms[: self.d, : self.d] = np.nan
             np.fill_diagonal(terms, 0.0)
             terms[self.missing, :] = terms[:, self.missing] = 0.0
             self.terms = terms.reshape(-1)
-
-
-def _dense(size: int, n_keys: int) -> bool:
-    """Whether a table of ``size`` slots costs no more than sorting ``n_keys`` keys."""
-    return size <= TABLE_SLOTS_PER_KEY * n_keys
 
 
 class ValuePairTerms:
@@ -215,20 +201,30 @@ class ValuePairTerms:
 
     Each attribute keys its values on their ranks among its values present on
     either side (missing ranks last), so a pair of values is one integer,
-    v * width + u. While the width² slots are at most ``TABLE_SLOTS_PER_KEY``
-    per candidate pair, the attribute keeps a table of the term of every such
-    key, filled as pairs first need them; otherwise it sorts each call's
-    mismatching pairs with ``np.unique``. A value is trained if it has a row
+    v * width + u. While the width² slots are at most
+    ``ingest.TABLE_SLOTS_PER_KEY`` per candidate pair, the attribute keeps a
+    table of the term of every such key, filled as pairs first need them;
+    otherwise it sorts each call's mismatching pairs with ``np.unique``. A value is trained if it has a row
     in the store's ``value_vectors``. Distances come from a copy of the
     attribute's trained value vectors plus its attribute vector, made once
     per table. Every table, once built, lasts as long as this object, so
-    consecutive chunks of the candidates share it.
+    consecutive chunks of the candidates share it; so do both record sets'
+    presence bits, packed once, from which ``defined`` answers.
     """
 
     def __init__(self, cands: Candidates, store: EmbeddingStore, p: int = 2):
         self.records_a, self.records_b = cands.records_a, cands.records_b
         self.store, self.p, self.n_pairs = store, p, len(cands)
         self._tables: dict[int, _ValuePairTable] = {}
+        # one bit per attribute, so a pair gathers a byte per 8 attributes, not a bool each
+        self._present_a = np.packbits(self.records_a.value_matrix >= 0, axis=1)
+        self._present_b = np.packbits(self.records_b.value_matrix >= 0, axis=1)
+
+    def defined(self, cands: Candidates) -> np.ndarray:
+        """Per pair of ``cands`` (some of the candidates this object serves),
+        whether some attribute is present on both records: ``feature_matrix``'s
+        ``defined``."""
+        return (self._present_a[cands.a] & self._present_b[cands.b]).any(axis=1)
 
     def _table(self, attr: int) -> _ValuePairTable:
         table = self._tables.get(attr)
@@ -256,7 +252,7 @@ class ValuePairTerms:
                 features[:, attr] = self._looked_up(attr, table, keys)
             else:
                 self._sorted(attr, table, keys, features[:, attr])
-        return features, _scorable(cands)
+        return features, self.defined(cands)
 
     def _looked_up(self, attr: int, table: _ValuePairTable, keys: np.ndarray) -> np.ndarray:
         """The terms of pairs of ranks ``keys`` from the table, after
@@ -265,7 +261,7 @@ class ValuePairTerms:
         fresh = np.isnan(terms)
         if fresh.any():
             keys = keys[fresh]
-            if _dense(len(table.terms), len(keys)):
+            if dense_table(len(table.terms), len(keys)):
                 flags = np.zeros(len(table.terms), dtype=bool)
                 flags[keys] = True
                 pairs = np.flatnonzero(flags)
@@ -288,9 +284,9 @@ class ValuePairTerms:
         column[rows[~known]] = table.unknown_term
 
     def _distances(self, attr: int, table: _ValuePairTable, pairs: np.ndarray) -> np.ndarray:
-        """Distances of the known rank pairs ``pairs`` (keys): the floats of
-        ``embed._distances``, computed in place DISTANCE_BLOCK rows at a time
-        (a distance is rowwise, so the bits do not depend on the block)."""
+        """Distances of the known rank pairs ``pairs`` (keys), by
+        ``embed._distances`` DISTANCE_BLOCK rows at a time (a distance is
+        rowwise, so the bits do not depend on the block)."""
         if table.heads is None:
             known = table.values[: table.d]
             table.heads = self.store.value_vectors[known] + self.store.attribute_vectors[attr]
@@ -299,14 +295,9 @@ class ValuePairTerms:
         distances = np.empty(len(pairs))
         for start in range(0, len(pairs), DISTANCE_BLOCK):
             block = slice(start, start + DISTANCE_BLOCK)
-            residual = table.heads[heads[block]]
-            residual -= self.store.value_vectors[tails[block]]
-            if self.p == 1:
-                np.abs(residual, out=residual)
-            else:
-                residual *= residual
-            distances[block] = residual.sum(axis=1)
-        return distances if self.p == 1 else np.sqrt(distances)
+            residual = table.heads[heads[block]] - self.store.value_vectors[tails[block]]
+            distances[block] = _distances(residual, self.p)
+        return distances
 
 
 def feature_matrix(
@@ -324,8 +315,8 @@ def feature_matrix(
     and defined marks pairs with at least one shared present attribute.
     Value ids past the rows of ``store.value_vectors`` have no trained
     vector; their mismatches get the worst score the unit-ball geometry
-    allows. ``terms``, a ``ValuePairTerms`` over candidates these pairs are a
-    chunk of, with the same store and ``p``, carries the distances already
+    allows. ``terms``, a ``ValuePairTerms`` over candidates these pairs are
+    some of, with the same store and ``p``, carries the distances already
     computed by earlier calls; without it each call builds its own.
     """
     cands = Candidates.of(pairs, records_a, records_b)
@@ -345,23 +336,13 @@ def _epoch_loss_and_gradient(
     for features, positive in ((features_pos, True), (features_neg, False)):
         offset, sign = hinge(hp, positive)
         # unclipped, unlike sigmoid(): the trained weights depend on these exact floats
-        with np.errstate(over="ignore"):
-            prob = 1.0 / (1.0 + np.exp(-(features @ w)))
+        prob = _logistic(features @ w)
         loss = np.maximum(0.0, offset + sign * prob)
         act = loss > 0
         if act.any():
             grad += sign * ((prob * (1 - prob))[act, None] * features[act]).sum(axis=0)
         losses.append(loss.sum())
     return float(losses[0] + losses[1]), grad
-
-
-def _scorable(cands: Candidates) -> np.ndarray:
-    """Per pair, whether some attribute is present on both records:
-    ``feature_matrix``'s ``defined`` mask, from value presence alone."""
-    # one bit per attribute, so a pair gathers a byte per 8 attributes, not a bool each
-    present_a = np.packbits(cands.records_a.value_matrix >= 0, axis=1)
-    present_b = np.packbits(cands.records_b.value_matrix >= 0, axis=1)
-    return (present_a[cands.a] & present_b[cands.b]).any(axis=1)
 
 
 def _inert_negatives(hp: RLHyperparams) -> bool:
@@ -417,7 +398,8 @@ def train_weights(
     feats_pos, defined_pos = feature_matrix(t_plus, records_a, records_b, store, p)
     feats_pos = feats_pos[defined_pos]
     neg = Candidates.of(t_minus, records_a, records_b)
-    scorable_neg = _scorable(neg)
+    neg_terms = ValuePairTerms(neg, store, p)
+    scorable_neg = neg_terms.defined(neg)
     n_neg = int(np.count_nonzero(scorable_neg))
     if not len(feats_pos) or not n_neg:
         raise TrainingError("no scorable pairs (no shared present attributes)")
@@ -439,7 +421,9 @@ def train_weights(
         else:
             if feats_neg is None:
                 scorable = neg.take(scorable_neg)
-                feats_neg, _ = feature_matrix(scorable, records_a, records_b, store, p)
+                feats_neg, _ = feature_matrix(
+                    scorable, records_a, records_b, store, p, terms=neg_terms
+                )
             if n_draw < n_neg:
                 rng = np.random.default_rng([seed, epoch])
                 idx = rng.choice(n_neg, size=n_draw, replace=False)

@@ -271,6 +271,23 @@ class TestRunExperiment:
         with pytest.raises(StageError, match="load"):
             run_experiment(config)
 
+    @pytest.mark.parametrize("ratios, message", [
+        ([0.5, 0.5, 0.5], "ratios: must sum to 1, got 1.5"),
+        ([1.2, -0.2, 0.0], "ratios: fractions must be non-negative"),
+        ([0.5, 0.5], "ratios: expected three fractions"),
+    ])
+    def test_ratios_are_refused_before_any_file_is_opened(self, tmp_path, capsys, ratios, message):
+        # the files do not exist, so a check left to the partition stage
+        # would end the run at the load stage instead
+        source = {"kind": "files", "attributes": ["x"], "a": "/nope/a.csv",
+                  "b": "/nope/b.csv", "truth": "/nope/t.csv"}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            small_config(source=source, ratios=ratios)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"source": source, "ratios": ratios}), encoding="utf-8")
+        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     # an empty validation split leaves the threshold undefined, an empty test
     # split the test metrics; a zero ratio in the config makes either
     EMPTY_SPLITS = [
@@ -745,6 +762,35 @@ class TestColumnarEquivalence:
         assert np.concatenate([p.score for p in pieces]).tobytes() == whole.score.tobytes()
         # every chunk shares one table per attribute: no distance is computed twice
         assert computed and len(computed) == len(set(computed))
+
+    def test_chunks_share_their_presence_bits(self, monkeypatch):
+        import evolink.candidates as candidates_mod
+        from evolink.embed import EmbeddingStore
+        from evolink.pipeline import scored_chunks
+        from evolink.weights import WeightVector
+
+        rng = np.random.default_rng(9)
+        a, b = random_record_sets(rng, 40, 40, missing=0.5)
+        store = EmbeddingStore(rng.normal(size=(len(a.dictionary), 6)), rng.normal(size=(3, 6)), 6)
+        w = WeightVector(rng.uniform(0.2, 3.0, size=3))
+        pairs = block_candidates(a, b, None)
+        packed = []
+        packbits = np.packbits
+
+        def counting(*args, **kwargs):
+            packed.append(args[0].shape)
+            return packbits(*args, **kwargs)
+
+        monkeypatch.setattr(np, "packbits", counting)
+        monkeypatch.setattr(candidates_mod, "PAIR_CHUNK", 7)
+        pieces = list(scored_chunks(pairs, store, w))
+        assert len(pieces) > 100
+        # one ValuePairTerms packs each record set's presence once
+        assert packed == [a.value_matrix.shape, b.value_matrix.shape]
+        undefined = [not set(a.get(p.a_entity).values) & set(b.get(p.b_entity).values)
+                     for p in pairs]
+        assert any(undefined)
+        assert np.isnan(np.concatenate([p.score for p in pieces])).tolist() == undefined
 
     def test_exact_match_baseline_matches_scalar_rule(self):
         rng = np.random.default_rng(4)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from evolink import ingest as ingest_mod
 from evolink import weights as weights_mod
 from evolink.embed import EmbeddingStore
 from evolink.errors import ConfigError, TrainingError, UndefinedPairError
@@ -759,7 +760,7 @@ class TestValuePairTables:
         assert_rows_are_pair_terms(features, defined, cands, store, p, n_known)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(weights_mod, "TABLE_SLOTS_PER_KEY", 0)  # np.unique everywhere
+            patch.setattr(ingest_mod, "TABLE_SLOTS_PER_KEY", 0)  # np.unique everywhere
             sorted_features, sorted_defined = feature_matrix(cands, a, b, trained, p)
         assert sorted_features.tobytes() == features.tobytes()
         assert np.array_equal(sorted_defined, defined)
