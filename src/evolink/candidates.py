@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import LinkedPairSet, RecordSet, id_ranks
+from .idfiles import LinkedPairSet, id_ranks
+
+if TYPE_CHECKING:
+    from .ingest import RecordSet
 
 
 @dataclass(frozen=True)

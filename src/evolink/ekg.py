@@ -16,7 +16,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .ingest import LinkedPairSet, RecordSet, ValueDictionary
+from .idfiles import LinkedPairSet, sorted_distinct
+from .ingest import RecordSet, ValueDictionary
 
 
 class AttributeTriple(NamedTuple):
@@ -79,11 +80,6 @@ class EvolutionKG:
         columns = self.heads.tolist(), self.tails.tolist(), self.attributes.tolist()
         return frozenset(map(EvolutionTriple._make, zip(*columns)))
 
-    def observed_tails(self, attribute: int, head_value: int) -> frozenset[int]:
-        """E(head): every tail value seen evolving from head under attribute."""
-        lo, hi = np.searchsorted(self.heads, [head_value, head_value + 1])
-        return frozenset(self.tails[lo:hi][self.attributes[lo:hi] == attribute].tolist())
-
     def counts(self) -> dict[str, int]:
         return {
             "entities": self.n_entities,
@@ -100,7 +96,7 @@ class EvolutionKG:
 def _graph(values, heads, tails, n_entities, n_attribute_triples) -> EvolutionKG:
     """The graph of the distinct (head, tail) pairs among these value ids."""
     owner = values.attribute_array()
-    heads, tails = np.divmod(np.unique(heads * len(owner) + tails), len(owner))
+    heads, tails = np.divmod(sorted_distinct(heads * len(owner) + tails), len(owner))
     return EvolutionKG(values, heads, tails, owner[heads], n_entities, n_attribute_triples)
 
 
@@ -117,7 +113,8 @@ def build_ekg(
     """
     if records_a.dictionary is not records_b.dictionary:
         raise DomainError("record sets must share one value dictionary")
-    overlap = np.intersect1d(records_a.id_array, records_b.id_array)
+    # each set's ids are distinct (RecordSet refuses a repeat)
+    overlap = np.intersect1d(records_a.id_array, records_b.id_array, assume_unique=True)
     if len(overlap):
         raise DomainError(f"entity ids appear in both record sets: {overlap[:5].tolist()}")
 

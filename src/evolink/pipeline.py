@@ -37,25 +37,21 @@ from .candidates import (
 )
 from .embed import EmbeddingStore, EmbedHyperparams, train_embeddings
 from .errors import BlockingCapError, ConfigError, StageError
+from .idfiles import LinkedPairSet, TextFormat, load_links, write_csv
 from .ingest import (
-    LinkedPairSet,
     RecordSet,
     Schema,
     Split,
-    SynthConfig,
-    TextFormat,
     build,
     check_ratios,
-    generate_synthetic,
-    load_links,
     load_records,
     partition,
     read_fields,
     read_json,
     read_object,
-    write_csv,
 )
 from .model_io import ModelBundle
+from .synth import SynthConfig, generate_synthetic
 from .weights import RLHyperparams, WeightVector, select_threshold, sigmoid, train_weights
 
 log = logging.getLogger(__name__)
@@ -245,7 +241,7 @@ SOURCE_TYPES = {
     }, ("attributes",)),
 }
 # the TextFormat fields with their JSON types; the encoding and the id
-# column's name are fixed (ingest.ENCODING, ingest.ID_COLUMN)
+# column's name are fixed (idfiles.ENCODING, ingest.ID_COLUMN)
 FORMAT_TYPES = {"delimiter": "str", "null_markers": "list[str]"}
 FILE_KEYS = ("a", "b", "truth")
 
@@ -305,6 +301,10 @@ class ExperimentConfig:
         if self.kg_variant not in ("ekg", "er"):
             raise ConfigError(f"kg_variant: unknown variant {self.kg_variant!r}")
         check_ratios(self.ratios)
+        # partition() accepts an empty split, but an experiment's every stage
+        # needs its own: training links, the threshold's and the test's
+        if not all(self.ratios):
+            raise ConfigError(f"ratios: every fraction must be positive, got {list(self.ratios)!r}")
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
         object.__setattr__(self, "data_source", _read_source(self.source))

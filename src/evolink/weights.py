@@ -17,7 +17,8 @@ import numpy as np
 from .candidates import Candidates, Metrics
 from .embed import EmbeddingStore, GradientCheckResult, _distances, ea_score
 from .errors import ConfigError, TrainingError, UndefinedPairError
-from .ingest import Record, RecordSet, dense_table, id_ranks
+from .idfiles import dense_table, id_ranks, sorted_distinct
+from .ingest import Record, RecordSet
 
 _P_FLOOR = 1e-15  # keeps probabilities strictly inside (0, 1)
 # Distinct (v, u) value pairs whose distances feature_matrix computes at once:
@@ -202,7 +203,7 @@ class ValuePairTerms:
     Each attribute keys its values on their ranks among its values present on
     either side (missing ranks last), so a pair of values is one integer,
     v * width + u. While the width² slots are at most
-    ``ingest.TABLE_SLOTS_PER_KEY`` per candidate pair, the attribute keeps a
+    ``idfiles.TABLE_SLOTS_PER_KEY`` per candidate pair, the attribute keeps a
     table of the term of every such key, filled as pairs first need them;
     otherwise it sorts each call's mismatching pairs with ``np.unique``. A value is trained if it has a row
     in the store's ``value_vectors``. Distances come from a copy of the
@@ -266,7 +267,7 @@ class ValuePairTerms:
                 flags[keys] = True
                 pairs = np.flatnonzero(flags)
             else:
-                pairs = np.unique(keys)
+                pairs = sorted_distinct(keys)
             table.terms[pairs] = -self._distances(attr, table, pairs)
             terms[fresh] = table.terms[keys]
         return terms

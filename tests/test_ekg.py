@@ -11,6 +11,7 @@ from evolink.ekg import (
 )
 from evolink.errors import DomainError, LoadError
 from evolink.ingest import LinkedPairSet, Record, RecordSet, Schema, ValueDictionary
+from oracles import observed_tails, values_of
 
 
 def single_attribute_kg(n_values, evolution):
@@ -153,7 +154,7 @@ class TestValidation:
             for attr in range(kg.values.n_attributes):
                 for head in range(len(kg.values)):
                     expected = {t.tail_value for t in triples if (t.attribute, t.head_value) == (attr, head)}
-                    assert kg.observed_tails(attr, head) == expected
+                    assert observed_tails(kg, attr, head) == expected
 
     def test_from_triples_counts_distinct_entities_and_attribute_triples(self):
         d = ValueDictionary(1)
@@ -241,7 +242,7 @@ def random_multi_attribute_kg(rng):
         for attr in range(n_attrs):
             if i < sizes[attr]:
                 d.intern(attr, f"a{attr}v{i}")
-    domains = [list(d.values_of(attr)) for attr in range(n_attrs)]
+    domains = [list(values_of(d, attr)) for attr in range(n_attrs)]
     evolution = set()
     for _ in range(int(rng.integers(1, 25))):
         attr = int(rng.integers(n_attrs))
@@ -255,8 +256,8 @@ def random_multi_attribute_kg(rng):
 
 def list_pool(kg, triple):
     """The pool as a plain list: the attribute's domain minus observed tails."""
-    observed = kg.observed_tails(triple.attribute, triple.head_value)
-    return [v for v in kg.values.values_of(triple.attribute) if v not in observed]
+    observed = observed_tails(kg, triple.attribute, triple.head_value)
+    return [v for v in values_of(kg.values, triple.attribute) if v not in observed]
 
 
 class TestNegativeSampler:

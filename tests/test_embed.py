@@ -16,6 +16,7 @@ from evolink.embed import (
 )
 from evolink.errors import ConfigError, DomainError, TrainingError
 from evolink.ingest import ValueDictionary
+from oracles import observed_tails, values_of
 
 TOY_HP = EmbedHyperparams(
     dim=16, margin=0.5, learning_rate=0.1, epochs=300, batch_size=4, negatives=2, seed=0
@@ -271,7 +272,7 @@ def random_graph(rng, identity=True):
         for attr, size in enumerate(sizes):
             if i < size:
                 d.intern(attr, f"a{attr}v{i}")
-    domains = [d.values_of(attr) for attr in range(3)]
+    domains = [values_of(d, attr) for attr in range(3)]
     evolution = set()
     if identity:  # the first value of attribute 0 evolves into every value
         evolution = {EvolutionTriple(domains[0][0], tail, 0) for tail in domains[0]}
@@ -347,10 +348,10 @@ def frozen_train(ekg, hp):
         np.add.at(summed, inverse.ravel(), rows)
         return distinct, summed
 
-    domains = [ekg.values.values_of(attr) for attr in range(ekg.values.n_attributes)]
+    domains = [values_of(ekg.values, attr) for attr in range(ekg.values.n_attributes)]
     columns = ekg.heads.tolist(), ekg.tails.tolist(), ekg.attributes.tolist()
     pools = [
-        [v for v in domains[a] if v not in ekg.observed_tails(a, h)] for h, _, a in zip(*columns)
+        [v for v in domains[a] if v not in observed_tails(ekg, a, h)] for h, _, a in zip(*columns)
     ]
     kept = [row for row, pool in enumerate(pools) if pool]
     if not kept:

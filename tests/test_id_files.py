@@ -15,11 +15,11 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from evolink import ingest
+from evolink import idfiles
 from evolink.candidates import truth_labels
 from evolink.cli import main
 from evolink.errors import LoadError
-from evolink.ingest import LinkedPairSet, TextFormat, load_links, read_id_rows
+from evolink.idfiles import LinkedPairSet, TextFormat, load_links, read_id_rows
 
 SYNTH = {
     "attributes": ["given_name", "surname2", "status"],
@@ -318,11 +318,11 @@ def outcome(path, kind):
 def test_loadtxt_path_equals_the_line_loop(kind, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = write(tmp, "ids.csv", data.draw(adversarial_files(kind)))
-        fast = ingest._loadtxt_rows(path, kind, TextFormat(delimiter=","))
+        fast = idfiles._loadtxt_rows(path, kind, TextFormat(delimiter=","))
         event("line loop" if fast is None else "loadtxt path")
         got = outcome(path, kind)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ingest, "_loadtxt_rows", lambda *args: None)
+            patch.setattr(idfiles, "_loadtxt_rows", lambda *args: None)
             assert outcome(path, kind) == got
 
 
@@ -339,22 +339,22 @@ def test_plain_ascii_files_take_the_loadtxt_path(tmp_path, kind, layout):
     }[kind]
     rows = [a + b for a, b in zip(ids, rest)]
     path = write(tmp_path, "ids.csv", file_text(kind, rows, layout))
-    got = ingest._loadtxt_rows(path, kind, TextFormat(delimiter=","))
+    got = idfiles._loadtxt_rows(path, kind, TextFormat(delimiter=","))
     assert got is not None
     assert (got.a_ids.tolist(), got.b_ids.tolist()) == ([-(2**63), 0], [2**63 - 1, 42])
 
 
 @pytest.mark.parametrize("kind", ID_KINDS)
-@pytest.mark.parametrize("lax", list(ingest.LAX_BYTES.decode()))
+@pytest.mark.parametrize("lax", list(idfiles.LAX_BYTES.decode()))
 def test_a_header_with_lax_bytes_takes_the_loadtxt_path(tmp_path, kind, lax):
     """loadtxt skips the header unread: only the rows' bytes must be plain."""
     header = HEADERS[kind].replace("_", lax)  # e.g. "a id,b id"
     rows = {"links": ["1,2", "-3,4"], "pairs": ["1,2,x", "-3,4"],
             "predictions": ["1,2,-1.5,0.25,match", "-3,4,nan,0.0,non-match"]}[kind]
     path = write(tmp_path, "ids.csv", "\n".join([header, *rows]) + "\n")
-    fast = ingest._loadtxt_rows(path, kind, TextFormat(delimiter=","))
+    fast = idfiles._loadtxt_rows(path, kind, TextFormat(delimiter=","))
     assert fast is not None
-    slow = ingest._strict_rows(path, kind, TextFormat(delimiter=","))
+    slow = idfiles._strict_rows(path, kind, TextFormat(delimiter=","))
     assert fast.first_line == slow.first_line == 2
     for got, expected in zip(fast[:3], slow[:3]):
         assert np.array_equal(got, expected)

@@ -7,23 +7,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evolink.errors import ConfigError, DomainError, LoadError, SchemaMismatchError
-from evolink.ingest import (
+from evolink.idfiles import (
     LinkedPairSet,
+    TextFormat,
+    id_ranks,
+    load_links,
+    sorted_distinct,
+    standardize,
+    write_links_csv,
+)
+from evolink.ingest import (
     Record,
     RecordSet,
     Schema,
-    SynthConfig,
-    TextFormat,
     ValueDictionary,
-    generate_synthetic,
-    id_ranks,
-    load_links,
     load_records,
     partition,
-    standardize,
-    write_links_csv,
     write_records_csv,
 )
+from evolink.synth import SynthConfig, generate_synthetic
+from oracles import values_of
 
 
 def write(tmp_path, name, text):
@@ -58,7 +61,7 @@ class TestValueDictionary:
         b = d.intern(1, "1901")
         assert a != b
         assert d.attribute_of(a) == 0 and d.attribute_of(b) == 1
-        assert d.values_of(0) == (a,) and d.values_of(1) == (b,)
+        assert values_of(d, 0) == (a,) and values_of(d, 1) == (b,)
 
 
 class TestSchema:
@@ -320,6 +323,12 @@ class TestIdLookup:
         with pytest.raises(LoadError, match=f"^unknown entity id {beyond}$"):
             made.get(beyond)
 
+    @given(st.lists(st.integers(INT64_MIN, INT64_MAX) | st.integers(-3, 3)))
+    def test_sorted_distinct_is_a_plain_unique(self, values):
+        keys = np.array(values, dtype=np.int64)
+        got, expected = sorted_distinct(keys), np.unique(keys)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
 
 class TestLinkedPairSet:
     def test_columns_and_pairs_view(self):
@@ -553,7 +562,7 @@ class TestGenerateSynthetic:
             assert data.records_a.get(a_id).values == data.records_b.get(b_id).values
 
     def test_forced_transition(self):
-        from evolink.ingest import EvolutionRule
+        from evolink.synth import EvolutionRule
 
         config = SynthConfig(
             attributes=("status",),
@@ -602,7 +611,7 @@ class TestGenerateSynthetic:
         assert f == 1.0
 
     def test_rule_with_unknown_value(self):
-        from evolink.ingest import EvolutionRule
+        from evolink.synth import EvolutionRule
 
         with pytest.raises(ConfigError, match="widowed"):
             SynthConfig(

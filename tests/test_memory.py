@@ -17,7 +17,8 @@ import pytest
 from evolink.candidates import Candidates, pair_slices
 from evolink.cli import WRITE_ROWS, write_predictions
 from evolink.embed import EmbeddingStore
-from evolink.ingest import LinkedPairSet, RecordSet, Schema, ValueDictionary, read_id_rows
+from evolink.idfiles import LinkedPairSet, read_id_rows
+from evolink.ingest import RecordSet, Schema, ValueDictionary
 from evolink.pipeline import block_candidates, label_pairs, scored_chunks
 from evolink.weights import WeightVector, feature_matrix
 

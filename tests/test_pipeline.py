@@ -275,6 +275,7 @@ class TestRunExperiment:
         ([0.5, 0.5, 0.5], "ratios: must sum to 1, got 1.5"),
         ([1.2, -0.2, 0.0], "ratios: fractions must be non-negative"),
         ([0.5, 0.5], "ratios: expected three fractions"),
+        ([1, 0, 0], "ratios: every fraction must be positive, got [1, 0, 0]"),
     ])
     def test_ratios_are_refused_before_any_file_is_opened(self, tmp_path, capsys, ratios, message):
         # the files do not exist, so a check left to the partition stage
@@ -289,10 +290,11 @@ class TestRunExperiment:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     # an empty validation split leaves the threshold undefined, an empty test
-    # split the test metrics; a zero ratio in the config makes either
+    # split the test metrics; a config refuses a zero ratio, but a ratio too
+    # small to draw one of the links makes either
     EMPTY_SPLITS = [
-        ([0.8, 0.0, 0.2], "threshold", "no true pair among the labels"),
-        ([0.8, 0.2, 0.0], "evaluate", "the test split holds no link"),
+        ([0.8 - 1e-6, 1e-6, 0.2], "threshold", "no true pair among the labels"),
+        ([0.8 - 1e-6, 0.2, 1e-6], "evaluate", "the test split holds no link"),
     ]
 
     @pytest.mark.parametrize("ratios, stage, message", EMPTY_SPLITS)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evolink import candidates as candidates_mod
-from evolink import cli
+from evolink import commands
 from evolink.candidates import Candidates, pair_slices
 from evolink.ingest import RecordSet, Schema, ValueDictionary
 
@@ -32,7 +32,7 @@ def expected_text(cands, tau):
     rows = zip(cands.a_ids.tolist(), cands.b_ids.tolist(), cands.score.tolist(),
                cands.probability.tolist())
     return "".join(
-        cli.PREDICTION_ROW % (a, b, g, p, "match" if p >= tau else "non-match")
+        commands.PREDICTION_ROW % (a, b, g, p, "match" if p >= tau else "non-match")
         for a, b, g, p in rows
     )
 
@@ -57,7 +57,7 @@ def scored_pairs(draw):
 @pytest.mark.parametrize("chunk", ("1", "7", "n-1"))
 @settings(max_examples=100, deadline=None)
 @given(cands=scored_pairs(), tau=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-       write_rows=st.sampled_from([1, 3, cli.WRITE_ROWS]))
+       write_rows=st.sampled_from([1, 3, commands.WRITE_ROWS]))
 def test_writer_text_equals_the_row_format(chunk, cands, tau, write_rows):
     if cands.probability.size and 0 < cands.probability[0] < 1:
         tau = cands.probability[0]  # a P equal to tau is a match
@@ -65,9 +65,9 @@ def test_writer_text_equals_the_row_format(chunk, cands, tau, write_rows):
     fh = io.BytesIO()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(candidates_mod, "PAIR_CHUNK", size)
-        patch.setattr(cli, "WRITE_ROWS", write_rows)
+        patch.setattr(commands, "WRITE_ROWS", write_rows)
         parts = pair_slices(len(cands))
-        cli.write_predictions(fh, map(cands.take, parts), cands.records_a, cands.records_b, tau)
+        commands.write_predictions(fh, map(cands.take, parts), cands.records_a, cands.records_b, tau)
     assert len(parts) == -(-len(cands) // size)
     assert fh.getvalue() == expected_text(cands, tau).encode()
 
@@ -80,7 +80,7 @@ def test_both_decisions_and_the_float_edges():
         probability=np.array([0.0, 0.5, 0.25, 1 - 1e-15, 1e-15]),
     )
     fh = io.BytesIO()
-    cli.write_predictions(fh, [cands], cands.records_a, cands.records_b, 0.25)
+    commands.write_predictions(fh, [cands], cands.records_a, cands.records_b, 0.25)
     assert fh.getvalue() == (
         b"-9223372036854775808,-1,nan,0.0,non-match\n"
         b"9223372036854775807,0,-0.0,0.5,match\n"
