@@ -144,9 +144,10 @@ def _key_labels(rows_a, rows_b, n_b: int, link_a, link_b, n_links: int) -> tuple
     return labels, n_links - int(np.count_nonzero(covered))
 
 
-def truth_labels(a_ids, b_ids, truth: LinkedPairSet) -> tuple[np.ndarray, int]:
-    """Which (a_ids[i], b_ids[i]) pairs are true links, and how many true
-    links none of the pairs covers."""
+def truth_labels(a_ids, b_ids, truth: LinkedPairSet) -> tuple[np.ndarray, int, bool]:
+    """Which (a_ids[i], b_ids[i]) pairs are true links, how many true links
+    none of the pairs covers, and whether some A id is among the truth's A
+    ids or some B id among its B ids."""
     # rank ids among the truth's own ids; an id the truth lacks ranks past them all
     known_a, link_a = np.unique(truth.a_ids, return_inverse=True)
     known_b, link_b = np.unique(truth.b_ids, return_inverse=True)
@@ -154,7 +155,8 @@ def truth_labels(a_ids, b_ids, truth: LinkedPairSet) -> tuple[np.ndarray, int]:
     rank_b, in_b = id_ranks(b_ids, known_b)
     rank_a[~in_a] = len(known_a)
     rank_b[~in_b] = len(known_b)
-    return _key_labels(rank_a, rank_b, len(known_b) + 1, link_a, link_b, len(truth))
+    labels, lost = _key_labels(rank_a, rank_b, len(known_b) + 1, link_a, link_b, len(truth))
+    return labels, lost, bool(in_a.any() or in_b.any())
 
 
 def candidate_labels(cands: Candidates, truth: LinkedPairSet) -> tuple[np.ndarray, int]:

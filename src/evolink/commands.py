@@ -16,7 +16,6 @@ adds only ``candidates``.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -29,10 +28,8 @@ from .idfiles import (
     DECISIONS,
     PREDICTION_COLUMNS,
     TextFormat,
-    id_ranks,
     load_links,
     read_id_rows,
-    sorted_distinct,
     write_csv,
     write_links_csv,
 )
@@ -269,16 +266,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     predictions = read_id_rows(args.predictions, "predictions", CSV_FORMAT)
     truth = load_links(args.truth, CSV_FORMAT, provenance="truth")
-    a_ids, b_ids = predictions.a_ids, predictions.b_ids
-    truth_ids = sorted_distinct(np.concatenate((truth.a_ids, truth.b_ids)))
-    in_truth = id_ranks(np.concatenate((a_ids, b_ids)), truth_ids)[1]
-    if len(a_ids) and len(truth) and not in_truth.any():
+    labels, lost, shared = truth_labels(predictions.a_ids, predictions.b_ids, truth)
+    # each side's ids are looked up among the truth's own side, so swapped columns match none
+    if len(labels) and len(truth) and not shared:
         raise EvolinkError(
             "entity ids in the truth file never appear in the predictions; "
             "the files do not match"
         )
-
-    labels, lost = truth_labels(a_ids, b_ids, truth)
     metrics = Metrics.from_decisions(predictions.matches, labels, lost)
     print(metrics.row())
     return 0
@@ -334,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    if args.verbose:  # only the pipeline logs, and only at INFO
+        import logging
+
+        logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except EvolinkError as exc:

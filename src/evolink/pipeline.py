@@ -126,7 +126,7 @@ def label_pairs(pairs: Sequence[CandidatePair], truth: LinkedPairSet) -> Labeled
         return LabeledCandidates(replace(pairs, label=labels), lost)
     a_ids = np.fromiter((p.a_entity for p in pairs), dtype=np.int64, count=len(pairs))
     b_ids = np.fromiter((p.b_entity for p in pairs), dtype=np.int64, count=len(pairs))
-    labels, lost = truth_labels(a_ids, b_ids, truth)
+    labels, lost, _ = truth_labels(a_ids, b_ids, truth)
     labeled = [replace(p, label=x) for p, x in zip(pairs, labels.tolist())]
     return LabeledCandidates(labeled, lost)
 
@@ -307,6 +307,8 @@ class ExperimentConfig:
             raise ConfigError(f"ratios: every fraction must be positive, got {list(self.ratios)!r}")
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
+        if self.cross_product_cap < 0:
+            raise ConfigError("cross_product_cap: must be >= 0")
         object.__setattr__(self, "data_source", _read_source(self.source))
 
     @property
@@ -474,7 +476,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             weights_loss: list[float] = []
         else:
             w, weights_loss = train_weights(
-                train_pairs.take(train_pairs.label), train_pairs.take(~train_pairs.label),
+                train_pairs.take(train_pairs.label), train_pairs,
                 train.records_a, train.records_b, store, rl_hp, p=embed_hp.norm,
             )
         del train_pairs

@@ -196,21 +196,22 @@ class _ValuePairTable:
 
 class ValuePairTerms:
     """``pair_terms`` for the pairs of one ``Candidates``: ``features`` gives
-    one row of terms per pair of any chunk of them, and each distinct (v, u)
-    value pair's distance is computed once, however many pairs or calls
-    share it.
+    one row of terms per pair of any chunk of them. Each distinct (v, u)
+    value pair's distance is computed once per call; where the attribute
+    keeps a table, once however many pairs or calls share it.
 
     Each attribute keys its values on their ranks among its values present on
     either side (missing ranks last), so a pair of values is one integer,
     v * width + u. While the width² slots are at most
     ``idfiles.TABLE_SLOTS_PER_KEY`` per candidate pair, the attribute keeps a
     table of the term of every such key, filled as pairs first need them;
-    otherwise it sorts each call's mismatching pairs with ``np.unique``. A value is trained if it has a row
-    in the store's ``value_vectors``. Distances come from a copy of the
-    attribute's trained value vectors plus its attribute vector, made once
-    per table. Every table, once built, lasts as long as this object, so
-    consecutive chunks of the candidates share it; so do both record sets'
-    presence bits, packed once, from which ``defined`` answers.
+    otherwise it sorts each call's mismatching pairs with ``np.unique``. A
+    value is trained if it has a row in the store's ``value_vectors``.
+    Distances come from a copy of the attribute's trained value vectors plus
+    its attribute vector, made once per table. Every table, once built,
+    lasts as long as this object, so consecutive chunks of the candidates
+    share it; so do both record sets' presence bits, packed once, from which
+    ``defined`` answers.
     """
 
     def __init__(self, cands: Candidates, store: EmbeddingStore, p: int = 2):
@@ -365,7 +366,9 @@ def train_weights(
     """Learn attribute weights over labeled candidate pairs; embeddings frozen.
 
     ``t_plus`` and ``t_minus`` are Candidates (row arrays) or sequences of
-    CandidatePair.
+    CandidatePair. A pair of ``t_minus`` labelled True is a match, never a
+    negative, so a labelled split may stand whole as ``t_minus``; the
+    negatives keep their order in it.
 
     Starts from all-ones weights, so training can only move away from the
     uniform-weight solution when that lowers the loss. Gradient steps use the
@@ -393,14 +396,13 @@ def train_weights(
     from its own generator, ``default_rng([seed, epoch])``, so skipped
     epochs do not shift the draws of later ones.
     """
-    if not len(t_plus) or not len(t_minus):
-        raise TrainingError("both positive and negative pair sets must be non-empty")
-
     feats_pos, defined_pos = feature_matrix(t_plus, records_a, records_b, store, p)
     feats_pos = feats_pos[defined_pos]
     neg = Candidates.of(t_minus, records_a, records_b)
     neg_terms = ValuePairTerms(neg, store, p)
     scorable_neg = neg_terms.defined(neg)
+    if neg.label is not None:
+        scorable_neg &= ~neg.label
     n_neg = int(np.count_nonzero(scorable_neg))
     if not len(feats_pos) or not n_neg:
         raise TrainingError("no scorable pairs (no shared present attributes)")

@@ -370,6 +370,26 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert f"{pred}: line 3: unknown decision {decision!r}" in err
 
+    def test_swapped_id_columns_exit_2(self, tmp_path, run_dir, data_dir, capsys):
+        pred = tmp_path / "p.csv"
+        assert main([
+            "predict", "--model", str(run_dir / "model.bin"),
+            str(data_dir / "A.csv"), str(data_dir / "B.csv"), "--out", str(pred),
+        ]) == 0
+        truth = str(data_dir / "truth_links.csv")
+        assert main(["evaluate", str(pred), truth]) == 0
+        header, *rows = pred.read_text(encoding="utf-8").splitlines()
+        swapped = tmp_path / "swapped.csv"
+        swapped.write_text("".join(
+            f"{line}\n" for line in [header] + [
+                ",".join([b_id, a_id, *rest])
+                for a_id, b_id, *rest in (row.split(",") for row in rows)
+            ]
+        ), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", str(swapped), truth]) == 2
+        assert "do not match" in capsys.readouterr().err
+
     def test_disjoint_ids_exit_2(self, tmp_path, capsys):
         rows = [[0, 10, "0", "0.9", "match"]]
         pred, truth = self.write_files(tmp_path, rows, [[5000, 6000]])
@@ -456,3 +476,19 @@ def test_module_entry_point(tmp_path, synth_config):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "sub" / "A.csv").is_file()
+
+
+def test_verbose_logs_the_stage_lines(tmp_path, data_dir, experiment_config):
+    def train(*flags):
+        out = tmp_path / ("loud" if flags else "quiet")
+        return subprocess.run(
+            [sys.executable, "-m", "evolink", *flags, "train", str(data_dir),
+             "--config", str(experiment_config), "--out", str(out)],
+            capture_output=True, text=True,
+        )
+
+    quiet, loud = train(), train("--verbose")
+    assert quiet.returncode == loud.returncode == 0, loud.stderr
+    assert quiet.stderr == ""
+    assert "INFO evolink.pipeline: loaded " in loud.stderr
+    assert "INFO evolink.pipeline: train: " in loud.stderr

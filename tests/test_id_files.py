@@ -499,6 +499,9 @@ def test_truth_labels_equal_set_membership(truth, pairs, shift):
     pairs = [(shifted(a), b) for a, b in pairs]
     a_ids = np.array([a for a, _ in pairs], dtype=np.int64)
     b_ids = np.array([b for _, b in pairs], dtype=np.int64)
-    labels, lost = truth_labels(a_ids, b_ids, LinkedPairSet(tuple(truth)))
+    labels, lost, shared = truth_labels(a_ids, b_ids, LinkedPairSet(tuple(truth)))
     assert labels.tolist() == [p in set(truth) for p in pairs]
     assert lost == len(set(truth) - set(pairs))
+    assert shared == any(
+        a in {t[0] for t in truth} or b in {t[1] for t in truth} for a, b in pairs
+    )

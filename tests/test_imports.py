@@ -105,6 +105,12 @@ def test_each_command_loads_only_what_it_runs(loads, command, tmp_path):
         assert "numpy.ma" not in modules
 
 
+def test_evaluate_does_not_load_logging(loads, tmp_path):
+    # only the pipeline logs; commands configures logging only under --verbose
+    if "logging" not in imported("-c", "import numpy", cwd=tmp_path):
+        assert "logging" not in loads["evaluate"]
+
+
 def test_evaluate_loads_the_id_files_and_candidates_alone(loads):
     assert {name for name in loads["evaluate"] if name.startswith("evolink")} == {
         "evolink", "evolink.candidates", "evolink.commands", "evolink.errors", "evolink.idfiles",

@@ -212,6 +212,21 @@ class TestRunExperiment:
         assert len(result.report.weights_loss) == 60
         assert result.report.config["mode"] == "werl"
 
+    def test_weights_read_the_labelled_train_split_itself(self, monkeypatch):
+        from evolink import pipeline, weights
+
+        seen = []
+
+        def recording(t_plus, t_minus, *args, **kwargs):
+            seen.append((len(t_plus), len(t_minus), int(np.count_nonzero(t_minus.label))))
+            return weights.train_weights(t_plus, t_minus, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train_weights", recording)
+        train = run_experiment(small_config()).report.blocking["train"]
+        # the split whole, its matches included, and no copy of its negatives
+        assert seen == [(train.true_pairs - train.lost_links, train.candidates,
+                         train.true_pairs - train.lost_links)]
+
     def test_er_variant_runs_with_identity_and_reverse(self):
         plain = run_experiment(small_config())
         degenerate = run_experiment(small_config(kg_variant="er"))
@@ -378,6 +393,7 @@ class TestConfigFile:
         ({"seed": "7"}, "seed"),
         ({"mode": 3}, "mode"),
         ({"cross_product_cap": "many"}, "cross_product_cap"),
+        ({"cross_product_cap": -5}, "cross_product_cap: must be >= 0"),
     ])
     def test_malformed_top_level_values_name_the_key(self, overrides, key):
         with pytest.raises(ConfigError, match=f"^{key}"):
@@ -860,7 +876,7 @@ def test_row_keyed_labels_equal_set_oracle(n_a, n_b, rows, truth, dtype):
     by_ids = label_pairs([CandidatePair(*pair) for pair in pairs], links)
     assert [p.label for p in by_ids.pairs] == expected
     assert by_ids.lost_links == expected_lost
-    labels, lost = truth_labels(cands.a_ids, cands.b_ids, links)
+    labels, lost, _ = truth_labels(cands.a_ids, cands.b_ids, links)
     assert (labels.tolist(), lost) == (expected, expected_lost)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -324,23 +325,27 @@ def with_near_duplicate_negatives(seed=0):
     return store, records_a, records_b, pos, neg
 
 
+# (hyperparameters, whether some epoch's negatives bind)
+NEGATIVE_CASES = [
+    (RLHyperparams(loss_sign="as_written", epochs=60, seed=4, negative_ratio=1.0), True),
+    (RLHyperparams(loss_sign="as_written", epochs=30, seed=4, negative_ratio=None), True),
+    (RLHyperparams(margin=0.6, epochs=60, seed=2, negative_ratio=1.0), True),
+    (RLHyperparams(learning_rate=30.0, epochs=60, seed=9, negative_ratio=1.0), True),
+    (
+        RLHyperparams(learning_rate=30.0, epochs=60, seed=9, negative_ratio=1.0,
+                      nonnegative=True),
+        False,
+    ),
+    (RLHyperparams(epochs=60, seed=1, negative_ratio=1.0), False),
+    # at margin 0.5 every positive binds, which drives a weight below 0
+    (RLHyperparams(margin=0.5, epochs=60, seed=1, negative_ratio=0.5), True),
+]
+
+
 class TestLazyNegatives:
     """``train_weights`` skips negatives only where they add exactly 0."""
 
-    @pytest.mark.parametrize("hp, binds", [
-        (RLHyperparams(loss_sign="as_written", epochs=60, seed=4, negative_ratio=1.0), True),
-        (RLHyperparams(loss_sign="as_written", epochs=30, seed=4, negative_ratio=None), True),
-        (RLHyperparams(margin=0.6, epochs=60, seed=2, negative_ratio=1.0), True),
-        (RLHyperparams(learning_rate=30.0, epochs=60, seed=9, negative_ratio=1.0), True),
-        (
-            RLHyperparams(learning_rate=30.0, epochs=60, seed=9, negative_ratio=1.0,
-                          nonnegative=True),
-            False,
-        ),
-        (RLHyperparams(epochs=60, seed=1, negative_ratio=1.0), False),
-        # at margin 0.5 every positive binds, which drives a weight below 0
-        (RLHyperparams(margin=0.5, epochs=60, seed=1, negative_ratio=0.5), True),
-    ])
+    @pytest.mark.parametrize("hp, binds", NEGATIVE_CASES)
     def test_equals_the_eager_reference_bit_for_bit(self, hp, binds):
         store, records_a, records_b, pos, neg = with_near_duplicate_negatives()
         args = (pos[:60], neg, records_a, records_b, store, hp)
@@ -349,6 +354,19 @@ class TestLazyNegatives:
         assert w.weights.tobytes() == ref_w.tobytes()
         assert np.array(history).tobytes() == np.array(ref_history).tobytes()
         assert (active > 0) == binds
+
+    @pytest.mark.parametrize("hp", [hp for hp, _ in NEGATIVE_CASES])
+    def test_a_labelled_split_trains_on_its_negatives_alone(self, hp):
+        store, records_a, records_b, pos, neg = with_near_duplicate_negatives()
+        # the matches shuffled in among the negatives, as blocking leaves them
+        labelled = [replace(p, label=True) for p in pos] + [replace(p, label=False) for p in neg]
+        order = np.random.default_rng(0).permutation(len(labelled))
+        split = Candidates.of([labelled[i] for i in order], records_a, records_b)
+        args = (records_a, records_b, store, hp)
+        w, history = train_weights(pos[:60], split, *args)
+        ref_w, ref_history = train_weights(pos[:60], split.take(~split.label), *args)
+        assert w.weights.tobytes() == ref_w.weights.tobytes()
+        assert np.array(history).tobytes() == np.array(ref_history).tobytes()
 
     def test_weights_below_zero_turn_the_negatives_on(self):
         store, records_a, records_b, pos, neg = with_near_duplicate_negatives()
