@@ -15,7 +15,10 @@ __version__ = "0.1.0"
 
 # module -> the names the package exports from it
 EXPORTS = {
-    "candidates": ("CandidatePair", "Candidates", "Metrics"),
+    "candidates": (
+        "CandidatePair", "Candidates", "Metrics", "block_candidates", "classify", "evaluate",
+        "label_pairs",
+    ),
     "ekg": ("AttributeTriple", "EvolutionKG", "EvolutionTriple", "build_ekg", "sample_negatives"),
     "embed": (
         "EmbedHyperparams", "EmbeddingStore", "ea_score", "gradient_check", "init_embeddings",
@@ -30,13 +33,11 @@ EXPORTS = {
         "Record", "RecordSet", "Schema", "Split", "ValueDictionary", "load_records", "partition",
     ),
     "model_io": ("ModelBundle", "load_model", "save_model"),
-    "pipeline": (
-        "ExperimentConfig", "ExperimentResult", "block_candidates", "evaluate", "label_pairs",
-        "run_experiment", "score_pairs", "write_report",
-    ),
+    "pipeline": ("ExperimentConfig", "ExperimentResult", "run_experiment", "write_report"),
+    "scoring": ("score_pairs",),
     "synth": ("EvolutionRule", "SynthConfig", "generate_synthetic"),
     "weights": (
-        "RLHyperparams", "WeightVector", "classify", "g_score", "link_probability",
+        "RLHyperparams", "WeightVector", "g_score", "link_probability",
         "select_threshold", "train_weights",
     ),
 }

@@ -1,21 +1,23 @@
-"""Candidate pairs as columns, their truth labels, and decision metrics.
+"""Candidate pairs as columns: blocking, truth labels, decisions and metrics.
 
-Blocking, labelling, feature extraction and scoring all work on
+Blocking makes the pairs; labelling, feature extraction and scoring work on
 ``Candidates``: parallel arrays of A-side rows, B-side rows and, once known,
 labels, scores and probabilities. ``CandidatePair`` is the row type users
 see; a ``Candidates`` iterates as a sequence of them, and any sequence of
 them converts to a ``Candidates`` once, on entry to a public function.
+A pair is a match when its probability is at least the threshold
+(``classify``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import BlockingCapError, ConfigError
 from .idfiles import LinkedPairSet, id_ranks
 
 if TYPE_CHECKING:
@@ -128,6 +130,54 @@ def pair_slices(n_pairs: int) -> list[slice]:
     return [slice(start, start + PAIR_CHUNK) for start in range(0, n_pairs, PAIR_CHUNK)]
 
 
+DEFAULT_CROSS_PRODUCT_CAP = 2_000_000
+
+
+def block_candidates(
+    records_a: RecordSet,
+    records_b: RecordSet,
+    blocking_attribute: int | None = None,
+    cross_product_cap: int = DEFAULT_CROSS_PRODUCT_CAP,
+) -> Candidates:
+    """All A x B pairs whose blocking values are present and equal.
+
+    Without a blocking attribute the full cross product is returned, guarded
+    by the size cap. Records missing the blocking value join no pair. Pairs
+    come in A-record order, and in B-record order for one A record. When its
+    negatives can bind, weight training subsamples them by position, so this
+    order is part of the result.
+    """
+    if records_a.dictionary is not records_b.dictionary:
+        raise ConfigError("record sets must share one value dictionary")
+    if blocking_attribute is None:
+        total = len(records_a) * len(records_b)
+        if total > cross_product_cap:
+            raise BlockingCapError(
+                f"cross product of {total} pairs exceeds the cap of "
+                f"{cross_product_cap}; configure a blocking attribute"
+            )
+        a = np.repeat(np.arange(len(records_a)), len(records_b))
+        b = np.tile(np.arange(len(records_b)), len(records_a))
+        return Candidates(records_a, records_b, a, b)
+
+    key_a = records_a.value_matrix[:, blocking_attribute]
+    key_b = records_b.value_matrix[:, blocking_attribute]
+    # B rows grouped by blocking value, in record order inside each group
+    b_present = np.flatnonzero(key_b >= 0)
+    b_grouped = b_present[np.argsort(key_b[b_present], kind="stable")]
+    b_keys = key_b[b_grouped]
+    a_rows = np.flatnonzero(key_a >= 0)
+    starts = np.searchsorted(b_keys, key_a[a_rows], side="left")
+    counts = np.searchsorted(b_keys, key_a[a_rows], side="right") - starts
+    a = np.repeat(a_rows, counts)
+    # pair i sits at i - run_start in its A record's run, so at
+    # i + (start - run_start) in b_grouped: one index buffer, shifted in place
+    run_starts = np.cumsum(counts) - counts
+    pos = np.arange(len(a))
+    pos += np.repeat(starts - run_starts, counts)
+    return Candidates(records_a, records_b, a, b_grouped[pos])
+
+
 def _key_labels(rows_a, rows_b, n_b: int, link_a, link_b, n_links: int) -> tuple[np.ndarray, int]:
     """Which pairs (rows_a[i], rows_b[i]) are among the distinct links
     (link_a[j], link_b[j]), and how many of ``n_links`` links no pair covers.
@@ -168,6 +218,28 @@ def candidate_labels(cands: Candidates, truth: LinkedPairSet) -> tuple[np.ndarra
     return _key_labels(
         cands.a, cands.b, len(cands.records_b), link_a[inside], link_b[inside], len(truth)
     )
+
+
+class LabeledCandidates(NamedTuple):
+    pairs: Sequence[CandidatePair]  # Candidates when labelled from Candidates
+    lost_links: int  # true links no candidate pair covers (blocking loss)
+
+
+def label_pairs(pairs: Sequence[CandidatePair], truth: LinkedPairSet) -> LabeledCandidates:
+    """Mark candidates against the truth set; count links blocking lost.
+
+    Candidates come back as Candidates, labelled on their record rows; any
+    other sequence, which carries no record rows, is labelled on its entity
+    ids and comes back as a list of labelled CandidatePairs.
+    """
+    if isinstance(pairs, Candidates):
+        labels, lost = candidate_labels(pairs, truth)
+        return LabeledCandidates(replace(pairs, label=labels), lost)
+    a_ids = np.fromiter((p.a_entity for p in pairs), dtype=np.int64, count=len(pairs))
+    b_ids = np.fromiter((p.b_entity for p in pairs), dtype=np.int64, count=len(pairs))
+    labels, lost, _ = truth_labels(a_ids, b_ids, truth)
+    labeled = [replace(p, label=x) for p, x in zip(pairs, labels.tolist())]
+    return LabeledCandidates(labeled, lost)
 
 
 @dataclass(frozen=True)
@@ -211,3 +283,41 @@ class Metrics:
             f"recall={self.recall:.4f} f_score={self.f_score:.4f} "
             f"tp={self.tp} fp={self.fp} tn={self.tn} fn={self.fn}"
         )
+
+
+def check_threshold(tau: float | None, name: str = "tau") -> None:
+    """Refuse a threshold outside (0, 1), NaN included, naming ``name``; None (unset) passes."""
+    if tau is not None and not 0.0 < tau < 1.0:
+        raise ConfigError(f"{name}: must be in (0, 1), got {tau!r}")
+
+
+def classify(probability, tau: float):
+    """Match decision: probability at or above the threshold (elementwise on arrays)."""
+    check_threshold(tau)
+    return probability >= tau
+
+
+def _labels_and_probabilities(pairs: Sequence[CandidatePair]) -> tuple[np.ndarray, np.ndarray]:
+    if isinstance(pairs, Candidates) and pairs.label is not None and pairs.probability is not None:
+        return pairs.label, pairs.probability
+    labels, probs = [], []
+    for pair in pairs:
+        if pair.label is None or pair.probability is None:
+            raise ConfigError(
+                f"pair ({pair.a_entity},{pair.b_entity}) lacks label or probability"
+            )
+        labels.append(pair.label)
+        probs.append(pair.probability)
+    return np.array(labels, dtype=bool), np.array(probs, dtype=float)
+
+
+def evaluate(
+    pairs: Sequence[CandidatePair], tau: float, extra_false_negatives: int = 0
+) -> Metrics:
+    """Confusion counts and derived metrics at threshold tau.
+
+    ``extra_false_negatives`` charges true links that blocking removed from
+    the candidate set (they are unrecoverable misses).
+    """
+    labels, probs = _labels_and_probabilities(pairs)
+    return Metrics.from_decisions(classify(probs, tau), labels, extra_false_negatives)

@@ -10,7 +10,7 @@ configuration or data errors.
 modules it runs: this module imports ``idfiles`` and ``errors``, and each
 command imports the rest of what it runs when it runs, calling a layer's
 functions by module attribute (``pipeline.run_experiment``). ``evaluate``
-adds only ``candidates``.
+adds only ``candidates``; ``predict`` scores without ``pipeline`` and ``synth``.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ def write_predictions(
     No field ever needs quoting, so these are the bytes csv.writer would
     write.
     """
+    from .candidates import classify
     from .floattext import repr_rows
-    from .weights import classify
 
     a_text, b_text = _id_text(records_a), _id_text(records_b)
     for scored in chunks:
@@ -216,10 +216,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     and write them to ``--out`` (``write_predictions``). The threshold and
     the model are checked before any records file is read, and ``--out`` is
     opened only once every input has been read."""
-    from . import ingest, model_io, pipeline, weights
-    from .candidates import Candidates
+    from . import candidates, ingest, model_io, scoring
 
-    weights.check_threshold(args.threshold, "--threshold")
+    candidates.check_threshold(args.threshold, "--threshold")
     bundle = model_io.load_model(args.model)
     if bundle.weights is None:
         raise EvolinkError(f"{args.model}: model carries no attribute weights")
@@ -242,9 +241,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
             raise EvolinkError(
                 f"{args.pairs}: line {pairs.first_line + i}: unknown entity id {unknown}"
             )
-        candidates = Candidates(records_a, records_b, a_rows, b_rows)
+        cands = candidates.Candidates(records_a, records_b, a_rows, b_rows)
     else:
-        candidates = pipeline.block_candidates(
+        cands = candidates.block_candidates(
             records_a, records_b, bundle.schema.blocking_attribute
         )
 
@@ -253,11 +252,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
         tau = 0.5
 
     out_path = Path(args.out)
-    chunks = pipeline.scored_chunks(candidates, bundle.store, bundle.weights, bundle.embed_hp.norm)
+    chunks = scoring.scored_chunks(cands, bundle.store, bundle.weights, bundle.embed_hp.norm)
     with open(out_path, "wb") as fh:
         fh.write(",".join(PREDICTION_COLUMNS).encode() + b"\n")
         write_predictions(fh, chunks, records_a, records_b, tau)
-    print(f"scored {len(candidates)} pairs -> {out_path}")
+    print(f"scored {len(cands)} pairs -> {out_path}")
     return 0
 
 

@@ -15,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .candidates import check_threshold
 from .embed import EmbeddingStore, EmbedHyperparams
 from .errors import ConfigError, LoadError, TrainingError
 from .ingest import Schema, ValueDictionary, json_fits, read_fields, read_object
-from .weights import WeightVector, check_loss_sign, check_margin, check_threshold
+from .weights import WeightVector, check_loss_sign, check_margin
 
 FORMAT_TAG = "evolink-model/1"
 # the header's keys besides "format", with their JSON types; "embed" holds EmbedHyperparams

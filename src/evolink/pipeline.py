@@ -1,10 +1,12 @@
-"""End-to-end orchestration: blocking, labeling, scoring, metrics, reports.
+"""The experiment: its config, its stages and its report.
 
 An experiment is: load or generate data, partition by linked pair, block
 candidates per split, build the evolution graph from the training links,
 train embeddings, optionally train weights, pick the decision threshold on
 validation, and evaluate on test. Everything is driven by one config object
-and is deterministic given its seeds.
+and is deterministic given its seeds. Blocking, labels and metrics live in
+``candidates``, g and P in ``scoring``; their public functions are
+importable from here too.
 """
 
 from __future__ import annotations
@@ -16,30 +18,27 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 try:
     import resource
 except ImportError:  # not on Windows
     resource = None
 
-import numpy as np
-
 from . import ekg as ekg_mod
-from . import weights as weights_mod
-from .candidates import (
+from .candidates import (  # noqa: F401  (CandidatePair is re-exported)
+    DEFAULT_CROSS_PRODUCT_CAP,
     CandidatePair,
     Candidates,
     Metrics,
-    candidate_labels,
-    pair_slices,
-    truth_labels,
+    block_candidates,
+    evaluate,
+    label_pairs,
 )
-from .embed import EmbeddingStore, EmbedHyperparams, train_embeddings
-from .errors import BlockingCapError, ConfigError, StageError
-from .idfiles import LinkedPairSet, TextFormat, load_links, write_csv
+from .embed import EmbedHyperparams, train_embeddings
+from .errors import ConfigError, StageError
+from .idfiles import TextFormat, load_links, write_csv
 from .ingest import (
-    RecordSet,
     Schema,
     Split,
     build,
@@ -51,8 +50,13 @@ from .ingest import (
     read_object,
 )
 from .model_io import ModelBundle
+from .scoring import (  # noqa: F401  (the two baselines are re-exported)
+    all_negative_probabilities,
+    exact_match_probabilities,
+    score_pairs,
+)
 from .synth import SynthConfig, generate_synthetic
-from .weights import RLHyperparams, WeightVector, select_threshold, sigmoid, train_weights
+from .weights import RLHyperparams, WeightVector, select_threshold, train_weights
 
 log = logging.getLogger(__name__)
 
@@ -60,172 +64,6 @@ log = logging.getLogger(__name__)
 REFERENCE_RESULTS = (
     "BALL WERL(EKG) F=0.93 | Febrl MERL(EKG) F=0.98 | Cora WERL(EKG) F=0.46"
 )
-
-DEFAULT_CROSS_PRODUCT_CAP = 2_000_000
-
-
-def block_candidates(
-    records_a: RecordSet,
-    records_b: RecordSet,
-    blocking_attribute: int | None = None,
-    cross_product_cap: int = DEFAULT_CROSS_PRODUCT_CAP,
-) -> Candidates:
-    """All A x B pairs whose blocking values are present and equal.
-
-    Without a blocking attribute the full cross product is returned, guarded
-    by the size cap. Records missing the blocking value join no pair. Pairs
-    come in A-record order, and in B-record order for one A record. When its
-    negatives can bind, weight training subsamples them by position, so this
-    order is part of the result.
-    """
-    if records_a.dictionary is not records_b.dictionary:
-        raise ConfigError("record sets must share one value dictionary")
-    if blocking_attribute is None:
-        total = len(records_a) * len(records_b)
-        if total > cross_product_cap:
-            raise BlockingCapError(
-                f"cross product of {total} pairs exceeds the cap of "
-                f"{cross_product_cap}; configure a blocking attribute"
-            )
-        a = np.repeat(np.arange(len(records_a)), len(records_b))
-        b = np.tile(np.arange(len(records_b)), len(records_a))
-        return Candidates(records_a, records_b, a, b)
-
-    key_a = records_a.value_matrix[:, blocking_attribute]
-    key_b = records_b.value_matrix[:, blocking_attribute]
-    # B rows grouped by blocking value, in record order inside each group
-    b_present = np.flatnonzero(key_b >= 0)
-    b_grouped = b_present[np.argsort(key_b[b_present], kind="stable")]
-    b_keys = key_b[b_grouped]
-    a_rows = np.flatnonzero(key_a >= 0)
-    starts = np.searchsorted(b_keys, key_a[a_rows], side="left")
-    counts = np.searchsorted(b_keys, key_a[a_rows], side="right") - starts
-    a = np.repeat(a_rows, counts)
-    # pair i sits at i - run_start in its A record's run, so at
-    # i + (start - run_start) in b_grouped: one index buffer, shifted in place
-    run_starts = np.cumsum(counts) - counts
-    pos = np.arange(len(a))
-    pos += np.repeat(starts - run_starts, counts)
-    return Candidates(records_a, records_b, a, b_grouped[pos])
-
-
-class LabeledCandidates(NamedTuple):
-    pairs: Sequence[CandidatePair]  # Candidates when labelled from Candidates
-    lost_links: int  # true links no candidate pair covers (blocking loss)
-
-
-def label_pairs(pairs: Sequence[CandidatePair], truth: LinkedPairSet) -> LabeledCandidates:
-    """Mark candidates against the truth set; count links blocking lost.
-
-    Candidates come back as Candidates, labelled on their record rows; any
-    other sequence, which carries no record rows, is labelled on its entity
-    ids and comes back as a list of labelled CandidatePairs.
-    """
-    if isinstance(pairs, Candidates):
-        labels, lost = candidate_labels(pairs, truth)
-        return LabeledCandidates(replace(pairs, label=labels), lost)
-    a_ids = np.fromiter((p.a_entity for p in pairs), dtype=np.int64, count=len(pairs))
-    b_ids = np.fromiter((p.b_entity for p in pairs), dtype=np.int64, count=len(pairs))
-    labels, lost, _ = truth_labels(a_ids, b_ids, truth)
-    labeled = [replace(p, label=x) for p, x in zip(pairs, labels.tolist())]
-    return LabeledCandidates(labeled, lost)
-
-
-def score_pairs(
-    pairs: Sequence[CandidatePair],
-    records_a: RecordSet,
-    records_b: RecordSet,
-    store: EmbeddingStore,
-    w: WeightVector,
-    p: int = 2,
-) -> Candidates:
-    """Attach match scores and probabilities: those of ``scored_chunks``,
-    collected into two columns, so the working memory beyond them does not
-    grow with the number of pairs."""
-    cands = Candidates.of(pairs, records_a, records_b)
-    score, probability = np.empty(len(cands)), np.empty(len(cands))
-    for part, scored in zip(pair_slices(len(cands)), scored_chunks(cands, store, w, p)):
-        score[part], probability[part] = scored.score, scored.probability
-    return replace(cands, score=score, probability=probability)
-
-
-def scored_chunks(
-    cands: Candidates, store: EmbeddingStore, w: WeightVector, p: int = 2
-) -> Iterator[Candidates]:
-    """The candidates with scores and probabilities, ``PAIR_CHUNK`` pairs at a time,
-    in order; a pair with no shared attribute gets score NaN and probability 0.0.
-    The chunks share one ``weights.ValuePairTerms``: a distance is computed once per call."""
-    terms = weights_mod.ValuePairTerms(cands, store, p)
-    for part in pair_slices(len(cands)):
-        yield _scored_chunk(cands.take(part), terms, w)
-
-
-def _scored_chunk(
-    chunk: Candidates, terms: weights_mod.ValuePairTerms, w: WeightVector
-) -> Candidates:
-    """One chunk with its scores. A function of its own, so that the chunk's
-    features are freed before ``scored_chunks`` yields it, not kept while
-    the caller writes it."""
-    features, defined = weights_mod.feature_matrix(
-        chunk, chunk.records_a, chunk.records_b, terms.store, terms.p, terms=terms
-    )
-    # one dot product per row rather than a matrix-vector product: each score
-    # then equals g_score's bit for bit, whatever the number of rows
-    scores = np.matmul(features[:, None, :], w.weights[:, None])[:, 0, 0]
-    scores[~defined] = np.nan
-    probs = sigmoid(scores)
-    probs[~defined] = 0.0
-    return replace(chunk, score=scores, probability=probs)
-
-
-def _labels_and_probabilities(pairs: Sequence[CandidatePair]) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(pairs, Candidates) and pairs.label is not None and pairs.probability is not None:
-        return pairs.label, pairs.probability
-    labels, probs = [], []
-    for pair in pairs:
-        if pair.label is None or pair.probability is None:
-            raise ConfigError(
-                f"pair ({pair.a_entity},{pair.b_entity}) lacks label or probability"
-            )
-        labels.append(pair.label)
-        probs.append(pair.probability)
-    return np.array(labels, dtype=bool), np.array(probs, dtype=float)
-
-
-def evaluate(
-    pairs: Sequence[CandidatePair], tau: float, extra_false_negatives: int = 0
-) -> Metrics:
-    """Confusion counts and derived metrics at threshold tau.
-
-    ``extra_false_negatives`` charges true links that blocking removed from
-    the candidate set (they are unrecoverable misses).
-    """
-    labels, probs = _labels_and_probabilities(pairs)
-    return Metrics.from_decisions(probs >= tau, labels, extra_false_negatives)
-
-
-def exact_match_probabilities(
-    pairs: Sequence[CandidatePair],
-    records_a: RecordSet,
-    records_b: RecordSet,
-    attributes: Sequence[int],
-) -> Candidates:
-    """Baseline scorer: probability 1.0 iff every listed attribute is present
-    and equal on both sides, else 0.0."""
-    cands = Candidates.of(pairs, records_a, records_b)
-    columns = list(attributes)
-    a_vals = records_a.value_matrix[cands.a][:, columns]
-    b_vals = records_b.value_matrix[cands.b][:, columns]
-    hit = ((a_vals >= 0) & (a_vals == b_vals)).all(axis=1)
-    return replace(cands, probability=hit.astype(float))
-
-
-def all_negative_probabilities(pairs: Sequence[CandidatePair]) -> Sequence[CandidatePair]:
-    """Baseline that never links anything."""
-    if isinstance(pairs, Candidates):
-        return replace(pairs, probability=np.zeros(len(pairs)))
-    return [replace(p, probability=0.0) for p in pairs]
-
 
 # the experiment config's keys with their JSON types (None: a section with its own reader)
 CONFIG_TYPES = {

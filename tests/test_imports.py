@@ -38,12 +38,12 @@ TRAIN = {
     "rl": {"epochs": 2},
 }
 # the modules that train and score
-TRAINING = {"ekg", "embed", "weights", "pipeline", "model_io", "floattext"}
+TRAINING = {"ekg", "embed", "weights", "scoring", "pipeline", "model_io", "floattext"}
 # per command, the evolink modules it must not load
 UNUSED = {
     "generate": TRAINING | {"candidates"},
     "train": set(),
-    "predict": set(),
+    "predict": {"pipeline", "synth"},
     "evaluate": TRAINING | {"ingest", "synth"},
 }
 # every name the package has always exported
@@ -109,6 +109,12 @@ def test_evaluate_does_not_load_logging(loads, tmp_path):
     # only the pipeline logs; commands configures logging only under --verbose
     if "logging" not in imported("-c", "import numpy", cwd=tmp_path):
         assert "logging" not in loads["evaluate"]
+
+
+def test_predict_does_not_load_logging(loads, tmp_path):
+    # predict scores through candidates and scoring, without the pipeline's logger
+    if "logging" not in imported("-c", "import numpy", cwd=tmp_path):
+        assert "logging" not in loads["predict"]
 
 
 def test_evaluate_loads_the_id_files_and_candidates_alone(loads):

@@ -14,13 +14,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evolink.candidates import Candidates, pair_slices
-from evolink.cli import WRITE_ROWS, write_predictions
+from evolink.candidates import Candidates, block_candidates, label_pairs, pair_slices
+from evolink.commands import WRITE_ROWS, write_predictions
 from evolink.embed import EmbeddingStore
 from evolink.idfiles import LinkedPairSet, read_id_rows
 from evolink.ingest import RecordSet, Schema, ValueDictionary
-from evolink.pipeline import block_candidates, label_pairs, scored_chunks
-from evolink.weights import WeightVector, feature_matrix
+from evolink.scoring import feature_matrix, scored_chunks
+from evolink.weights import WeightVector
 
 MB = 1 << 20
 

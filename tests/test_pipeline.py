@@ -138,6 +138,13 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate([CandidatePair(0, 1, label=True)], 0.5)
 
+    @pytest.mark.parametrize("tau", (0.0, 1.0, 1.5, -0.2, float("nan")))
+    def test_threshold_outside_the_unit_interval_refused(self, tau):
+        # a match is P >= tau (classify), so no tau outside (0, 1) is a threshold
+        pairs = [scored(0, 1, True, 0.9), scored(0, 2, False, 0.1)]
+        with pytest.raises(ConfigError, match=r"tau: must be in \(0, 1\)"):
+            evaluate(pairs, tau)
+
     @given(
         st.lists(
             st.tuples(st.booleans(), st.floats(0, 1, allow_nan=False)), max_size=60
@@ -732,7 +739,7 @@ class TestColumnarEquivalence:
     def test_chunked_scores_equal_one_piece_bit_for_bit(self, chunk, monkeypatch):
         import evolink.candidates as candidates_mod
         from evolink.embed import EmbeddingStore
-        from evolink.pipeline import score_pairs, scored_chunks
+        from evolink.scoring import score_pairs, scored_chunks
         from evolink.weights import WeightVector
 
         rng = np.random.default_rng(5)
@@ -755,9 +762,9 @@ class TestColumnarEquivalence:
 
     def test_chunks_share_their_value_pair_distances(self, monkeypatch):
         import evolink.candidates as candidates_mod
-        import evolink.weights as weights_mod
+        import evolink.scoring as scoring_mod
         from evolink.embed import EmbeddingStore
-        from evolink.pipeline import score_pairs, scored_chunks
+        from evolink.scoring import score_pairs, scored_chunks
         from evolink.weights import WeightVector
 
         rng = np.random.default_rng(8)
@@ -767,13 +774,13 @@ class TestColumnarEquivalence:
         pairs = block_candidates(a, b, None)
         whole = score_pairs(pairs, a, b, store, w)
         computed = []
-        compute = weights_mod.ValuePairTerms._distances
+        compute = scoring_mod.ValuePairTerms._distances
 
         def counting(self, attr, table, keys):
             computed.extend((attr, key) for key in keys.tolist())
             return compute(self, attr, table, keys)
 
-        monkeypatch.setattr(weights_mod.ValuePairTerms, "_distances", counting)
+        monkeypatch.setattr(scoring_mod.ValuePairTerms, "_distances", counting)
         monkeypatch.setattr(candidates_mod, "PAIR_CHUNK", 7)
         pieces = list(scored_chunks(pairs, store, w))
         assert len(pieces) > 100
@@ -784,7 +791,7 @@ class TestColumnarEquivalence:
     def test_chunks_share_their_presence_bits(self, monkeypatch):
         import evolink.candidates as candidates_mod
         from evolink.embed import EmbeddingStore
-        from evolink.pipeline import scored_chunks
+        from evolink.scoring import scored_chunks
         from evolink.weights import WeightVector
 
         rng = np.random.default_rng(9)

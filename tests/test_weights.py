@@ -6,13 +6,12 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from evolink import idfiles
+from evolink import idfiles, scoring
 from evolink import weights as weights_mod
 from evolink.embed import EmbeddingStore
 from evolink.errors import ConfigError, TrainingError, UndefinedPairError
 from evolink.ingest import Record, RecordSet, Schema, ValueDictionary
-from evolink.candidates import Candidates
-from evolink.pipeline import CandidatePair
+from evolink.candidates import CandidatePair, Candidates
 from evolink.weights import (
     RLHyperparams,
     _epoch_loss_and_gradient,
@@ -691,7 +690,7 @@ class TestFeatureMatrixEquivalence:
         )
         trained = trained_rows(store, n_known)
         whole, whole_defined = feature_matrix(pairs, records_a, records_b, trained, p)
-        monkeypatch.setattr(weights_mod, "DISTANCE_BLOCK", block)
+        monkeypatch.setattr(scoring, "DISTANCE_BLOCK", block)
         features, defined = feature_matrix(pairs, records_a, records_b, trained, p)
         assert features.tobytes() == whole.tobytes()
         assert np.array_equal(defined, whole_defined)
