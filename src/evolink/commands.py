@@ -16,6 +16,7 @@ adds only ``candidates``; ``predict`` scores without ``pipeline`` and ``synth``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -215,7 +216,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     """Score the records files' blocked pairs, or the ``--pairs`` file's,
     and write them to ``--out`` (``write_predictions``). The threshold and
     the model are checked before any records file is read, and ``--out`` is
-    opened only once every input has been read."""
+    written only once every input has been read, whole or not at all."""
     from . import candidates, ingest, model_io, scoring
 
     candidates.check_threshold(args.threshold, "--threshold")
@@ -253,9 +254,17 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     out_path = Path(args.out)
     chunks = scoring.scored_chunks(cands, bundle.store, bundle.weights, bundle.embed_hp.norm)
-    with open(out_path, "wb") as fh:
-        fh.write(",".join(PREDICTION_COLUMNS).encode() + b"\n")
-        write_predictions(fh, chunks, records_a, records_b, tau)
+    # written beside --out and renamed over it after the last row, so --out is
+    # never a prefix of the predictions: a failed run leaves it as it was
+    partial = out_path.with_name(f".{out_path.name}.{os.getpid()}.partial")
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(",".join(PREDICTION_COLUMNS).encode() + b"\n")
+            write_predictions(fh, chunks, records_a, records_b, tau)
+        os.replace(partial, out_path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     print(f"scored {len(cands)} pairs -> {out_path}")
     return 0
 

@@ -4,7 +4,8 @@ A pair's g sums, over the attributes present on both records, weight *
 mismatch-indicator * evolution-plausibility, and P is the sigmoid of g.
 ``ValuePairTerms`` gives the terms from per-attribute value-rank tables, and
 ``scored_chunks``, through which training and ``predict`` both score, turns
-them into g and P a chunk of pairs at a time. The baseline scorers are here too.
+them into g (by ``match_scores``, g's one sum) and P a chunk of pairs at a
+time. The baseline scorers are here too.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ _P_FLOOR = 1e-15  # keeps probabilities strictly inside (0, 1)
 # Distinct (v, u) value pairs whose distances feature_matrix computes at once:
 # a block's (rows x dim) residuals, 400 kB at dim 50, stay in cache.
 DISTANCE_BLOCK = 1024
+# Rows whose g match_scores sums at once: their strided columns stay in cache.
+MATCH_BLOCK = 1 << 13
 
 
 def _logistic(g):
@@ -35,6 +38,18 @@ def _logistic(g):
     one, so the overflow is not reported."""
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-g))
+
+
+def match_scores(features: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each row's g, +0.0 + f[:, 0] * w[0] + f[:, 1] * w[1] + ..., in column
+    order: exactly rounded elementwise products and sums, so the same bits at
+    any SIMD width and under any BLAS kernel, and +0.0 for a row of zeros."""
+    scores = np.zeros(len(features))
+    for start in range(0, len(features), MATCH_BLOCK):
+        block, out = features[start : start + MATCH_BLOCK], scores[start : start + MATCH_BLOCK]
+        for attr, weight in enumerate(w):
+            out += block[:, attr] * weight
+    return scores
 
 
 def sigmoid(g):
@@ -243,15 +258,14 @@ def scored_chunks(
 def _scored_chunk(
     chunk: Candidates, terms: ValuePairTerms, w: WeightVector
 ) -> Candidates:
-    """One chunk with its scores. A function of its own, so that the chunk's
-    features are freed before ``scored_chunks`` yields it, not kept while
-    the caller writes it."""
+    """One chunk with its scores: g by ``match_scores``, so each equals
+    ``weights.g_score``'s bit for bit on any host. A function of its own, so
+    that the chunk's features are freed before ``scored_chunks`` yields it,
+    not kept while the caller writes it."""
     features, defined = feature_matrix(
         chunk, chunk.records_a, chunk.records_b, terms.store, terms.p, terms=terms
     )
-    # one dot product per row rather than a matrix-vector product: each score
-    # then equals g_score's bit for bit, whatever the number of rows
-    scores = np.matmul(features[:, None, :], w.weights[:, None])[:, 0, 0]
+    scores = match_scores(features, w.weights)
     scores[~defined] = np.nan
     probs = sigmoid(scores)
     probs[~defined] = 0.0

@@ -20,7 +20,7 @@ from .candidates import Candidates, Metrics, classify
 from .embed import EmbeddingStore, GradientCheckResult, ea_score
 from .errors import ConfigError, TrainingError, UndefinedPairError
 from .ingest import Record, RecordSet
-from .scoring import ValuePairTerms, _logistic, feature_matrix, sigmoid
+from .scoring import ValuePairTerms, _logistic, feature_matrix, match_scores, sigmoid
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,8 @@ def pair_terms(
 def g_score(
     head: Record, tail: Record, store: EmbeddingStore, w: WeightVector, p: int = 2
 ) -> float:
-    """Weighted sum of mismatch terms over the shared present attributes.
+    """Weighted sum of mismatch terms over the shared present attributes:
+    ``scoring.match_scores`` on this pair's one row.
 
     Test oracle for the scores of ``scoring.score_pairs``.
     """
@@ -129,13 +130,14 @@ def g_score(
         raise UndefinedPairError(
             f"records {head.entity_id} and {tail.entity_id} share no present attribute"
         )
-    return float(np.dot(w.weights, terms))
+    return float(match_scores(terms[None, :], w.weights)[0])
 
 
 def link_probability(
     head: Record, tail: Record, store: EmbeddingStore, w: WeightVector, p: int = 2
 ) -> float:
-    """Sigmoid of the match score; 0.5 for identical records.
+    """Sigmoid of ``g_score``; 0.5 for identical records. Unlike g, its last
+    bit may still depend on the host, through numpy's SIMD ``exp``.
 
     Test oracle for the probabilities of ``scoring.score_pairs``.
     """
@@ -153,7 +155,7 @@ def _epoch_loss_and_gradient(
     for features, positive in ((features_pos, True), (features_neg, False)):
         offset, sign = hinge(hp, positive)
         # unclipped, unlike sigmoid(): the trained weights depend on these exact floats
-        prob = _logistic(features @ w)
+        prob = _logistic(match_scores(features, w))
         loss = np.maximum(0.0, offset + sign * prob)
         act = loss > 0
         if act.any():
@@ -265,7 +267,7 @@ def train_weights(
 def pair_loss(terms: np.ndarray, positive: bool, w: np.ndarray, hp: RLHyperparams) -> float:
     """Hinge loss of one scored pair under the configured sign mode."""
     offset, sign = hinge(hp, positive)
-    return max(0.0, offset + sign * sigmoid(float(np.dot(w, terms))))
+    return max(0.0, offset + sign * sigmoid(float(match_scores(terms[None, :], w)[0])))
 
 
 def weight_gradient_check(
@@ -278,7 +280,7 @@ def weight_gradient_check(
     """Compare the analytic weight subgradient with central differences."""
     if not 1e-7 <= epsilon <= 1e-3:
         raise ConfigError("epsilon: must be in [1e-7, 1e-3]")
-    prob = sigmoid(float(np.dot(w, terms)))
+    prob = sigmoid(float(match_scores(terms[None, :], w)[0]))
     slack = 10.0 * epsilon * max(1.0, float(np.abs(terms).max(initial=0.0)))
     offset, sign = hinge(hp, positive)
     boundary = offset + sign * prob

@@ -289,6 +289,47 @@ class TestPredict:
         assert len(scored) > 0
         assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
+    @pytest.mark.parametrize("earlier", [None, b"a_id,b_id,g,P,decision\n1,2,0.0,0.5,match\n"])
+    def test_failed_write_leaves_out_whole_or_absent(
+        self, tmp_path, data_dir, run_dir, monkeypatch, capsys, earlier
+    ):
+        from evolink import commands
+
+        out_dir = tmp_path / "predictions"
+        out_dir.mkdir()
+        out = out_dir / "preds.csv"
+        if earlier is not None:
+            out.write_bytes(earlier)
+        write_predictions = commands.write_predictions
+
+        def full_after_one_block(fh, *args):
+            blocks = []
+
+            class FullDisk:
+                def write(self, data):
+                    if blocks:
+                        raise OSError(28, "No space left on device")
+                    blocks.append(fh.write(data))
+
+            write_predictions(FullDisk(), *args)
+
+        monkeypatch.setattr(commands, "WRITE_ROWS", 4)
+        monkeypatch.setattr(commands, "write_predictions", full_after_one_block)
+        args = ["predict", "--model", str(run_dir / "model.bin"),
+                str(data_dir / "A.csv"), str(data_dir / "B.csv"), "--out", str(out)]
+        assert main(args) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        if earlier is None:
+            assert list(out_dir.iterdir()) == []
+        else:
+            assert list(out_dir.iterdir()) == [out]
+            assert out.read_bytes() == earlier
+
+        monkeypatch.setattr(commands, "write_predictions", write_predictions)
+        assert main(args) == 0
+        assert list(out_dir.iterdir()) == [out]
+        assert out.read_bytes() != earlier
+
     def test_model_missing_header_key_exits_2(self, tmp_path, data_dir, run_dir, capsys):
         raw = (run_dir / "model.bin").read_bytes()
         newline = raw.index(b"\n")

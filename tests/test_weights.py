@@ -27,6 +27,7 @@ from evolink.weights import (
     train_weights,
     weight_gradient_check,
 )
+from oracles import left_to_right_scores
 
 
 def two_attribute_setup():
@@ -114,8 +115,8 @@ class TestGScore:
         # nonpositive terms and nonnegative weights: scaling preserves order
         terms = -rng.uniform(0, 2, size=(30, 4))
         w = rng.uniform(0, 1.5, size=4)
-        g = terms @ w
-        g_scaled = terms @ (3.7 * w)
+        g = left_to_right_scores(terms, w)
+        g_scaled = left_to_right_scores(terms, 3.7 * w)
         assert np.array_equal(np.argsort(g), np.argsort(g_scaled))
 
 
@@ -291,7 +292,7 @@ def eager_train_weights(t_plus, t_minus, records_a, records_b, store, hp, p=2):
         )
         epoch_neg = feats_neg[np.sort(idx)]
         with np.errstate(over="ignore"):
-            p_neg = 1.0 / (1.0 + np.exp(-(epoch_neg @ w)))
+            p_neg = 1.0 / (1.0 + np.exp(-left_to_right_scores(epoch_neg, w)))
         if hp.loss_sign == "corrected":
             active += int((p_neg - (1.0 - hp.margin) > 0).sum())
         else:
@@ -408,7 +409,7 @@ class TestLazyNegatives:
         hp = RLHyperparams(epochs=1, seed=0, negative_ratio=2.0)
         _, history = train_weights(pos[:5], neg, records_a, records_b, store, hp)
         feats, _ = feature_matrix(pos[:5], records_a, records_b, store)
-        p_pos = 1.0 / (1.0 + np.exp(-(feats @ np.ones(2))))
+        p_pos = 1.0 / (1.0 + np.exp(-left_to_right_scores(feats, np.ones(2))))
         assert history == [float(np.maximum(0.0, hp.margin - p_pos).sum()) / (5 + 10)]
 
     def test_negatives_without_a_shared_attribute_are_unscorable(self):
@@ -465,8 +466,8 @@ class TestInertNegatives:
 def reference_epoch_loss_and_gradient(features_pos, features_neg, w, hp):
     """Reference for ``_epoch_loss_and_gradient``: each loss mode's hinges
     written out in a branch of their own, independent of ``weights.HINGES``."""
-    g_pos = features_pos @ w
-    g_neg = features_neg @ w
+    g_pos = left_to_right_scores(features_pos, w)
+    g_neg = left_to_right_scores(features_neg, w)
     with np.errstate(over="ignore"):
         p_pos = 1.0 / (1.0 + np.exp(-g_pos))
         p_neg = 1.0 / (1.0 + np.exp(-g_neg))
@@ -497,7 +498,7 @@ def reference_epoch_loss_and_gradient(features_pos, features_neg, w, hp):
 
 def reference_pair_loss(terms, positive, w, hp):
     """Reference for ``pair_loss``, one branch per loss mode and side."""
-    prob = sigmoid(float(np.dot(w, terms)))
+    prob = sigmoid(float(left_to_right_scores([terms], w)[0]))
     if hp.loss_sign == "corrected":
         if positive:
             return max(0.0, hp.margin - prob)
@@ -543,8 +544,8 @@ class TestHingeTable:
         ref_total, ref_grad = reference_epoch_loss_and_gradient(pos, neg, w, hp)
         assert np.float64(total).tobytes() == np.float64(ref_total).tobytes()
         assert grad.tobytes() == ref_grad.tobytes()
-        event("g overflows" if np.abs(np.concatenate((pos, neg)) @ w).max(initial=0) > 709
-              else "g finite")
+        g = left_to_right_scores(np.concatenate((pos, neg)), w)
+        event("g overflows" if np.abs(g).max(initial=0) > 709 else "g finite")
         for positive, rows in ((True, pos), (False, neg)):
             for terms in rows:
                 assert np.float64(pair_loss(terms, positive, w, hp)).tobytes() == (
