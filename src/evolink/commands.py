@@ -16,7 +16,6 @@ adds only ``candidates``; ``predict`` scores without ``pipeline`` and ``synth``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -31,6 +30,7 @@ from .idfiles import (
     TextFormat,
     load_links,
     read_id_rows,
+    whole_file,
     write_csv,
     write_links_csv,
 )
@@ -151,12 +151,19 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise EvolinkError(f"missing data file {path}")
 
     base = pipeline.ExperimentConfig.from_json(args.config)
+    # the files source of the data directory, with the config's schema: a
+    # files source's own, or the one a synthetic source generates its files with
+    given = base.source
+    if not isinstance(base.data_source, pipeline.FileSource):
+        synth = base.data_source
+        given = {"attributes": list(synth.attributes),
+                 "blocking_attribute": synth.blocking_attribute}
     source = {
-        **base.source,
+        **given,
         **dict(zip(pipeline.FILE_KEYS, map(str, required))),
         "kind": "files",
         # the base config was read, so a format it gives is an object
-        "format": {**base.source.get("format", {}), "delimiter": ","},
+        "format": {**given.get("format", {}), "delimiter": ","},
     }
     config = _with_flags(args, base, source=source)
     _run_and_persist(config, Path(args.out), "train", [Path(args.config), *required], args.config)
@@ -252,20 +259,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if tau is None:
         tau = 0.5
 
-    out_path = Path(args.out)
     chunks = scoring.scored_chunks(cands, bundle.store, bundle.weights, bundle.embed_hp.norm)
-    # written beside --out and renamed over it after the last row, so --out is
-    # never a prefix of the predictions: a failed run leaves it as it was
-    partial = out_path.with_name(f".{out_path.name}.{os.getpid()}.partial")
-    try:
-        with open(partial, "wb") as fh:
-            fh.write(",".join(PREDICTION_COLUMNS).encode() + b"\n")
-            write_predictions(fh, chunks, records_a, records_b, tau)
-        os.replace(partial, out_path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-    print(f"scored {len(cands)} pairs -> {out_path}")
+    # a failed run leaves --out as it was
+    with whole_file(args.out, "wb") as fh:
+        fh.write(",".join(PREDICTION_COLUMNS).encode() + b"\n")
+        write_predictions(fh, chunks, records_a, records_b, tau)
+    print(f"scored {len(cands)} pairs -> {Path(args.out)}")
     return 0
 
 

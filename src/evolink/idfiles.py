@@ -10,12 +10,14 @@ up in a sorted set. Of the package this module imports only ``errors``, so
 from __future__ import annotations
 
 import csv
+import os
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -327,9 +329,27 @@ def load_links(
     return LinkedPairSet(np.column_stack((rows.a_ids, rows.b_ids)), provenance)
 
 
+@contextmanager
+def whole_file(path: str | Path, mode: str = "w", **open_args) -> Iterator[IO]:
+    """A file opened with ``mode`` beside ``path``, as ``.<name>.<pid>.partial``,
+    and renamed over ``path`` once the block ends: ``path`` is never a prefix
+    of what is written. If the block raises, the partial file is removed, so
+    ``path`` keeps what it held, or stays absent."""
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    try:
+        with open(partial, mode, **open_args) as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
-    """Write ``header``, then ``rows``, as ``ENCODING`` CSV with LF line ends."""
-    with open(path, "w", newline="\n", encoding=ENCODING) as fh:
+    """Write ``header``, then ``rows``, as ``ENCODING`` CSV with LF line ends,
+    whole or not at all (``whole_file``)."""
+    with whole_file(path, newline="\n", encoding=ENCODING) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

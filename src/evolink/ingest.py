@@ -11,6 +11,7 @@ theirs that this module has always exported still resolve here.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
@@ -23,7 +24,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, LoadError, SchemaMismatchError
 from .idfiles import (
-    ENCODING,
     ID_TEXT,
     LinkedPairSet,
     TextFormat,
@@ -350,67 +350,68 @@ def load_records(
     elif dictionary.n_attributes != schema.n_attributes:
         raise SchemaMismatchError("dictionary attribute count does not match schema")
 
-    with open(path, newline="", encoding=ENCODING) as fh:
-        reader = _decoded_rows(csv.reader(fh, delimiter=fmt.delimiter), path)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError(f"{path}: empty file") from None
+    # decoded whole first, so that a byte that is not text is named by its line
+    decoded = io.StringIO(_text(path.read_bytes(), path), newline="")
+    reader = csv.reader(decoded, delimiter=fmt.delimiter)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise LoadError(f"{path}: empty file") from None
 
-        id_name = standardize(ID_COLUMN)
-        id_col = None
-        attr_cols: list[int] = []
-        for i, name in enumerate(header):
-            if standardize(name) == id_name and id_col is None:
-                id_col = i
-            else:
-                attr_cols.append(i)
-        header_names = [standardize(header[i]) for i in attr_cols]
-        wanted = [standardize(a) for a in schema.attributes]
-        if header_names != wanted:
-            unknown = [n for n in header_names if n not in wanted]
-            if unknown:
-                raise SchemaMismatchError(
-                    f"{path}: unknown attribute {unknown[0]!r} in header"
-                )
+    id_name = standardize(ID_COLUMN)
+    id_col = None
+    attr_cols: list[int] = []
+    for i, name in enumerate(header):
+        if standardize(name) == id_name and id_col is None:
+            id_col = i
+        else:
+            attr_cols.append(i)
+    header_names = [standardize(header[i]) for i in attr_cols]
+    wanted = [standardize(a) for a in schema.attributes]
+    if header_names != wanted:
+        unknown = [n for n in header_names if n not in wanted]
+        if unknown:
             raise SchemaMismatchError(
-                f"{path}: header {header_names} does not match schema {wanted}"
+                f"{path}: unknown attribute {unknown[0]!r} in header"
             )
+        raise SchemaMismatchError(
+            f"{path}: header {header_names} does not match schema {wanted}"
+        )
 
-        nulls = fmt.standardized_nulls
-        # per column: raw cell -> value id, or -1 for a null; first sightings
-        # intern in file order, so value ids do not depend on the memo
-        memos: list[dict[str, int]] = [{} for _ in attr_cols]
-        ids: list[int] = []
-        cells: list[list[int]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise LoadError(
-                    f"{path}: line {lineno}: expected {len(header)} columns, "
-                    f"got {len(row)}"
-                )
-            if id_col is not None:
-                # the id syntax of the id files: ASCII -?[0-9]+ within int64
-                text = row[id_col]
-                if not ID_TEXT.fullmatch(text):
-                    raise LoadError(f"{path}: line {lineno}: bad entity id {text!r}")
-                # 18 characters always fit; int() alone is the fast path for them
-                entity_id = int(text) if len(text) < 19 else _id_value(text)
-                if entity_id is None:
-                    raise LoadError(f"{path}: line {lineno}: entity ids must fit in 64 bits")
-            else:
-                entity_id = len(ids)
-            ids.append(entity_id)
-            row_cells = []
-            for attr, (col, memo) in enumerate(zip(attr_cols, memos)):
-                raw = row[col]
-                try:
-                    vid = memo[raw]
-                except KeyError:
-                    cell = standardize(raw)
-                    vid = memo[raw] = -1 if cell in nulls else dictionary.intern(attr, cell)
-                row_cells.append(vid)
-            cells.append(row_cells)
+    nulls = fmt.standardized_nulls
+    # per column: raw cell -> value id, or -1 for a null; first sightings
+    # intern in file order, so value ids do not depend on the memo
+    memos: list[dict[str, int]] = [{} for _ in attr_cols]
+    ids: list[int] = []
+    cells: list[list[int]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise LoadError(
+                f"{path}: line {lineno}: expected {len(header)} columns, "
+                f"got {len(row)}"
+            )
+        if id_col is not None:
+            # the id syntax of the id files: ASCII -?[0-9]+ within int64
+            text = row[id_col]
+            if not ID_TEXT.fullmatch(text):
+                raise LoadError(f"{path}: line {lineno}: bad entity id {text!r}")
+            # 18 characters always fit; int() alone is the fast path for them
+            entity_id = int(text) if len(text) < 19 else _id_value(text)
+            if entity_id is None:
+                raise LoadError(f"{path}: line {lineno}: entity ids must fit in 64 bits")
+        else:
+            entity_id = len(ids)
+        ids.append(entity_id)
+        row_cells = []
+        for attr, (col, memo) in enumerate(zip(attr_cols, memos)):
+            raw = row[col]
+            try:
+                vid = memo[raw]
+            except KeyError:
+                cell = standardize(raw)
+                vid = memo[raw] = -1 if cell in nulls else dictionary.intern(attr, cell)
+            row_cells.append(vid)
+        cells.append(row_cells)
 
     matrix = np.array(cells, dtype=np.int64).reshape(len(ids), schema.n_attributes)
     try:
@@ -418,19 +419,6 @@ def load_records(
     except RepeatedIdError as exc:  # row r is on line r + 2
         message = f"line {exc.row + 2}: entity id {exc.entity_id} repeats line {exc.earlier + 2}"
         raise LoadError(f"{path}: {message}") from None
-
-
-
-def _decoded_rows(reader: Iterator[list[str]], path: Path) -> Iterator[list[str]]:
-    """The rows of a csv reader over the file at ``path``; a row it cannot
-    decode raises ``_text``'s LoadError."""
-    try:
-        yield from reader
-    except UnicodeDecodeError:
-        _text(path.read_bytes(), path)
-        raise
-
-
 
 
 def write_records_csv(records: RecordSet, path: str | Path) -> None:

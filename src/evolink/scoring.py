@@ -61,9 +61,22 @@ def sigmoid(g):
     return float(prob) if prob.ndim == 0 else prob
 
 
+def _fixed_terms(table: _ValuePairTable, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The term of each pair of ranks (v, u), broadcast together, as far as
+    the values decide it: 0 when they are equal or one is missing, the
+    table's ``unknown_term`` when they differ and one has no trained vector,
+    and NaN when two trained values differ: that term is minus their
+    distance. ``weights.pair_terms``'s rule, stated once."""
+    terms = np.where((v < table.d) & (u < table.d), np.nan, table.unknown_term)
+    terms[(v == u) | (v == table.missing) | (u == table.missing)] = 0.0
+    return terms
+
+
 class _ValuePairTable:
     """One attribute's value ranks on each side, and, when dense, the term of
-    every (v, u) pair of ranks: v * width + u of ``terms``."""
+    every (v, u) pair of ranks: v * width + u of ``terms``. A dense table is
+    ``_fixed_terms`` over all its slots, built with it; its NaN slots, the
+    mismatches of trained values, are filled as pairs first need them."""
 
     def __init__(self, column_a: np.ndarray, column_b: np.ndarray, limit: int,
                  unknown_term: float, n_pairs: int):
@@ -85,12 +98,9 @@ class _ValuePairTable:
         self.heads = None  # each known value's vector plus the attribute's, once needed
         self.terms = None
         if dense_table(self.width * self.width, n_pairs):
-            # NaN marks a known mismatch whose distance is not computed yet
-            terms = np.full((self.width, self.width), unknown_term)
-            terms[: self.d, : self.d] = np.nan
-            np.fill_diagonal(terms, 0.0)
-            terms[self.missing, :] = terms[:, self.missing] = 0.0
-            self.terms = terms.reshape(-1)
+            # v down the rows, u across: no width² array of keys is made
+            rank = np.arange(self.width)
+            self.terms = _fixed_terms(self, rank[:, None], rank[None, :]).reshape(-1)
 
 
 class ValuePairTerms:
@@ -101,16 +111,17 @@ class ValuePairTerms:
 
     Each attribute keys its values on their ranks among its values present on
     either side (missing ranks last), so a pair of values is one integer,
-    v * width + u. While the width² slots are at most
+    v * width + u; ``_fixed_terms``, the rule's one home, gives a key's term,
+    or NaN where a distance is due. While the width² slots are at most
     ``idfiles.TABLE_SLOTS_PER_KEY`` per candidate pair, the attribute keeps a
-    table of the term of every such key, filled as pairs first need them;
-    otherwise it sorts each call's mismatching pairs with ``np.unique``. A
-    value is trained if it has a row in the store's ``value_vectors``.
+    table of every key's term, filled when it is built except for the
+    mismatches of trained values, whose distances are computed as pairs first
+    need them; otherwise it takes each call's distinct keys (``np.unique``).
+    A value is trained if it has a row in the store's ``value_vectors``.
     Distances come from a copy of the attribute's trained value vectors plus
-    its attribute vector, made once per table. Every table, once built,
-    lasts as long as this object, so consecutive chunks of the candidates
-    share it; so do both record sets' presence bits, packed once, from which
-    ``defined`` answers.
+    its attribute vector, made once per table. Tables, and both record sets'
+    presence bits (packed once, for ``defined``), last as long as this
+    object, so consecutive chunks of the candidates share them.
     """
 
     def __init__(self, cands: Candidates, store: EmbeddingStore, p: int = 2):
@@ -152,7 +163,11 @@ class ValuePairTerms:
             if table.terms is not None:
                 features[:, attr] = self._looked_up(attr, table, keys)
             else:
-                self._sorted(attr, table, keys, features[:, attr])
+                pairs, inverse = np.unique(keys, return_inverse=True)
+                terms = _fixed_terms(table, *np.divmod(pairs, table.width))
+                fresh = np.isnan(terms)
+                terms[fresh] = -self._distances(attr, table, pairs[fresh])
+                features[:, attr] = terms[inverse]
         return features, self.defined(cands)
 
     def _looked_up(self, attr: int, table: _ValuePairTable, keys: np.ndarray) -> np.ndarray:
@@ -162,27 +177,10 @@ class ValuePairTerms:
         fresh = np.isnan(terms)
         if fresh.any():
             keys = keys[fresh]
-            if dense_table(len(table.terms), len(keys)):
-                flags = np.zeros(len(table.terms), dtype=bool)
-                flags[keys] = True
-                pairs = np.flatnonzero(flags)
-            else:
-                pairs = sorted_distinct(keys)
+            pairs = sorted_distinct(keys)
             table.terms[pairs] = -self._distances(attr, table, pairs)
             terms[fresh] = table.terms[keys]
         return terms
-
-    def _sorted(
-        self, attr: int, table: _ValuePairTable, keys: np.ndarray, column: np.ndarray
-    ) -> None:
-        """Write the terms of pairs of ranks ``keys`` into ``column``,
-        computing the distance of each distinct known mismatch once."""
-        v, u = np.divmod(keys, table.width)
-        rows = np.flatnonzero((v != u) & (v != table.missing) & (u != table.missing))
-        known = (v[rows] < table.d) & (u[rows] < table.d)
-        pairs, inverse = np.unique(keys[rows[known]], return_inverse=True)
-        column[rows[known]] = -self._distances(attr, table, pairs)[inverse]
-        column[rows[~known]] = table.unknown_term
 
     def _distances(self, attr: int, table: _ValuePairTable, pairs: np.ndarray) -> np.ndarray:
         """Distances of the known rank pairs ``pairs`` (keys), by

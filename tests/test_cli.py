@@ -154,6 +154,21 @@ class TestTrain:
         assert set(bundle.weights.weights.tolist()) == {1.0}
         assert read_csv(out / "loss_weights.csv") == [["epoch", "loss"]]
 
+    def test_a_synthetic_source_trains_as_its_schema_files_source(self, tmp_path, data_dir):
+        # the README's quick start: train on generated files with the config
+        # that generated them; the files source with the same attributes and
+        # blocking attribute gives the same run
+        synthetic = {**EXPERIMENT, "source": {"kind": "synthetic", "synth": SYNTH}}
+        runs = []
+        for name, config in (("synthetic", synthetic), ("files", EXPERIMENT)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            out = tmp_path / f"run-{name}"
+            assert main(["train", str(data_dir), "--config", str(path), "--out", str(out)]) == 0
+            runs.append(out)
+        for artifact in ("model.bin", "metrics.csv", "report.txt"):
+            assert (runs[0] / artifact).read_bytes() == (runs[1] / artifact).read_bytes(), artifact
+
     def test_missing_data_dir_exits_2(self, tmp_path, experiment_config, capsys):
         code = main([
             "train", str(tmp_path / "nowhere"), "--config", str(experiment_config),

@@ -460,6 +460,29 @@ def test_multibyte_delimiter_and_other_encoding(tmp_path):
         load_links(path, TextFormat(delimiter="§"))
 
 
+@pytest.mark.parametrize("earlier", [None, b"a_id,b_id\n1,2\n"])
+def test_failed_write_csv_leaves_the_path_whole_or_absent(tmp_path, earlier):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    path = out_dir / "links.csv"
+    if earlier is not None:
+        path.write_bytes(earlier)
+
+    def rows():  # enough rows that the buffer reaches the file before the failure
+        yield from ([i, i + 1] for i in range(20_000))
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError, match="No space left on device"):
+        idfiles.write_csv(path, ["a_id", "b_id"], rows())
+    assert list(out_dir.iterdir()) == ([] if earlier is None else [path])
+    if earlier is not None:
+        assert path.read_bytes() == earlier
+
+    idfiles.write_csv(path, ["a_id", "b_id"], [[3, 4]])
+    assert list(out_dir.iterdir()) == [path]
+    assert path.read_bytes() == b"a_id,b_id\n3,4\n"
+
+
 def test_repeated_link_names_both_lines(tmp_path):
     path = write(tmp_path, "links.csv", "a_id,b_id\n0,10\n1,11\n0,10\n")
     with pytest.raises(LoadError, match=f"^{re.escape(str(path))}: line 4: pair 0,10 repeats line 2$"):
