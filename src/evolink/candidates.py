@@ -121,8 +121,9 @@ class Candidates(Sequence):
         )
 
 
-# Pairs labelled or scored at a time; bounds those layers' working memory.
-PAIR_CHUNK = 1 << 16
+# Pairs labelled, scored, summed and written at a time: the one tile of every
+# per-pair layer, which bounds its working memory.
+PAIR_CHUNK = 1 << 13
 
 
 def pair_slices(n_pairs: int) -> list[slice]:

@@ -46,10 +46,6 @@ LOSS_SIGNS = ("corrected", "as-written")
 CSV_FORMAT = TextFormat(delimiter=",")
 # One predictions row: ids, then g and P at full precision (repr), then the decision.
 PREDICTION_ROW = "%d,%d,%r,%r,%s\n"
-# Rows the predictions writer builds as one byte matrix: with the renderer's
-# temporaries they take about 650 bytes a row, so a whole chunk at once would
-# raise predict's peak memory by about 40 MB, and run no faster.
-WRITE_ROWS = 1 << 13
 # a row's last field, with the comma before it, indexed by its decision
 DECISION_TEXT = np.array([f",{decision}\n".encode() for decision in DECISIONS])
 
@@ -75,9 +71,15 @@ def _write_manifest(
         "artifacts": [p.name for p in artifacts],
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with whole_file(out_dir / "manifest.json", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _open_run_dir(out: Path) -> None:
+    """Make ``out``, and remove the manifest of an earlier run into it: the
+    manifest, written last, marks a complete run directory."""
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -87,9 +89,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raise ConfigError("seed: must be >= 0")
     config = synth.SynthConfig.from_json(args.config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     data = synth.generate_synthetic(config, args.seed)
+    _open_run_dir(out)
     ingest.write_records_csv(data.records_a, out / "A.csv")
     ingest.write_records_csv(data.records_b, out / "B.csv")
     write_links_csv(data.links, out / "truth_links.csv")
@@ -125,12 +126,13 @@ def _run_and_persist(config: ExperimentConfig, out: Path, command: str,
     from . import model_io, pipeline
 
     result = pipeline.run_experiment(config)
-    out.mkdir(parents=True, exist_ok=True)
+    _open_run_dir(out)
     pipeline.write_report(result.report, out)
     model_io.save_model(out / "model.bin", result.bundle)
     # wall times and memory vary between reruns, so they stay out of the report
     timings = {name: t._asdict() for name, t in result.timings.items()}
-    (out / "timings.json").write_text(json.dumps(timings, indent=2) + "\n", encoding="utf-8")
+    with whole_file(out / "timings.json", encoding="utf-8") as fh:
+        fh.write(json.dumps(timings, indent=2) + "\n")
     artifacts = [
         out / n
         for n in ("config.json", "loss_embed.csv", "loss_weights.csv",
@@ -187,26 +189,25 @@ def write_predictions(
     """Write each scored chunk to the binary file ``fh``, one
     ``PREDICTION_ROW`` line per pair.
 
-    ``WRITE_ROWS`` rows at a time are built as one byte matrix, a column
-    block per field: the ids, each record's formatted once as "<id>," and
-    gathered by the pairs' row arrays; g and P as ``floattext.repr_rows``
-    renders them; the decision with its comma and newline. The fields' NUL
-    padding is dropped from the matrix's bytes in one ``bytes.translate``.
-    No field ever needs quoting, so these are the bytes csv.writer would
-    write.
+    Each chunk is built as one byte matrix, a column block per field: the
+    ids, each record's formatted once as "<id>," and gathered by the pairs'
+    row arrays; g and P as ``floattext.repr_rows`` renders them; the
+    decision with its comma and newline. The fields' NUL padding is dropped
+    from the matrix's bytes in one ``bytes.translate``. No field ever needs
+    quoting, so these are the bytes csv.writer would write.
     """
     from .candidates import classify
     from .floattext import repr_rows
 
     a_text, b_text = _id_text(records_a), _id_text(records_b)
     for scored in chunks:
-        for start in range(0, len(scored), WRITE_ROWS):
-            piece = scored.take(slice(start, start + WRITE_ROWS))
-            decision = DECISION_TEXT[classify(piece.probability, tau).view(np.uint8)]
-            fields = [_byte_columns(a_text[piece.a]), _byte_columns(b_text[piece.b]),
-                      repr_rows(piece.score), np.full((len(piece), 1), ord(","), np.uint8),
-                      repr_rows(piece.probability), _byte_columns(decision)]
-            fh.write(np.concatenate(fields, axis=1).tobytes().translate(None, b"\0"))
+        # one expression, so no field of a chunk is kept while the next is built
+        fh.write(np.concatenate([
+            _byte_columns(a_text[scored.a]), _byte_columns(b_text[scored.b]),
+            repr_rows(scored.score), np.full((len(scored), 1), ord(","), np.uint8),
+            repr_rows(scored.probability),
+            _byte_columns(DECISION_TEXT[classify(scored.probability, tau).view(np.uint8)]),
+        ], axis=1).tobytes().translate(None, b"\0"))
 
 
 def _id_text(records: RecordSet) -> np.ndarray:
@@ -341,10 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except EvolinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (EvolinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

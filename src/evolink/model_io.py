@@ -18,6 +18,7 @@ import numpy as np
 from .candidates import check_threshold
 from .embed import EmbeddingStore, EmbedHyperparams
 from .errors import ConfigError, LoadError, TrainingError
+from .idfiles import whole_file
 from .ingest import Schema, ValueDictionary, json_fits, read_fields, read_object
 from .weights import WeightVector, check_loss_sign, check_margin
 
@@ -64,7 +65,7 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
     )
     values = np.ascontiguousarray(bundle.store.value_vectors, dtype="<f8")
     attrs = np.ascontiguousarray(bundle.store.attribute_vectors, dtype="<f8")
-    with open(path, "wb") as fh:
+    with whole_file(path, "wb") as fh:
         fh.write(header_bytes)
         fh.write(b"\n")
         fh.write(values.tobytes())

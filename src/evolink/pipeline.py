@@ -37,7 +37,7 @@ from .candidates import (  # noqa: F401  (CandidatePair is re-exported)
 )
 from .embed import EmbedHyperparams, train_embeddings
 from .errors import ConfigError, StageError
-from .idfiles import TextFormat, load_links, write_csv
+from .idfiles import TextFormat, load_links, whole_file, write_csv
 from .ingest import (
     Schema,
     Split,
@@ -376,9 +376,8 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> None:
         "embed": {**report.config["embed"], "seed": report.seeds["embed"]},
         "rl": {**report.config["rl"], "seed": report.seeds["weights"]},
     }
-    (out / "config.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with whole_file(out / "config.json", encoding="utf-8") as fh:
+        fh.write(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
     for name, losses in (("loss_embed.csv", report.embed_loss),
                          ("loss_weights.csv", report.weights_loss)):
         write_csv(out / name, ["epoch", "loss"],
@@ -432,4 +431,5 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> None:
     lines.append(f"test metrics: {m.row()}")
     lines.append("")
     lines.append(f"reference results (published benchmarks): {REFERENCE_RESULTS}")
-    (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with whole_file(out / "report.txt", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -28,8 +28,6 @@ _P_FLOOR = 1e-15  # keeps probabilities strictly inside (0, 1)
 # Distinct (v, u) value pairs whose distances feature_matrix computes at once:
 # a block's (rows x dim) residuals, 400 kB at dim 50, stay in cache.
 DISTANCE_BLOCK = 1024
-# Rows whose g match_scores sums at once: their strided columns stay in cache.
-MATCH_BLOCK = 1 << 13
 
 
 def _logistic(g):
@@ -43,10 +41,12 @@ def _logistic(g):
 def match_scores(features: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Each row's g, +0.0 + f[:, 0] * w[0] + f[:, 1] * w[1] + ..., in column
     order: exactly rounded elementwise products and sums, so the same bits at
-    any SIMD width and under any BLAS kernel, and +0.0 for a row of zeros."""
+    any SIMD width and under any BLAS kernel, and +0.0 for a row of zeros.
+    Rows are summed a ``pair_slices`` tile at a time, so that their strided
+    columns stay in cache."""
     scores = np.zeros(len(features))
-    for start in range(0, len(features), MATCH_BLOCK):
-        block, out = features[start : start + MATCH_BLOCK], scores[start : start + MATCH_BLOCK]
+    for part in pair_slices(len(features)):
+        block, out = features[part], scores[part]
         for attr, weight in enumerate(w):
             out += block[:, attr] * weight
     return scores
@@ -104,8 +104,9 @@ class _ValuePairTable:
 
 
 class ValuePairTerms:
-    """``pair_terms`` for the pairs of one ``Candidates``: ``features`` gives
-    one row of terms per pair of any chunk of them. Each distinct (v, u)
+    """``pair_terms`` for pairs over the two record sets of one ``Candidates``:
+    ``features`` gives one row of terms per pair of any chunk of them, or of
+    other pairs over the same record sets. Each distinct (v, u)
     value pair's distance is computed once per call; where the attribute
     keeps a table, once however many pairs or calls share it.
 
@@ -121,7 +122,8 @@ class ValuePairTerms:
     Distances come from a copy of the attribute's trained value vectors plus
     its attribute vector, made once per table. Tables, and both record sets'
     presence bits (packed once, for ``defined``), last as long as this
-    object, so consecutive chunks of the candidates share them.
+    object, so consecutive chunks, and other pairs of the same records,
+    share them.
     """
 
     def __init__(self, cands: Candidates, store: EmbeddingStore, p: int = 2):
@@ -133,7 +135,7 @@ class ValuePairTerms:
         self._present_b = np.packbits(self.records_b.value_matrix >= 0, axis=1)
 
     def defined(self, cands: Candidates) -> np.ndarray:
-        """Per pair of ``cands`` (some of the candidates this object serves),
+        """Per pair of ``cands`` (pairs over this object's record sets),
         whether some attribute is present on both records: ``feature_matrix``'s
         ``defined``."""
         return (self._present_a[cands.a] & self._present_b[cands.b]).any(axis=1)
@@ -214,9 +216,9 @@ def feature_matrix(
     and defined marks pairs with at least one shared present attribute.
     Value ids past the rows of ``store.value_vectors`` have no trained
     vector; their mismatches get the worst score the unit-ball geometry
-    allows. ``terms``, a ``ValuePairTerms`` over candidates these pairs are
-    some of, with the same store and ``p``, carries the distances already
-    computed by earlier calls; without it each call builds its own.
+    allows. ``terms``, a ``ValuePairTerms`` over these record sets, with the
+    same store and ``p``, carries the distances already computed by earlier
+    calls; without it each call builds its own.
     """
     cands = Candidates.of(pairs, records_a, records_b)
     if terms is None:
@@ -247,27 +249,20 @@ def scored_chunks(
 ) -> Iterator[Candidates]:
     """The candidates with scores and probabilities, ``PAIR_CHUNK`` pairs at a time,
     in order; a pair with no shared attribute gets score NaN and probability 0.0.
-    The chunks share one ``ValuePairTerms``: a distance is computed once per call."""
+    g is ``match_scores``'s, so each equals ``weights.g_score``'s bit for bit
+    on any host. The chunks share one ``ValuePairTerms``: a distance is
+    computed once per call."""
     terms = ValuePairTerms(cands, store, p)
     for part in pair_slices(len(cands)):
-        yield _scored_chunk(cands.take(part), terms, w)
-
-
-def _scored_chunk(
-    chunk: Candidates, terms: ValuePairTerms, w: WeightVector
-) -> Candidates:
-    """One chunk with its scores: g by ``match_scores``, so each equals
-    ``weights.g_score``'s bit for bit on any host. A function of its own, so
-    that the chunk's features are freed before ``scored_chunks`` yields it,
-    not kept while the caller writes it."""
-    features, defined = feature_matrix(
-        chunk, chunk.records_a, chunk.records_b, terms.store, terms.p, terms=terms
-    )
-    scores = match_scores(features, w.weights)
-    scores[~defined] = np.nan
-    probs = sigmoid(scores)
-    probs[~defined] = 0.0
-    return replace(chunk, score=scores, probability=probs)
+        chunk = cands.take(part)
+        features, defined = feature_matrix(
+            chunk, cands.records_a, cands.records_b, store, p, terms=terms
+        )
+        scores = match_scores(features, w.weights)
+        scores[~defined] = np.nan
+        probs = sigmoid(scores)
+        probs[~defined] = 0.0
+        yield replace(chunk, score=scores, probability=probs)
 
 
 def exact_match_probabilities(

@@ -213,11 +213,14 @@ def train_weights(
     from its own generator, ``default_rng([seed, epoch])``, so skipped
     epochs do not shift the draws of later ones.
     """
-    feats_pos, defined_pos = feature_matrix(t_plus, records_a, records_b, store, p)
-    feats_pos = feats_pos[defined_pos]
     neg = Candidates.of(t_minus, records_a, records_b)
-    neg_terms = ValuePairTerms(neg, store, p)
-    scorable_neg = neg_terms.defined(neg)
+    # one set of tables and presence bits for both kinds of pair
+    terms = ValuePairTerms(neg, store, p)
+    feats_pos, defined_pos = feature_matrix(
+        t_plus, records_a, records_b, store, p, terms=terms
+    )
+    feats_pos = feats_pos[defined_pos]
+    scorable_neg = terms.defined(neg)
     if neg.label is not None:
         scorable_neg &= ~neg.label
     n_neg = int(np.count_nonzero(scorable_neg))
@@ -242,7 +245,7 @@ def train_weights(
             if feats_neg is None:
                 scorable = neg.take(scorable_neg)
                 feats_neg, _ = feature_matrix(
-                    scorable, records_a, records_b, store, p, terms=neg_terms
+                    scorable, records_a, records_b, store, p, terms=terms
                 )
             if n_draw < n_neg:
                 rng = np.random.default_rng([seed, epoch])

@@ -1,7 +1,10 @@
 import csv
 import json
+import os
+import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +311,7 @@ class TestPredict:
     def test_failed_write_leaves_out_whole_or_absent(
         self, tmp_path, data_dir, run_dir, monkeypatch, capsys, earlier
     ):
+        from evolink import candidates as candidates_mod
         from evolink import commands
 
         out_dir = tmp_path / "predictions"
@@ -328,7 +332,7 @@ class TestPredict:
 
             write_predictions(FullDisk(), *args)
 
-        monkeypatch.setattr(commands, "WRITE_ROWS", 4)
+        monkeypatch.setattr(candidates_mod, "PAIR_CHUNK", 4)
         monkeypatch.setattr(commands, "write_predictions", full_after_one_block)
         args = ["predict", "--model", str(run_dir / "model.bin"),
                 str(data_dir / "A.csv"), str(data_dir / "B.csv"), "--out", str(out)]
@@ -367,6 +371,122 @@ class TestPredict:
             str(alien), str(alien), "--out", str(tmp_path / "p.csv"),
         ])
         assert code == 2
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Runs the CLI with the arguments after argv[1], one step wrapped so that,
+# once it has written what argv[1] names, the child prints "stopped" and
+# sleeps until it is killed.
+STOPPING_CHILD = """
+import sys, time
+from evolink import candidates, commands, ingest, model_io
+
+def stop():
+    print("stopped", flush=True)
+    time.sleep(600)
+
+where, argv = sys.argv[1], sys.argv[2:]
+if where == "predict":  # the first chunk of predictions
+    candidates.PAIR_CHUNK = 16
+    write = commands.write_predictions
+    def write_one_chunk(fh, chunks, *rest):
+        def first(chunks=iter(chunks)):
+            yield next(chunks)
+            fh.flush()
+            stop()
+        write(fh, first(), *rest)
+    commands.write_predictions = write_one_chunk
+elif where == "generate":  # half of A.csv's rows
+    write_csv = ingest.write_csv
+    def write_half(path, header, rows):
+        rows = list(rows)
+        def half():
+            yield from rows[: len(rows) // 2]
+            stop()
+        write_csv(path, header, half())
+    ingest.write_csv = write_half
+else:  # model.bin
+    save_model = model_io.save_model
+    def save_then_stop(*args):
+        save_model(*args)
+        stop()
+    model_io.save_model = save_then_stop
+sys.exit(commands.main(argv))
+"""
+
+
+def kill_once_stopped(where, args):
+    """Run ``STOPPING_CHILD`` until it stops after writing ``where``'s
+    output, then kill it with SIGKILL."""
+    paths = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    child = subprocess.Popen(
+        [sys.executable, "-c", STOPPING_CHILD, where, *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+    )
+    try:
+        stopped = "stopped\n" in iter(child.stdout.readline, "")
+    finally:
+        child.kill()
+        _, err = child.communicate()
+    assert stopped, err
+    assert child.returncode == -signal.SIGKILL
+
+
+class TestKilledRuns:
+    """A run killed with SIGKILL while it writes leaves each output whole,
+    as it was before, or absent; a run directory it wrote into has no
+    manifest."""
+
+    @pytest.mark.parametrize("earlier", [None, b"a_id,b_id,g,P,decision\n1,2,0.0,0.5,match\n"])
+    def test_predict_killed_after_its_first_chunk(self, tmp_path, data_dir, run_dir, earlier):
+        out = tmp_path / "predictions" / "preds.csv"
+        out.parent.mkdir()
+        if earlier is not None:
+            out.write_bytes(earlier)
+        kill_once_stopped("predict", [
+            "predict", "--model", str(run_dir / "model.bin"),
+            str(data_dir / "A.csv"), str(data_dir / "B.csv"), "--out", str(out),
+        ])
+        # the first chunk went to the partial file beside --out
+        (partial,) = out.parent.glob(".preds.csv.*.partial")
+        assert partial.read_bytes().count(b"\n") == 1 + 16
+        if earlier is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == earlier
+
+    @pytest.mark.parametrize("rerun", [False, True])
+    def test_generate_killed_halfway_through_a_csv(self, tmp_path, rerun):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({**SYNTH, "size_a": 3000, "size_b": 3000}), encoding="utf-8")
+        out = tmp_path / "data"
+        args = ["generate", "--config", str(config), "--out", str(out)]
+        earlier = None
+        if rerun:
+            assert main([*args, "--seed", "1"]) == 0
+            earlier = (out / "A.csv").read_bytes()
+        kill_once_stopped("generate", [*args, "--seed", "2"])
+        (partial,) = out.glob(".A.csv.*.partial")
+        assert partial.stat().st_size > 0
+        if earlier is None:
+            assert not (out / "A.csv").exists()
+        else:
+            assert (out / "A.csv").read_bytes() == earlier
+        assert not (out / "manifest.json").exists()
+
+    def test_train_rerun_killed_after_model_bin_leaves_no_manifest(
+        self, data_dir, run_dir, experiment_config
+    ):
+        earlier = (run_dir / "model.bin").read_bytes()
+        assert (run_dir / "manifest.json").is_file()
+        kill_once_stopped("train", [
+            "train", str(data_dir), "--config", str(experiment_config),
+            "--out", str(run_dir), "--seed", "9",
+        ])
+        assert not (run_dir / "manifest.json").exists()
+        assert (run_dir / "model.bin").read_bytes() != earlier
+        assert load_model(run_dir / "model.bin").weights is not None
 
 
 class TestEvaluate:

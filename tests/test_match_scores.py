@@ -14,8 +14,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evolink.candidates import PAIR_CHUNK
 from evolink.cli import main
-from evolink.scoring import MATCH_BLOCK, match_scores
+from evolink.scoring import match_scores
 from oracles import left_to_right_scores
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,7 +33,7 @@ def score_inputs(draw):
     """Features <= 0 (±0.0 among them) from a small pool of values, on up to
     three blocks and one row, and weights of both signs."""
     n_cols = draw(st.integers(1, 12))
-    n_rows = draw(st.integers(0, 40) | st.integers(0, 3 * MATCH_BLOCK + 1))
+    n_rows = draw(st.integers(0, 40) | st.integers(0, 3 * PAIR_CHUNK + 1))
     pool = draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-1e100, 0.0),
                          min_size=1, max_size=16))
     picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
@@ -45,7 +46,7 @@ def score_inputs(draw):
 class TestMatchScores:
     @settings(deadline=None)
     @given(score_inputs())
-    @example((np.zeros((MATCH_BLOCK + 1, 3)), np.array([-1.0, 0.5, -2.0])))
+    @example((np.zeros((PAIR_CHUNK + 1, 3)), np.array([-1.0, 0.5, -2.0])))
     def test_equals_a_left_to_right_loop(self, inputs):
         features, w = inputs
         assert match_scores(features, w).tobytes() == left_to_right_scores(features, w).tobytes()
@@ -94,6 +95,61 @@ class TestNoBlas:
             if (sites := blas_sites(path.read_text(encoding="utf-8")))
         }
         assert found == {}
+
+
+def _write_call(call: ast.Call) -> str | None:
+    """What ``call`` is, if it may open a file for writing: ``write_text``,
+    ``write_bytes``, or an ``open`` (builtin, or a method such as
+    ``Path.open``) whose mode is not a literal without w, a, x or +."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return name
+    if name != "open":
+        return None
+    # the mode: open(file, mode) or path.open(mode), or mode=
+    at = 1 if isinstance(func, ast.Name) else 0
+    mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                call.args[at] if len(call.args) > at else None)
+    if mode is None or (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        and not set(mode.value) & set("wax+")):
+        return None
+    return "open"
+
+
+def write_sites(source: str) -> list[str]:
+    """Each call in ``source`` that may open a file for writing, as
+    "function: what"."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and (what := _write_call(node)):
+            sites.append(f"{function}: {what}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+class TestOneFileWriter:
+    """Every output goes through ``idfiles.whole_file``, so it is whole or absent."""
+
+    def test_guard_finds_each_kind_of_site(self):
+        source = ("open(p, 'w')\nopen(p, mode='ab')\nopen(p, 'x')\nopen(p, 'r+')\n"
+                  "open(p, m)\np.open('wb')\np.write_text(s)\np.write_bytes(b)\n"
+                  "open(p)\nopen(p, 'rb')\np.open()\np.read_text()\n")
+        assert len(write_sites(source)) == 8
+
+    def test_sources_write_only_through_whole_file(self):
+        found = {
+            path.name: sites
+            for path in SOURCES
+            if (sites := write_sites(path.read_text(encoding="utf-8")))
+        }
+        assert found == {"idfiles.py": ["whole_file: open"]}
 
 
 def write_tiny_configs(out: Path) -> tuple[Path, Path]:

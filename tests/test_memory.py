@@ -14,8 +14,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evolink.candidates import Candidates, block_candidates, label_pairs, pair_slices
-from evolink.commands import WRITE_ROWS, write_predictions
+from evolink.candidates import PAIR_CHUNK, Candidates, block_candidates, label_pairs, pair_slices
+from evolink.commands import write_predictions
 from evolink.embed import EmbeddingStore
 from evolink.idfiles import LinkedPairSet, read_id_rows
 from evolink.ingest import RecordSet, Schema, ValueDictionary
@@ -159,8 +159,8 @@ def test_write_predictions_budget(shared_values):
     write(1)()  # the renderer builds its tables on first use
     _, peak = peak_above_start(write(len(parts)))
     _, one_chunk_peak = peak_above_start(write(1))
-    # per row of one WRITE_ROWS block: its byte matrix and that matrix's
-    # bytes, about 120 each, and the renderer's uint64 temporaries; nothing
-    # is kept per chunk or per pair
-    assert peak <= 800 * WRITE_ROWS + 1 * MB, peak / WRITE_ROWS
+    # per row of one chunk: its byte matrix and that matrix's bytes, about
+    # 120 each, and the renderer's uint64 temporaries; nothing is kept per
+    # chunk or per pair
+    assert peak <= 800 * PAIR_CHUNK + 1 * MB, peak / PAIR_CHUNK
     assert peak - one_chunk_peak <= 64 * 1024, (peak, one_chunk_peak)

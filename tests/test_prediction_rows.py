@@ -1,6 +1,6 @@
 """The predictions writer builds its rows column by column; its text must be
 the ``PREDICTION_ROW`` lines, row for row, whatever the ids, the floats and
-the way the pairs are cut into chunks and joined."""
+the way the pairs are cut into chunks."""
 
 import io
 
@@ -56,16 +56,14 @@ def scored_pairs(draw):
 
 @pytest.mark.parametrize("chunk", ("1", "7", "n-1"))
 @settings(max_examples=100, deadline=None)
-@given(cands=scored_pairs(), tau=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-       write_rows=st.sampled_from([1, 3, commands.WRITE_ROWS]))
-def test_writer_text_equals_the_row_format(chunk, cands, tau, write_rows):
+@given(cands=scored_pairs(), tau=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_writer_text_equals_the_row_format(chunk, cands, tau):
     if cands.probability.size and 0 < cands.probability[0] < 1:
         tau = cands.probability[0]  # a P equal to tau is a match
     size = len(cands) - 1 if chunk == "n-1" else int(chunk)
     fh = io.BytesIO()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(candidates_mod, "PAIR_CHUNK", size)
-        patch.setattr(commands, "WRITE_ROWS", write_rows)
         parts = pair_slices(len(cands))
         commands.write_predictions(fh, map(cands.take, parts), cands.records_a, cands.records_b, tau)
     assert len(parts) == -(-len(cands) // size)

@@ -252,6 +252,23 @@ class TestTrainWeights:
         assert np.array_equal(one.weights, two.weights)
         assert h1 == h2
 
+    @pytest.mark.parametrize("loss_sign", ["corrected", "as_written"])
+    def test_packs_each_record_sets_presence_once(self, monkeypatch, loss_sign):
+        # the positives' features come from the negatives' ValuePairTerms;
+        # as_written's negatives bind, so their features are built too
+        store, records_a, records_b, pos, neg = separable_training_setup()
+        packed = []
+        packbits = np.packbits
+
+        def counting(*args, **kwargs):
+            packed.append(args[0].shape)
+            return packbits(*args, **kwargs)
+
+        monkeypatch.setattr(np, "packbits", counting)
+        hp = RLHyperparams(epochs=5, seed=2, loss_sign=loss_sign)
+        train_weights(pos[:40], neg[:200], records_a, records_b, store, hp)
+        assert packed == [records_a.value_matrix.shape, records_b.value_matrix.shape]
+
     def test_empty_side_rejected(self):
         store, records_a, records_b, pos, neg = separable_training_setup()
         from evolink.errors import TrainingError
