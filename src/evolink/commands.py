@@ -28,6 +28,8 @@ from .idfiles import (
     DECISIONS,
     PREDICTION_COLUMNS,
     TextFormat,
+    _byte_columns,
+    _id_text,
     load_links,
     read_id_rows,
     whole_file,
@@ -208,16 +210,6 @@ def write_predictions(
             repr_rows(scored.probability),
             _byte_columns(DECISION_TEXT[classify(scored.probability, tau).view(np.uint8)]),
         ], axis=1).tobytes().translate(None, b"\0"))
-
-
-def _id_text(records: RecordSet) -> np.ndarray:
-    """Each record's "<id>," as a NUL-padded ``S`` array."""
-    return np.array([b"%d," % i for i in records.id_array.tolist()], dtype=np.bytes_)
-
-
-def _byte_columns(text: np.ndarray) -> np.ndarray:
-    """An ``S`` array as a (rows, itemsize) uint8 matrix."""
-    return text.view(np.uint8).reshape(len(text), text.dtype.itemsize)
 
 
 def cmd_predict(args: argparse.Namespace) -> int:

@@ -136,14 +136,21 @@ def _tables() -> _Tables:
             elif not only_one:
                 row[7] = ord(".")
     frames = frames.reshape(44, 40).view("<u8")
-    suffixes = np.array([_word(b"" if -4 < d <= 16 else b"e%+03d" % (d - 1))
-                         for d in range(DECPT_MIN, DECPT_MAX + 1)], dtype=np.uint64)
-    # four digits in every other byte; from 10^4 on with their trailing
-    # zeros left out, for the last group of four that is not 0
-    groups = [b"".join(b"%c\0" % ch for ch in b"%04d" % y) for y in range(10**4)]
-    digits = np.array([_word(text) for text in groups]
-                      + [_word(text.rstrip(b"0\0")) for text in groups], dtype=np.uint64)
-    specials = np.array([_word(text) for text in SPECIAL_TEXT], dtype=np.uint64)
+    suffixes = _words([b"" if -4 < d <= 16 else b"e%+03d" % (d - 1)
+                       for d in range(DECPT_MIN, DECPT_MAX + 1)])
+    # the four digits of 0..9999 in every other byte; from 10^4 on with
+    # their trailing zeros left out, for the last group of four that is not 0
+    groups = np.arange(10**4, dtype=np.uint64)
+    whole, trimmed = np.zeros_like(groups), np.zeros_like(groups)
+    more = np.zeros(len(groups), dtype=bool)  # a digit from this one on is not 0
+    for i in (3, 2, 1, 0):
+        digit = groups // U64(10 ** (3 - i)) % U64(10)
+        char = (digit + U64(ord("0"))) << U64(16 * i)
+        more |= digit != U64(0)
+        whole |= char
+        trimmed |= np.where(more, char, U64(0))
+    digits = np.concatenate((whole, trimmed))
+    specials = _words(SPECIAL_TEXT)
     return _Tables(
         limbs=limbs, k=k, shift=(h + 2).astype(np.uint64),
         down=(np.where(irregular, 1, 2) << h).astype(np.uint64),
@@ -152,8 +159,10 @@ def _tables() -> _Tables:
     )
 
 
-def _word(text: bytes) -> int:
-    return int.from_bytes(text.ljust(8, b"\0"), "little")
+def _words(texts) -> np.ndarray:
+    """Each text of at most 8 bytes as the ``uint64`` whose little-endian
+    bytes are the text and then NULs."""
+    return np.array(texts, dtype="S8").view("<u8").astype(np.uint64)
 
 
 def _round_to_odd_product(limbs, cp):

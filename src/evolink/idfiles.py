@@ -334,8 +334,11 @@ def whole_file(path: str | Path, mode: str = "w", **open_args) -> Iterator[IO]:
     """A file opened with ``mode`` beside ``path``, as ``.<name>.<pid>.partial``,
     and renamed over ``path`` once the block ends: ``path`` is never a prefix
     of what is written. If the block raises, the partial file is removed, so
-    ``path`` keeps what it held, or stays absent."""
+    ``path`` keeps what it held, or stays absent. The partial files of
+    ``path`` that writers no longer running left, killed before they could
+    remove theirs, are removed first."""
     path = Path(path)
+    _remove_stale_partials(path)
     partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
     try:
         with open(partial, mode, **open_args) as fh:
@@ -344,6 +347,36 @@ def whole_file(path: str | Path, mode: str = "w", **open_args) -> Iterator[IO]:
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+
+
+def _remove_stale_partials(path: Path) -> None:
+    """Remove each ``.<name>.<pid>.partial`` beside ``path`` whose pid is not
+    a running process; a running writer's partial file stays. Only on
+    POSIX: elsewhere ``os.kill(pid, 0)`` does not test a pid."""
+    prefix, suffix = f".{path.name}.", ".partial"
+    try:
+        names = os.listdir(path.parent) if os.name == "posix" else []
+    except OSError:  # opening the partial file reports it
+        return
+    for name in names:
+        pid = name[len(prefix) : -len(suffix)]
+        if name.startswith(prefix) and name.endswith(suffix) and re.fullmatch("[0-9]+", pid):
+            try:
+                os.kill(int(pid), 0)  # signal 0 sends nothing; it tests the pid
+            except (ProcessLookupError, OverflowError):  # no such process; beyond any pid
+                (path.parent / name).unlink(missing_ok=True)
+            except PermissionError:  # another user's process
+                pass
+
+
+def _id_text(records: RecordSet) -> np.ndarray:
+    """Each record's "<id>," as a NUL-padded ``S`` array."""
+    return np.array([b"%d," % i for i in records.id_array.tolist()], dtype=np.bytes_)
+
+
+def _byte_columns(text: np.ndarray) -> np.ndarray:
+    """An ``S`` array as a (rows, itemsize) uint8 matrix."""
+    return text.view(np.uint8).reshape(len(text), text.dtype.itemsize)
 
 
 def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:

@@ -24,16 +24,19 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, LoadError, SchemaMismatchError
 from .idfiles import (
+    ENCODING,
     ID_TEXT,
     LinkedPairSet,
     TextFormat,
+    _byte_columns,
     _first_repeat,
+    _id_text,
     _id_value,
     _text,
     id_ranks,
     sorted_distinct,
     standardize,
-    write_csv,
+    whole_file,
     write_links_csv,
 )
 
@@ -421,15 +424,58 @@ def load_records(
         raise LoadError(f"{path}: {message}") from None
 
 
+# about the bytes of cells that write_records_csv lays out at once
+WRITE_BYTES = 1 << 20
+
+
+class _Lines(list):
+    """A file for ``csv.writer`` that keeps each row's text as an item."""
+
+    write = list.append
+
+
 def write_records_csv(records: RecordSet, path: str | Path) -> None:
     """Write records as CSV with a header row, ids in an ``ID_COLUMN`` column
-    first; missing attributes become empty cells."""
+    first; missing attributes become empty cells. The bytes are those of
+    ``csv.writer`` with LF line ends, written whole or not at all
+    (``whole_file``)."""
+    with whole_file(path, "wb") as fh:
+        fh.writelines(_record_lines(records))
+
+
+def _record_lines(records: RecordSet) -> Iterator[bytes]:
+    """The records file's header, then its rows a block at a time.
+
+    The csv module renders the header, and each value's field once, with
+    the comma after it. A block of rows is one byte matrix: each row's id
+    as ``_id_text`` gives it, then its cells' fields, gathered by value id
+    and padded to the widest. A mask keeps each field's own bytes, NULs
+    among them, and each row's last comma becomes its LF.
+    """
+    lines = _Lines()
+    writer = csv.writer(lines, lineterminator="\n")
+    writer.writerow([ID_COLUMN, *records.schema.attributes])
     # indexed by value id; the trailing "" is what a missing value's -1 picks
     strings = [text for _, _, text in records.dictionary.entries()] + [""]
-    write_csv(path, [ID_COLUMN, *records.schema.attributes], (
-        [entity_id, *map(strings.__getitem__, row)]
-        for entity_id, row in zip(records.id_array.tolist(), records.value_matrix.tolist())
-    ))
+    writer.writerows([text, ""] for text in strings)
+    header, *fields = (line.encode(ENCODING) for line in lines)
+    yield header
+    fields = [field[:-1] for field in fields]  # each "<field>,"
+    lengths = np.array([len(field) for field in fields])
+    in_field = np.arange(lengths.max()) < lengths[:, None]
+    table = np.zeros(in_field.shape, dtype=np.uint8)
+    table[in_field] = np.frombuffer(b"".join(fields), dtype=np.uint8)
+
+    ids = _byte_columns(_id_text(records))
+    n_rows, n_attributes = records.value_matrix.shape
+    step = max(1, WRITE_BYTES // (ids.shape[1] + n_attributes * table.shape[1]))
+    for start in range(0, n_rows, step):
+        values, row_ids = records.value_matrix[start : start + step], ids[start : start + step]
+        cells = np.concatenate((row_ids, table[values].reshape(len(values), -1)), axis=1)
+        keep = np.concatenate((row_ids != 0, in_field[values].reshape(len(values), -1)), axis=1)
+        text = cells[keep]
+        text[np.cumsum(np.count_nonzero(keep, axis=1)) - 1] = ord("\n")
+        yield text.tobytes()
 
 
 def _allocate(n: int, ratios: Sequence[float]) -> list[int]:

@@ -153,57 +153,108 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Split:
     Each duplicate is the A record pushed through the evolution rule table
     (first applicable rule wins, fired with its own probability), then typo
     and missing-value noise. Every A record has at most one duplicate in B.
+
+    The records are drawn by column, yet from the stream that a scalar draw
+    per cell, row by row, would use: ``rng.integers`` over an array of
+    bounds draws one element at a time, in order, and the duplicates' noise
+    is drawn as ``_add_noise`` says. A seed gives the same records as the
+    row loop kept in ``tests/oracles.py``.
     """
     rng = np.random.default_rng(seed)
     schema = config.to_schema()
-    dictionary = ValueDictionary(schema.n_attributes)
+    n_attr = schema.n_attributes
+    dictionary = ValueDictionary(n_attr)
 
-    vocab_ids: list[list[int]] = []
-    for attr, name in enumerate(config.attributes):
-        vocab_ids.append([dictionary.intern(attr, v) for v in config.vocabularies[name]])
+    vocab_ids = [[dictionary.intern(attr, v) for v in config.vocabularies[name]]
+                 for attr, name in enumerate(config.attributes)]
+    sizes = np.array([len(ids) for ids in vocab_ids], dtype=np.int64)
+    vocab = np.zeros((n_attr, max(sizes, default=0)), dtype=np.int64)  # by attribute and draw
+    for attr, ids in enumerate(vocab_ids):
+        vocab[attr, : len(ids)] = ids
 
-    rules_by_attr: dict[int, list[tuple[int, int, float]]] = {}
-    for rule in config.evolution_rules:
+    def draw(n_rows: int) -> np.ndarray:
+        picks = rng.integers(np.tile(sizes, n_rows)).reshape(n_rows, n_attr)
+        return vocab[np.arange(n_attr), picks]
+
+    # by value id: whether a rule leaves it, and the first such rule's target and probability
+    ruled = np.zeros(len(dictionary), dtype=bool)
+    target = np.arange(len(dictionary))
+    chance = np.zeros(len(dictionary))
+    for rule in reversed(config.evolution_rules):  # so that the first rule is set last
         attr = config.attributes.index(rule.attribute)
         src = dictionary.lookup(attr, rule.source)
-        dst = dictionary.lookup(attr, rule.target)
-        rules_by_attr.setdefault(attr, []).append((src, dst, rule.probability))
+        ruled[src], chance[src] = True, rule.probability
+        target[src] = dictionary.lookup(attr, rule.target)
 
-    def draw_values() -> list[int]:
-        return [ids[int(rng.integers(len(ids)))] for ids in vocab_ids]
-
-    a_rows = [draw_values() for _ in range(config.size_a)]
-
+    a_values = draw(config.size_a)
     n_dup = round(config.duplicate_fraction * config.size_a)
-    dup_sources = sorted(int(i) for i in rng.choice(config.size_a, n_dup, replace=False))
-
+    dup_sources = np.sort(rng.choice(config.size_a, n_dup, replace=False))
     # B rows (-1 = missing): first the duplicates of dup_sources, then fresh draws
-    b_rows: list[list[int]] = []
-    for a_idx in dup_sources:
-        values = list(a_rows[a_idx])
-        for attr, current in enumerate(a_rows[a_idx]):
-            for src, dst, prob in rules_by_attr.get(attr, ()):
-                if src == current:
-                    if rng.random() < prob:
-                        values[attr] = dst
-                    break
-        for attr in range(schema.n_attributes):
-            if rng.random() < config.typo_probability:
-                mutated = _typo(dictionary.value_string(values[attr]), rng)
-                values[attr] = dictionary.intern(attr, mutated)
-            if rng.random() < config.missing_probability:
-                values[attr] = -1
-        b_rows.append(values)
+    duplicates = a_values[dup_sources]
+    _add_noise(duplicates, config, dictionary, (ruled, target, chance), rng)
+    b_values = np.concatenate((duplicates, draw(config.size_b - n_dup)))
 
-    for _ in range(config.size_b - n_dup):
-        b_rows.append(draw_values())
-
-    b_order = rng.permutation(len(b_rows))
+    b_order = rng.permutation(config.size_b)
     # B row i takes the id at its place in b_order; dup_sources ascends, so the links do
     dup_b_ids = config.size_a + np.argsort(b_order)[:n_dup]
     b_ids = range(config.size_a, config.size_a + config.size_b)
     return Split(
-        RecordSet.from_columns(schema, dictionary, range(config.size_a), a_rows),
-        RecordSet.from_columns(schema, dictionary, b_ids, np.array(b_rows)[b_order]),
+        RecordSet.from_columns(schema, dictionary, range(config.size_a), a_values),
+        RecordSet.from_columns(schema, dictionary, b_ids, b_values[b_order]),
         LinkedPairSet(np.column_stack((dup_sources, dup_b_ids)), "generated"),
     )
+
+
+# the most duplicates whose noise is drawn in one call
+NOISE_BLOCK = 1 << 12
+
+
+def _add_noise(values: np.ndarray, config: SynthConfig, dictionary: ValueDictionary,
+               rules: tuple[np.ndarray, np.ndarray, np.ndarray], rng: np.random.Generator) -> None:
+    """Put each row of ``values`` (A values, none missing) through the
+    evolution rules, then typo and missing-value noise, in place.
+
+    A row draws, in order: a double for each attribute whose value a rule
+    leaves; then per attribute a typo double, ``_typo``'s integers if the
+    typo fires, and a missing double. A block of rows draws its doubles in
+    one ``rng.random`` call, as if no typo fired. The rows before the
+    block's first typo keep them; the generator is then set back and draws
+    again up to that row, which makes its draws one at a time, so that
+    ``_typo`` and ``dictionary.intern`` see what they would row by row.
+    """
+    ruled, target, chance = rules
+    n_rows, n_attr = values.shape
+    # about twice the rows expected up to the first typo
+    typo_rows = 1.0 - (1.0 - config.typo_probability) ** n_attr
+    block = int(min(NOISE_BLOCK, 2.0 / typo_rows)) if typo_rows > 0.0 else NOISE_BLOCK
+    row = 0
+    while row < n_rows:
+        rows = values[row : row + block]
+        has_rule = ruled[rows]
+        # a row's draws: the rule doubles by attribute, then typo and missing by attribute
+        slots = np.concatenate((has_rule, np.ones((len(rows), 2 * n_attr), dtype=bool)), axis=1)
+        drawn = np.zeros(slots.shape)
+        state = rng.bit_generator.state
+        drawn[slots] = rng.random(np.count_nonzero(slots))
+        typo_at = np.flatnonzero((drawn[:, n_attr::2] < config.typo_probability).any(axis=1))
+        clean = int(typo_at[0]) if len(typo_at) else len(rows)
+        done, drawn = rows[:clean], drawn[:clean]
+        fired = has_rule[:clean] & (drawn[:, :n_attr] < chance[done])
+        done[fired] = target[done[fired]]
+        done[drawn[:, n_attr + 1 :: 2] < config.missing_probability] = -1
+        if clean < len(rows):
+            rng.bit_generator.state = state
+            rng.random(np.count_nonzero(slots[:clean]))
+            cells = rows[clean].tolist()
+            for attr, current in enumerate(cells):
+                if ruled[current] and rng.random() < chance[current]:
+                    cells[attr] = int(target[current])
+            for attr in range(n_attr):
+                if rng.random() < config.typo_probability:
+                    mutated = _typo(dictionary.value_string(cells[attr]), rng)
+                    cells[attr] = dictionary.intern(attr, mutated)
+                if rng.random() < config.missing_probability:
+                    cells[attr] = -1
+            rows[clean] = cells
+            clean += 1
+        row += clean

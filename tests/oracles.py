@@ -1,6 +1,6 @@
 """Lookups that only the tests need, kept here as oracles: an attribute's
-value domain, the tails observed from a head value, and g summed in plain
-Python."""
+value domain, the tails observed from a head value, g summed in plain
+Python, and the synthetic generator and records writer a record at a time."""
 
 import numpy as np
 
@@ -29,3 +29,85 @@ def left_to_right_scores(features, w) -> np.ndarray:
             g += f * x
         scores.append(g)
     return np.array(scores, dtype=float)
+
+
+def reference_generate(config, seed: int):
+    """``synth.generate_synthetic`` one record and one draw at a time: a
+    scalar ``rng.integers`` per cell, then each duplicate's rule, typo and
+    missing draws in turn. The vectorised generator draws the same stream."""
+    from evolink.idfiles import LinkedPairSet
+    from evolink.ingest import RecordSet, Split, ValueDictionary
+    from evolink.synth import _typo
+
+    rng = np.random.default_rng(seed)
+    schema = config.to_schema()
+    dictionary = ValueDictionary(schema.n_attributes)
+
+    vocab_ids: list[list[int]] = []
+    for attr, name in enumerate(config.attributes):
+        vocab_ids.append([dictionary.intern(attr, v) for v in config.vocabularies[name]])
+
+    rules_by_attr: dict[int, list[tuple[int, int, float]]] = {}
+    for rule in config.evolution_rules:
+        attr = config.attributes.index(rule.attribute)
+        src = dictionary.lookup(attr, rule.source)
+        dst = dictionary.lookup(attr, rule.target)
+        rules_by_attr.setdefault(attr, []).append((src, dst, rule.probability))
+
+    def draw_values() -> list[int]:
+        return [ids[int(rng.integers(len(ids)))] for ids in vocab_ids]
+
+    a_rows = [draw_values() for _ in range(config.size_a)]
+
+    n_dup = round(config.duplicate_fraction * config.size_a)
+    dup_sources = sorted(int(i) for i in rng.choice(config.size_a, n_dup, replace=False))
+
+    # B rows (-1 = missing): first the duplicates of dup_sources, then fresh draws
+    b_rows: list[list[int]] = []
+    for a_idx in dup_sources:
+        values = list(a_rows[a_idx])
+        for attr, current in enumerate(a_rows[a_idx]):
+            for src, dst, prob in rules_by_attr.get(attr, ()):
+                if src == current:
+                    if rng.random() < prob:
+                        values[attr] = dst
+                    break
+        for attr in range(schema.n_attributes):
+            if rng.random() < config.typo_probability:
+                mutated = _typo(dictionary.value_string(values[attr]), rng)
+                values[attr] = dictionary.intern(attr, mutated)
+            if rng.random() < config.missing_probability:
+                values[attr] = -1
+        b_rows.append(values)
+
+    for _ in range(config.size_b - n_dup):
+        b_rows.append(draw_values())
+
+    b_order = rng.permutation(len(b_rows))
+    dup_b_ids = config.size_a + np.argsort(b_order)[:n_dup]
+    b_ids = range(config.size_a, config.size_a + config.size_b)
+    b_matrix = np.array(b_rows, dtype=np.int64).reshape(-1, schema.n_attributes)
+    return Split(
+        RecordSet.from_columns(schema, dictionary, range(config.size_a), a_rows),
+        RecordSet.from_columns(schema, dictionary, b_ids, b_matrix[b_order]),
+        LinkedPairSet(np.column_stack((dup_sources, dup_b_ids)), "generated"),
+    )
+
+
+def reference_records_csv(records) -> bytes:
+    """The bytes of ``ingest.write_records_csv``, one ``csv.writer`` row per record."""
+    import csv
+    import io
+
+    from evolink.ingest import ID_COLUMN
+
+    # indexed by value id; the trailing "" is what a missing value's -1 picks
+    strings = [text for _, _, text in records.dictionary.entries()] + [""]
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([ID_COLUMN, *records.schema.attributes])
+    writer.writerows(
+        [entity_id, *map(strings.__getitem__, row)]
+        for entity_id, row in zip(records.id_array.tolist(), records.value_matrix.tolist())
+    )
+    return out.getvalue().encode("utf-8")

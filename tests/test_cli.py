@@ -378,7 +378,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # once it has written what argv[1] names, the child prints "stopped" and
 # sleeps until it is killed.
 STOPPING_CHILD = """
-import sys, time
+import itertools, sys, time
 from evolink import candidates, commands, ingest, model_io
 
 def stop():
@@ -396,15 +396,13 @@ if where == "predict":  # the first chunk of predictions
             stop()
         write(fh, first(), *rest)
     commands.write_predictions = write_one_chunk
-elif where == "generate":  # half of A.csv's rows
-    write_csv = ingest.write_csv
-    def write_half(path, header, rows):
-        rows = list(rows)
-        def half():
-            yield from rows[: len(rows) // 2]
-            stop()
-        write_csv(path, header, half())
-    ingest.write_csv = write_half
+elif where == "generate":  # the header and half of A.csv's rows
+    ingest.WRITE_BYTES = 1  # a row a block
+    record_lines = ingest._record_lines
+    def half(records):
+        yield from itertools.islice(record_lines(records), 1 + len(records) // 2)
+        stop()
+    ingest._record_lines = half
 else:  # model.bin
     save_model = model_io.save_model
     def save_then_stop(*args):
@@ -474,6 +472,12 @@ class TestKilledRuns:
         else:
             assert (out / "A.csv").read_bytes() == earlier
         assert not (out / "manifest.json").exists()
+        # a complete rerun removes the killed writer's partial file, and
+        # keeps one whose pid is a running process's
+        running = out / f".A.csv.{os.getppid()}.partial"
+        running.write_bytes(b"")
+        assert main([*args, "--seed", "2"]) == 0
+        assert list(out.glob(".*.partial")) == [running]
 
     def test_train_rerun_killed_after_model_bin_leaves_no_manifest(
         self, data_dir, run_dir, experiment_config

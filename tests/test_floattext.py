@@ -119,3 +119,22 @@ def test_floor_logarithms():
         if abs(q) <= 400:
             t = floattext.floor_log2_pow10(q)
             assert Fraction(2) ** t <= Fraction(10) ** q < Fraction(2) ** (t + 1), q
+
+
+def _word(text: bytes) -> int:
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+
+def test_tables_of_words_match_their_text():
+    """The suffix, digit and special tables are the words of their text,
+    built here one Python int at a time."""
+    tables = floattext._tables()
+    suffixes = [_word(b"" if -4 < d <= 16 else b"e%+03d" % (d - 1))
+                for d in range(floattext.DECPT_MIN, floattext.DECPT_MAX + 1)]
+    groups = [b"".join(b"%c\0" % ch for ch in b"%04d" % y) for y in range(10**4)]
+    digits = [_word(text) for text in groups] + [_word(text.rstrip(b"0\0")) for text in groups]
+    specials = [_word(text) for text in floattext.SPECIAL_TEXT]
+    for table, words in ((tables.suffixes, suffixes), (tables.digits, digits),
+                         (tables.specials, specials)):
+        assert table.dtype == np.uint64
+        assert table.tolist() == words
