@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 import numpy as np
 
 from .errors import BlockingCapError, ConfigError
-from .idfiles import LinkedPairSet, id_ranks
+from .idfiles import LinkedPairSet, id_ranks, row_dtype
 
 if TYPE_CHECKING:
     from .ingest import RecordSet
@@ -157,25 +157,26 @@ def block_candidates(
                 f"cross product of {total} pairs exceeds the cap of "
                 f"{cross_product_cap}; configure a blocking attribute"
             )
-        a = np.repeat(np.arange(len(records_a)), len(records_b))
-        b = np.tile(np.arange(len(records_b)), len(records_a))
+        a = np.repeat(np.arange(len(records_a), dtype=row_dtype(len(records_a))), len(records_b))
+        b = np.tile(np.arange(len(records_b), dtype=row_dtype(len(records_b))), len(records_a))
         return Candidates(records_a, records_b, a, b)
 
     key_a = records_a.value_matrix[:, blocking_attribute]
     key_b = records_b.value_matrix[:, blocking_attribute]
     # B rows grouped by blocking value, in record order inside each group
-    b_present = np.flatnonzero(key_b >= 0)
+    b_present = np.flatnonzero(key_b >= 0).astype(row_dtype(len(key_b)))
     b_grouped = b_present[np.argsort(key_b[b_present], kind="stable")]
     b_keys = key_b[b_grouped]
-    a_rows = np.flatnonzero(key_a >= 0)
+    a_rows = np.flatnonzero(key_a >= 0).astype(row_dtype(len(key_a)))
     starts = np.searchsorted(b_keys, key_a[a_rows], side="left")
     counts = np.searchsorted(b_keys, key_a[a_rows], side="right") - starts
     a = np.repeat(a_rows, counts)
     # pair i sits at i - run_start in its A record's run, so at
-    # i + (start - run_start) in b_grouped: one index buffer, shifted in place
+    # i + (start - run_start) in b_grouped: one index buffer, shifted in
+    # place; every shift lies between -len(a) and len(key_b)
     run_starts = np.cumsum(counts) - counts
-    pos = np.arange(len(a))
-    pos += np.repeat(starts - run_starts, counts)
+    pos = np.arange(len(a), dtype=row_dtype(max(len(a), len(key_b))))
+    pos += np.repeat((starts - run_starts).astype(pos.dtype), counts)
     return Candidates(records_a, records_b, a, b_grouped[pos])
 
 
@@ -184,7 +185,7 @@ def _key_labels(rows_a, rows_b, n_b: int, link_a, link_b, n_links: int) -> tuple
     (link_a[j], link_b[j]), and how many of ``n_links`` links no pair covers.
     B-side coordinates are below ``n_b``. ``n_links`` also counts links that
     have no coordinates, which no pair can cover."""
-    link_keys = np.sort(link_a * n_b + link_b)
+    link_keys = np.sort(link_a.astype(np.int64) * n_b + link_b)
     labels = np.empty(len(rows_a), dtype=bool)
     covered = np.zeros(len(link_keys), dtype=bool)
     for part in pair_slices(len(rows_a)):

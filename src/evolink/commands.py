@@ -191,25 +191,39 @@ def write_predictions(
     """Write each scored chunk to the binary file ``fh``, one
     ``PREDICTION_ROW`` line per pair.
 
-    Each chunk is built as one byte matrix, a column block per field: the
+    Each chunk is laid into one byte matrix, a column block per field: the
     ids, each record's formatted once as "<id>," and gathered by the pairs'
     row arrays; g and P as ``floattext.repr_rows`` renders them; the
     decision with its comma and newline. The fields' NUL padding is dropped
     from the matrix's bytes in one ``bytes.translate``. No field ever needs
-    quoting, so these are the bytes csv.writer would write.
+    quoting, so these are the bytes csv.writer would write. The matrix is
+    made once, for the first chunk, and reused: a chunk then allocates only
+    its rendering's temporaries, few enough that glibc's heap keeps and
+    reuses their pages instead of returning and refaulting them every chunk.
     """
     from .candidates import classify
-    from .floattext import repr_rows
+    from .floattext import WIDTH, repr_rows
 
     a_text, b_text = _id_text(records_a), _id_text(records_b)
+    widths = (a_text.dtype.itemsize, b_text.dtype.itemsize, WIDTH, 1, WIDTH,
+              DECISION_TEXT.dtype.itemsize)
+    a_ids, b_ids, g, comma, p, decision = (
+        slice(end - width, end) for width, end in zip(widths, np.cumsum(widths).tolist())
+    )
+    matrix = np.empty((0, sum(widths)), dtype=np.uint8)
     for scored in chunks:
-        # one expression, so no field of a chunk is kept while the next is built
-        fh.write(np.concatenate([
-            _byte_columns(a_text[scored.a]), _byte_columns(b_text[scored.b]),
-            repr_rows(scored.score), np.full((len(scored), 1), ord(","), np.uint8),
-            repr_rows(scored.probability),
-            _byte_columns(DECISION_TEXT[classify(scored.probability, tau).view(np.uint8)]),
-        ], axis=1).tobytes().translate(None, b"\0"))
+        if len(scored) > len(matrix):
+            matrix = np.empty((len(scored), sum(widths)), dtype=np.uint8)
+            matrix[:, comma] = ord(",")
+        rows = matrix[: len(scored)]
+        rows[:, a_ids] = _byte_columns(a_text[scored.a])
+        rows[:, b_ids] = _byte_columns(b_text[scored.b])
+        rows[:, g] = repr_rows(scored.score)
+        rows[:, p] = repr_rows(scored.probability)
+        rows[:, decision] = _byte_columns(
+            DECISION_TEXT[classify(scored.probability, tau).view(np.uint8)]
+        )
+        fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def cmd_predict(args: argparse.Namespace) -> int:

@@ -63,6 +63,18 @@ def dense_table(size: int, n_keys: int) -> bool:
     return size <= TABLE_SLOTS_PER_KEY * n_keys
 
 
+# Row indices below this many rows fit in int32, half the bytes of int64
+INT32_ROWS = 1 << 31
+
+
+def row_dtype(n: int) -> type[np.signedinteger]:
+    """The dtype of indices into ``n`` rows, or of positions among ``n``
+    pairs: int32 below 2^31, int64 from there on. Every maker of row arrays
+    (blocking, ``RecordSet.find``) takes its dtype from here; a key that
+    multiplies rows widens them to int64 first."""
+    return np.int32 if n < INT32_ROWS else np.int64
+
+
 def id_ranks(ids, known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Position of each id in the sorted, distinct ``known`` (some position in
     range where it is absent, 0 if ``known`` is empty), and whether it is there.

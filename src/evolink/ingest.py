@@ -34,6 +34,7 @@ from .idfiles import (
     _id_value,
     _text,
     id_ranks,
+    row_dtype,
     sorted_distinct,
     standardize,
     whole_file,
@@ -282,7 +283,7 @@ class RecordSet:
         self.dictionary = dictionary
         self.id_array = ids
         self.value_matrix = matrix
-        self._order = order
+        self._order = order.astype(row_dtype(len(ids)))
         self._sorted_ids = sorted_ids
 
     @cached_property

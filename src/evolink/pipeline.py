@@ -35,7 +35,7 @@ from .candidates import (  # noqa: F401  (CandidatePair is re-exported)
     evaluate,
     label_pairs,
 )
-from .embed import EmbedHyperparams, train_embeddings
+from .embed import EmbeddingStore, EmbedHyperparams, train_embeddings
 from .errors import ConfigError, StageError
 from .idfiles import TextFormat, load_links, whole_file, write_csv
 from .ingest import (
@@ -54,9 +54,15 @@ from .scoring import (  # noqa: F401  (the two baselines are re-exported)
     all_negative_probabilities,
     exact_match_probabilities,
     score_pairs,
+    scored_chunks,
 )
 from .synth import SynthConfig, generate_synthetic
-from .weights import RLHyperparams, WeightVector, select_threshold, train_weights
+from .weights import (
+    RLHyperparams,
+    WeightVector,
+    select_threshold,
+    train_weights,
+)
 
 log = logging.getLogger(__name__)
 
@@ -213,14 +219,18 @@ class StageTiming(NamedTuple):
     # the process's high-water resident set size once the stage ends; None
     # where the platform does not report it
     peak_rss_mb: float | None
+    # page faults served without I/O during the stage, as freshly mapped
+    # memory is first touched; None where the platform does not report them
+    minor_faults: int | None
 
 
 @dataclass
 class ExperimentResult:
     """Report plus the trained artifacts needed for persistence and reuse.
 
-    ``timings`` holds each stage's wall time and the peak RSS after it, in
-    stage order. They vary between reruns, so the report leaves them out.
+    ``timings`` holds each stage's wall time, the peak RSS after it and its
+    minor page faults, in stage order. They vary between reruns, so the
+    report leaves them out.
     """
 
     report: ExperimentReport
@@ -230,16 +240,20 @@ class ExperimentResult:
     timings: dict[str, StageTiming]
 
 
-def _peak_rss_mb() -> float | None:
+def _usage() -> tuple[float, int] | tuple[None, None]:
+    """The process's peak RSS in MB and its minor page faults so far."""
     if resource is None:
-        return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024  # bytes or KiB
+        return None, None
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    peak = usage.ru_maxrss
+    peak_mb = peak / (1 << 20) if sys.platform == "darwin" else peak / 1024  # bytes or KiB
+    return peak_mb, usage.ru_minflt
 
 
 @contextmanager
 def _stage(name: str, timings: dict[str, StageTiming]):
     """Name the stage in any error it raises; record its timing if it succeeds."""
+    _, faults_before = _usage()
     start = time.perf_counter()
     try:
         yield
@@ -247,7 +261,11 @@ def _stage(name: str, timings: dict[str, StageTiming]):
         raise
     except Exception as exc:
         raise StageError(name, exc) from exc
-    timings[name] = StageTiming(time.perf_counter() - start, _peak_rss_mb())
+    wall_s = time.perf_counter() - start
+    peak_mb, faults = _usage()
+    timings[name] = StageTiming(
+        wall_s, peak_mb, None if faults is None else faults - faults_before
+    )
 
 
 def _resolve_data(config: ExperimentConfig) -> tuple[Schema, Split]:
@@ -260,6 +278,16 @@ def _resolve_data(config: ExperimentConfig) -> tuple[Schema, Split]:
     records_b, _ = load_records(b, source.schema, source.fmt, dictionary=dictionary)
     links = load_links(truth, source.fmt, provenance="loaded")
     return source.schema, Split(records_a, records_b, links)
+
+
+def _pick_threshold(
+    labeled: Candidates, store: EmbeddingStore, w: WeightVector, p: int
+) -> tuple[float, float]:
+    """``select_threshold`` of the labelled candidates, fed their
+    probabilities a ``scored_chunks`` chunk at a time: no column of scores
+    or probabilities is made."""
+    chunks = scored_chunks(labeled, store, w, p)
+    return select_threshold((chunk.probability, chunk.label) for chunk in chunks)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -320,11 +348,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         del train_pairs
 
     with _stage("threshold", timings):
-        scored_val = score_pairs(
-            labeled["validation"], validation.records_a, validation.records_b,
-            store, w, p=embed_hp.norm,
-        )
-        tau, validation_f = select_threshold(scored_val.probability, scored_val.label)
+        tau, validation_f = _pick_threshold(labeled.pop("validation"), store, w, embed_hp.norm)
 
     with _stage("evaluate", timings):
         if not len(test.links):

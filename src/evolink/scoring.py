@@ -73,13 +73,13 @@ def _fixed_terms(table: _ValuePairTable, v: np.ndarray, u: np.ndarray) -> np.nda
 
 
 class _ValuePairTable:
-    """One attribute's value ranks on each side, and, when dense, the term of
-    every (v, u) pair of ranks: v * width + u of ``terms``. A dense table is
-    ``_fixed_terms`` over all its slots, built with it; its NaN slots, the
-    mismatches of trained values, are filled as pairs first need them."""
+    """One attribute's value ranks on each side, and, once dense, the term of
+    every (v, u) pair of ranks: v * width + u of ``terms``. ``make_dense``
+    sets ``terms`` to ``_fixed_terms`` over all the slots; their NaN slots,
+    the mismatches of trained values, are filled as pairs first need them."""
 
     def __init__(self, column_a: np.ndarray, column_b: np.ndarray, limit: int,
-                 unknown_term: float, n_pairs: int):
+                 unknown_term: float):
         # rank each value among those present on either side (a missing
         # value's -1 counts in the bincount's dropped slot 0), so the d values
         # below ``limit`` (those with a trained vector) rank first; a missing
@@ -97,10 +97,11 @@ class _ValuePairTable:
         self.unknown_term = unknown_term
         self.heads = None  # each known value's vector plus the attribute's, once needed
         self.terms = None
-        if dense_table(self.width * self.width, n_pairs):
-            # v down the rows, u across: no width² array of keys is made
-            rank = np.arange(self.width)
-            self.terms = _fixed_terms(self, rank[:, None], rank[None, :]).reshape(-1)
+
+    def make_dense(self) -> None:
+        # v down the rows, u across: no width² array of keys is made
+        rank = np.arange(self.width)
+        self.terms = _fixed_terms(self, rank[:, None], rank[None, :]).reshape(-1)
 
 
 class ValuePairTerms:
@@ -114,10 +115,14 @@ class ValuePairTerms:
     either side (missing ranks last), so a pair of values is one integer,
     v * width + u; ``_fixed_terms``, the rule's one home, gives a key's term,
     or NaN where a distance is due. While the width² slots are at most
-    ``idfiles.TABLE_SLOTS_PER_KEY`` per candidate pair, the attribute keeps a
-    table of every key's term, filled when it is built except for the
+    ``idfiles.TABLE_SLOTS_PER_KEY`` per pair counted, the attribute keeps a
+    table of every key's term, filled when it turns dense except for the
     mismatches of trained values, whose distances are computed as pairs first
     need them; otherwise it takes each call's distinct keys (``np.unique``).
+    The pairs counted are ``n_pairs``: the most of one Candidates scored
+    through this object, those it was made for or more passed to
+    ``chunks``. A table is built at its first use, and turns dense at the
+    first use at which the count allows it.
     A value is trained if it has a row in the store's ``value_vectors``.
     Distances come from a copy of the attribute's trained value vectors plus
     its attribute vector, made once per table. Tables, and both record sets'
@@ -151,9 +156,10 @@ class ValuePairTerms:
                 self.records_b.value_matrix[:, attr],
                 self.store.value_vectors.shape[0],
                 -(2.0 * value_bound + attr_norm),
-                self.n_pairs,
             )
             self._tables[attr] = table
+        if table.terms is None and dense_table(table.width * table.width, self.n_pairs):
+            table.make_dense()
         return table
 
     def features(self, cands: Candidates) -> tuple[np.ndarray, np.ndarray]:
@@ -171,6 +177,17 @@ class ValuePairTerms:
                 terms[fresh] = -self._distances(attr, table, pairs[fresh])
                 features[:, attr] = terms[inverse]
         return features, self.defined(cands)
+
+    def chunks(self, cands: Candidates) -> Iterator[Candidates]:
+        """``cands`` (pairs over these record sets) a ``PAIR_CHUNK`` of pairs
+        at a time, in order, to score through this object, whose tables are
+        sized for all of them. Each chunk's rows are widened once to numpy's
+        index type, so that each of its gathers (the tables' keys, presence
+        bits, the writer's ids) skips a cast of its own."""
+        self.n_pairs = max(self.n_pairs, len(cands))
+        for part in pair_slices(len(cands)):
+            chunk = cands.take(part)
+            yield replace(chunk, a=chunk.a.astype(np.intp), b=chunk.b.astype(np.intp))
 
     def _looked_up(self, attr: int, table: _ValuePairTable, keys: np.ndarray) -> np.ndarray:
         """The terms of pairs of ranks ``keys`` from the table, after
@@ -253,8 +270,7 @@ def scored_chunks(
     on any host. The chunks share one ``ValuePairTerms``: a distance is
     computed once per call."""
     terms = ValuePairTerms(cands, store, p)
-    for part in pair_slices(len(cands)):
-        chunk = cands.take(part)
+    for chunk in terms.chunks(cands):
         features, defined = feature_matrix(
             chunk, cands.records_a, cands.records_b, store, p, terms=terms
         )

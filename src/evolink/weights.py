@@ -12,11 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .candidates import Candidates, Metrics, classify
+from .candidates import (  # noqa: F401  (classify is re-exported)
+    Candidates,
+    Metrics,
+    classify,
+    pair_slices,
+)
 from .embed import EmbeddingStore, GradientCheckResult, ea_score
 from .errors import ConfigError, TrainingError, UndefinedPairError
 from .ingest import Record, RecordSet
@@ -171,6 +176,27 @@ def _inert_negatives(hp: RLHyperparams) -> bool:
     return sign > 0 and offset + 0.5 <= 0
 
 
+def _scorable(chunk: Candidates, defined: np.ndarray) -> np.ndarray:
+    """Which of a chunk of negatives are scorable: ``defined`` (some
+    attribute present on both records) and not labelled True."""
+    return defined if chunk.label is None else defined & ~chunk.label
+
+
+def _negative_features(terms: ValuePairTerms, neg: Candidates, n_neg: int) -> np.ndarray:
+    """The features of the ``n_neg`` scorable negatives of ``neg``, in
+    order, laid a chunk at a time into one matrix."""
+    feats = np.empty((n_neg, terms.records_a.value_matrix.shape[1]))
+    filled = 0
+    for chunk in terms.chunks(neg):
+        chunk = chunk.take(_scorable(chunk, terms.defined(chunk)))
+        features, _ = feature_matrix(
+            chunk, terms.records_a, terms.records_b, terms.store, terms.p, terms=terms
+        )
+        feats[filled : filled + len(chunk)] = features
+        filled += len(chunk)
+    return feats
+
+
 def train_weights(
     t_plus: Sequence,
     t_minus: Sequence,
@@ -207,23 +233,25 @@ def train_weights(
     -(1 - m) + 0.5 <= 0 holds exactly then.
     An epoch in that state skips the negatives' draw, gather and
     products, which would add exactly 0 to the loss and the gradient; only
-    their count enters the mean, taken from value presence. Negative
-    features are built the first time an epoch needs them, which under the
-    default settings is never. An epoch that needs them draws its subset
-    from its own generator, ``default_rng([seed, epoch])``, so skipped
-    epochs do not shift the draws of later ones.
+    their count enters the mean, taken from value presence a chunk of pairs
+    at a time. The negatives' features are built, a chunk at a time, the
+    first time an epoch needs them, which under the default settings is
+    never; until then the value-pair tables are sized for the positives
+    alone. An epoch that needs them draws its subset from its own
+    generator, ``default_rng([seed, epoch])``, so skipped epochs do not
+    shift the draws of later ones.
     """
+    pos = Candidates.of(t_plus, records_a, records_b)
     neg = Candidates.of(t_minus, records_a, records_b)
-    # one set of tables and presence bits for both kinds of pair
-    terms = ValuePairTerms(neg, store, p)
-    feats_pos, defined_pos = feature_matrix(
-        t_plus, records_a, records_b, store, p, terms=terms
-    )
+    # one set of tables and presence bits for both kinds of pair, sized for
+    # the positives until an epoch needs the negatives' features
+    terms = ValuePairTerms(pos, store, p)
+    feats_pos, defined_pos = feature_matrix(pos, records_a, records_b, store, p, terms=terms)
     feats_pos = feats_pos[defined_pos]
-    scorable_neg = terms.defined(neg)
-    if neg.label is not None:
-        scorable_neg &= ~neg.label
-    n_neg = int(np.count_nonzero(scorable_neg))
+    n_neg = 0
+    for part in pair_slices(len(neg)):
+        chunk = neg.take(part)
+        n_neg += int(np.count_nonzero(_scorable(chunk, terms.defined(chunk))))
     if not len(feats_pos) or not n_neg:
         raise TrainingError("no scorable pairs (no shared present attributes)")
 
@@ -243,10 +271,7 @@ def train_weights(
             epoch_neg = no_negatives
         else:
             if feats_neg is None:
-                scorable = neg.take(scorable_neg)
-                feats_neg, _ = feature_matrix(
-                    scorable, records_a, records_b, store, p, terms=terms
-                )
+                feats_neg = _negative_features(terms, neg, n_neg)
             if n_draw < n_neg:
                 rng = np.random.default_rng([seed, epoch])
                 idx = rng.choice(n_neg, size=n_draw, replace=False)
@@ -312,25 +337,57 @@ def weight_gradient_check(
 
 
 THRESHOLD_GRID = tuple(round(i / 100, 2) for i in range(1, 100))
+_GRID = np.array(THRESHOLD_GRID)
 
 
-def select_threshold(
-    probabilities: Sequence[float], labels: Sequence[bool]
-) -> tuple[float, float]:
-    """Pick the F-score-maximizing threshold on a validation split.
+def threshold_counts(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Confusion counts of (probabilities, labels) chunks at every τ of
+    ``THRESHOLD_GRID``, added up a chunk at a time: entry [label, k] counts
+    the pairs with that label whose P is at or above exactly k of the τs, so
+    ``classify(P, τ)`` holds for the k smallest. A NaN P is at or above none."""
+    width = len(_GRID) + 1
+    counts = np.zeros(2 * width, dtype=np.int64)
+    for probabilities, labels in chunks:
+        probs = np.asarray(probabilities, dtype=float)
+        reached = np.searchsorted(_GRID, probs, side="right")
+        reached[np.isnan(probs)] = 0
+        reached[np.asarray(labels, dtype=bool)] += width
+        counts += np.bincount(reached, minlength=2 * width)
+    return counts.reshape(2, width)
 
-    Sweeps 99 evenly spaced thresholds; ties break toward the larger
-    threshold (favoring precision). Returns (threshold, best F-score).
-    Labels with no true pair leave F at 0 for every threshold, so they are
-    refused.
-    """
-    probs = np.asarray(probabilities, dtype=float)
-    truth = np.asarray(labels, dtype=bool)
-    if not truth.any():
+
+def threshold_from_counts(counts: np.ndarray) -> tuple[float, float]:
+    """``select_threshold`` from ``threshold_counts``: the τ of the grid with
+    the best F-score, ties broken toward the larger τ. Counts are exact, so
+    the F-scores are those of ``Metrics.from_decisions`` bit for bit."""
+    # at_least[label, k]: the pairs of that label that reach k or more τs
+    at_least = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1].tolist()
+    negatives, positives = at_least[0][0], at_least[1][0]
+    if not positives:
         raise TrainingError("no true pair among the labels; no threshold is defined")
     best_tau, best_f = THRESHOLD_GRID[0], -1.0
-    for tau in THRESHOLD_GRID:
-        f = Metrics.from_decisions(classify(probs, tau), truth).f_score
+    for k, tau in enumerate(THRESHOLD_GRID, start=1):
+        tp, fp = at_least[1][k], at_least[0][k]
+        f = Metrics.from_counts(tp, fp, negatives - fp, positives - tp).f_score
         if f >= best_f:
             best_tau, best_f = tau, f
     return best_tau, best_f
+
+
+def select_threshold(
+    probabilities: Sequence[float] | Iterable[tuple[np.ndarray, np.ndarray]],
+    labels: Sequence[bool] | None = None,
+) -> tuple[float, float]:
+    """Pick the F-score-maximizing threshold on a validation split: its
+    probabilities and labels, or, with ``labels`` left out, an iterable of
+    (probabilities, labels) chunks of it, so that no column of the whole
+    split need be made.
+
+    Sweeps 99 evenly spaced thresholds over the confusion counts of
+    ``threshold_counts``; ties break toward the larger threshold (favoring
+    precision). Returns (threshold, best F-score).
+    Labels with no true pair leave F at 0 for every threshold, so they are
+    refused.
+    """
+    chunks = probabilities if labels is None else [(probabilities, labels)]
+    return threshold_from_counts(threshold_counts(chunks))

@@ -1,6 +1,7 @@
 """Lookups that only the tests need, kept here as oracles: an attribute's
 value domain, the tails observed from a head value, g summed in plain
-Python, and the synthetic generator and records writer a record at a time."""
+Python, the threshold sweep a pass per τ, and the synthetic generator and
+records writer a record at a time."""
 
 import numpy as np
 
@@ -29,6 +30,26 @@ def left_to_right_scores(features, w) -> np.ndarray:
             g += f * x
         scores.append(g)
     return np.array(scores, dtype=float)
+
+
+def reference_select_threshold(probabilities, labels) -> tuple[float, float]:
+    """``weights.select_threshold`` as one pass over the pairs per τ of
+    ``THRESHOLD_GRID``: ``classify`` at τ, then ``Metrics.from_decisions``;
+    ties go to the larger τ, and labels without a true pair are refused."""
+    from evolink.candidates import Metrics, classify
+    from evolink.errors import TrainingError
+    from evolink.weights import THRESHOLD_GRID
+
+    probs = np.asarray(probabilities, dtype=float)
+    truth = np.asarray(labels, dtype=bool)
+    if not truth.any():
+        raise TrainingError("no true pair among the labels; no threshold is defined")
+    best_tau, best_f = THRESHOLD_GRID[0], -1.0
+    for tau in THRESHOLD_GRID:
+        f = Metrics.from_decisions(classify(probs, tau), truth).f_score
+        if f >= best_f:
+            best_tau, best_f = tau, f
+    return best_tau, best_f
 
 
 def reference_generate(config, seed: int):

@@ -140,8 +140,9 @@ class TestTrain:
             "load", "partition", "block", "graph", "embed", "weights", "threshold", "evaluate",
         ]
         for stage in timings.values():
-            assert set(stage) == {"wall_s", "peak_rss_mb"}
+            assert set(stage) == {"wall_s", "peak_rss_mb", "minor_faults"}
             assert stage["wall_s"] >= 0 and stage["peak_rss_mb"] > 0
+            assert isinstance(stage["minor_faults"], int) and stage["minor_faults"] >= 0
         peaks = [stage["peak_rss_mb"] for stage in timings.values()]
         assert peaks == sorted(peaks)  # a high-water mark never falls
         manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))

@@ -19,8 +19,9 @@ from evolink.commands import write_predictions
 from evolink.embed import EmbeddingStore
 from evolink.idfiles import LinkedPairSet, read_id_rows
 from evolink.ingest import RecordSet, Schema, ValueDictionary
+from evolink.pipeline import _pick_threshold
 from evolink.scoring import feature_matrix, scored_chunks
-from evolink.weights import WeightVector
+from evolink.weights import RLHyperparams, WeightVector, train_weights
 
 MB = 1 << 20
 
@@ -105,6 +106,56 @@ def test_scored_chunks_budget(shared_values):
     # an int32 column of the extra ones.
     assert peak <= 8 * slots + 8 * MB, peak
     assert peak - half_peak <= 4 * (n - n_half), (peak, half_peak)
+
+
+def test_block_candidates_budget(wide_blocks):
+    records_a, records_b, _, _, _ = wide_blocks
+    pairs, peak = peak_above_start(lambda: block_candidates(records_a, records_b, 0))
+    assert len(pairs) > 200_000 and pairs.a.dtype == pairs.b.dtype == np.int32
+    # per pair: its two int32 rows, and one int32 position buffer, shifted in
+    # place by a repeat of int32 shifts; the constant covers the per-record arrays
+    assert peak <= 12 * len(pairs) + 1 * MB, peak / len(pairs)
+
+
+def test_train_weights_budget(shared_values):
+    records_a, records_b, store, pairs, truth = shared_values
+    labeled = label_pairs(pairs, truth).pairs
+    positives = labeled.take(labeled.label)
+    half = labeled.take(slice(0, len(labeled) // 2))
+    hp = RLHyperparams(epochs=3, seed=0)
+
+    def train(negatives):
+        return lambda: train_weights(positives, negatives, records_a, records_b, store, hp)
+
+    train(half)()  # numpy imports some of its modules on first use
+    (w, _), peak = peak_above_start(train(labeled))
+    (half_w, _), half_peak = peak_above_start(train(half))
+    assert len(positives) > 100 and len(labeled) - len(half) > 100_000
+    assert np.array_equal(w.weights, half_w.weights)  # default settings never score a negative
+    # the negatives are only counted, a chunk at a time, and the value-pair
+    # tables are sized for the positives: twice the negatives, the same peak
+    assert peak - half_peak <= 64 * 1024, (peak, half_peak)
+
+
+def test_pick_threshold_budget(shared_values):
+    records_a, records_b, store, pairs, truth = shared_values
+    labeled = label_pairs(pairs, truth).pairs
+    half = labeled.take(slice(0, len(labeled) // 2))
+    w = WeightVector(-np.ones(3))
+
+    def pick(cands):
+        return lambda: _pick_threshold(cands, store, w, 2)
+
+    pick(half)()  # numpy imports some of its modules on first use
+    tau, peak = peak_above_start(pick(labeled))
+    _, half_peak = peak_above_start(pick(half))
+    assert labeled.label.any() and 0 < tau[0] < 1
+    values = np.concatenate([records_a.value_matrix, records_b.value_matrix])
+    slots = sum((len(np.unique(values[:, attr])) + 1) ** 2 for attr in range(3))
+    # as scored_chunks: the tables and one chunk, and nothing per pair; the
+    # confusion counts are a few hundred integers, not a float per pair
+    assert peak <= 8 * slots + 8 * MB, peak
+    assert peak - half_peak <= 64 * 1024, (peak, half_peak)
 
 
 def test_label_pairs_budget(wide_blocks):

@@ -906,3 +906,50 @@ def test_int32_rows_label_on_keys_past_int32():
     labeled = label_pairs(cands, truth)
     assert labeled.pairs.label.tolist() == [True, False, True]
     assert labeled.lost_links == 1
+
+
+def test_blocked_rows_label_on_keys_past_int32():
+    """Blocking's rows and the truth's rows, which ``find`` returns, are
+    int32; A row n - 1 times len(records_b) goes past 2**31, so labelling
+    must widen both to int64 before it forms a key."""
+    n = 46_341  # n * n > 2**31
+    schema = Schema(("x",), blocking_attribute=0)
+    d = ValueDictionary(1)
+    values = np.full((n, 1), -1)
+    values[[0, 5, n - 2, n - 1]] = d.intern(0, "v")
+    records_a = RecordSet.from_columns(schema, d, np.arange(n), values)
+    records_b = RecordSet.from_columns(schema, d, n + np.arange(n), values)
+    pairs = block_candidates(records_a, records_b, 0)
+    assert len(pairs) == 16 and pairs.a.dtype == pairs.b.dtype == np.int32
+    truth = LinkedPairSet([(n - 1, 2 * n - 1), (n - 2, n + 5), (0, n + 1), (3, n + 3)], "test")
+    labeled = label_pairs(pairs, truth)
+    truth_set = set(truth.pairs)
+    expected = [pair in truth_set for pair in zip(pairs.a_ids.tolist(), pairs.b_ids.tolist())]
+    assert sum(expected) == 2 and labeled.pairs.label.tolist() == expected
+    assert labeled.lost_links == 2  # the links of records with no blocking value
+
+
+@pytest.mark.parametrize("n, dtype", [(0, np.int32), (2**31 - 1, np.int32), (2**31, np.int64)])
+def test_rows_turn_int64_at_2_to_the_31(n, dtype):
+    """The rule is called on counts of rows or pairs, so no array of 2**31 is made."""
+    from evolink.candidates import row_dtype
+
+    assert row_dtype(n) is dtype
+
+
+@pytest.mark.parametrize("bound", [6, 30, 10**6])
+def test_blocking_widens_at_the_int32_bound(bound, monkeypatch):
+    """With the int32 bound lowered, record sets past it block into int64
+    rows, and pair counts past it shift int64 positions: the same pairs.
+    Here 20 x 15 records make 43 blocked pairs and 300 crossed ones."""
+    from evolink import idfiles
+
+    rng = np.random.default_rng(3)
+    a, b = random_record_sets(rng, 20, 15, missing=0.25)
+    expected = {attr: block_candidates(a, b, attr) for attr in (0, None)}
+    monkeypatch.setattr(idfiles, "INT32_ROWS", bound)
+    for attr, want in expected.items():
+        pairs = block_candidates(a, b, attr)
+        assert pairs.a.dtype == (np.int64 if len(a) >= bound else np.int32)
+        assert pairs.b.dtype == (np.int64 if len(b) >= bound else np.int32)
+        assert np.array_equal(pairs.a, want.a) and np.array_equal(pairs.b, want.b)

@@ -39,8 +39,9 @@ def expected_text(cands, tau):
 
 @st.composite
 def scored_pairs(draw):
-    """Scored candidates over two record sets with any int64 ids; some pairs
-    are undefined (g NaN, P 0.0), as ``score_pairs`` leaves them."""
+    """Scored candidates over two record sets with any int64 ids, on int32
+    or int64 rows; some pairs are undefined (g NaN, P 0.0), as
+    ``score_pairs`` leaves them."""
     ids_a = draw(st.lists(ID, min_size=1, max_size=6, unique=True))
     ids_b = draw(st.lists(ID, min_size=1, max_size=6, unique=True))
     n = draw(st.integers(2, 40))
@@ -50,8 +51,9 @@ def scored_pairs(draw):
     probability = np.array(draw(st.lists(FLOAT, min_size=n, max_size=n)))
     undefined = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     score[undefined], probability[undefined] = np.nan, 0.0
-    return Candidates(records(ids_a), records(ids_b), np.array(a), np.array(b),
-                      score=score, probability=probability)
+    rows = draw(st.sampled_from([np.int32, np.int64]))  # blocking's rows, or past 2**31
+    return Candidates(records(ids_a), records(ids_b), np.array(a, dtype=rows),
+                      np.array(b, dtype=rows), score=score, probability=probability)
 
 
 @pytest.mark.parametrize("chunk", ("1", "7", "n-1"))

@@ -11,7 +11,7 @@ from evolink import weights as weights_mod
 from evolink.embed import EmbeddingStore
 from evolink.errors import ConfigError, TrainingError, UndefinedPairError
 from evolink.ingest import Record, RecordSet, Schema, ValueDictionary
-from evolink.candidates import CandidatePair, Candidates
+from evolink.candidates import PAIR_CHUNK, CandidatePair, Candidates
 from evolink.weights import (
     RLHyperparams,
     _epoch_loss_and_gradient,
@@ -22,12 +22,25 @@ from evolink.weights import (
     link_probability,
     pair_loss,
     pair_terms,
+    THRESHOLD_GRID,
     select_threshold,
     sigmoid,
+    threshold_counts,
+    threshold_from_counts,
     train_weights,
     weight_gradient_check,
 )
-from oracles import left_to_right_scores
+from oracles import left_to_right_scores, reference_select_threshold
+
+# every τ of the grid, a float either side of it, 0.0, the clip floor and its
+# mirror, NaN (never a match), and any probability
+GRID_EDGES = st.one_of(
+    st.sampled_from(THRESHOLD_GRID).flatmap(
+        lambda tau: st.sampled_from([np.nextafter(tau, 0.0), tau, np.nextafter(tau, 1.0)])
+    ).map(float),
+    st.sampled_from([0.0, 1e-15, 1 - 1e-15, float("nan")]),
+    st.floats(0.0, 1.0),
+)
 
 
 def two_attribute_setup():
@@ -385,6 +398,19 @@ class TestLazyNegatives:
         assert w.weights.tobytes() == ref_w.weights.tobytes()
         assert np.array(history).tobytes() == np.array(ref_history).tobytes()
 
+    @pytest.mark.parametrize("hp", [hp for hp, binds in NEGATIVE_CASES if binds])
+    def test_negatives_built_in_chunks_equal_one_chunk(self, hp, monkeypatch):
+        store, records_a, records_b, pos, neg = with_near_duplicate_negatives()
+        args = (pos[:60], neg, records_a, records_b, store, hp)
+        w, history = train_weights(*args)
+        import evolink.candidates as candidates_mod
+
+        # chunks of 7 negatives, some holding an unscorable one
+        monkeypatch.setattr(candidates_mod, "PAIR_CHUNK", 7)
+        chunked_w, chunked_history = train_weights(*args)
+        assert chunked_w.weights.tobytes() == w.weights.tobytes()
+        assert np.array(chunked_history).tobytes() == np.array(history).tobytes()
+
     def test_weights_below_zero_turn_the_negatives_on(self):
         store, records_a, records_b, pos, neg = with_near_duplicate_negatives()
         hp = RLHyperparams(learning_rate=30.0, epochs=60, seed=9, negative_ratio=1.0)
@@ -637,6 +663,40 @@ class TestClassifyAndThreshold:
     def test_labels_without_a_true_pair_are_refused(self, labels):
         with pytest.raises(TrainingError, match="no true pair among the labels"):
             select_threshold([0.2, 0.5, 0.9][: len(labels)], labels)
+
+    @settings(max_examples=400, deadline=None)
+    @example(pairs=[(0.5, True)])  # a single true pair
+    @example(pairs=[(0.9, True), (0.9, True), (0.1, False)])  # F ties from 0.11 to 0.9
+    @example(pairs=[(0.0, True), (1e-15, False), (float("nan"), True)])
+    @given(pairs=st.lists(st.tuples(GRID_EDGES, st.booleans()), min_size=1, max_size=60))
+    def test_counts_sweep_equals_the_pass_per_tau(self, pairs):
+        probs, labels = (list(column) for column in zip(*pairs))
+        if not any(labels):
+            with pytest.raises(TrainingError, match="no true pair among the labels"):
+                select_threshold(probs, labels)
+            return
+        tau, f = select_threshold(probs, labels)
+        assert (tau, f) == reference_select_threshold(probs, labels)
+        assert tau in THRESHOLD_GRID
+
+    @pytest.mark.parametrize("chunk", [1, 3, PAIR_CHUNK])
+    def test_streamed_counts_equal_select_threshold(self, chunk):
+        rng = np.random.default_rng(chunk)
+        n = 3 * PAIR_CHUNK + 5
+        grid = np.array(THRESHOLD_GRID)
+        # grid values and their neighbours, the clip floor, 0.0 and NaN among uniform draws
+        edges = np.concatenate([grid, np.nextafter(grid, 0.0), np.nextafter(grid, 1.0),
+                                [0.0, 1e-15, 1 - 1e-15, np.nan]])
+        probs = np.where(rng.random(n) < 0.5, rng.choice(edges, n), rng.random(n))
+        labels = rng.random(n) < probs
+        parts = [slice(start, start + chunk) for start in range(0, n, chunk)]
+        counts = threshold_counts((probs[part], labels[part]) for part in parts)
+        assert np.array_equal(counts, threshold_counts([(probs, labels)]))
+        assert counts.sum() == n
+        assert threshold_from_counts(counts) == select_threshold(probs, labels)
+        streamed = select_threshold((probs[part], labels[part]) for part in parts)
+        assert streamed == select_threshold(probs, labels)
+        assert select_threshold(probs, labels) == reference_select_threshold(probs, labels)
 
 
 def mixed_value_setup(rng):
