@@ -84,6 +84,20 @@ class Candidates(Sequence):
     def b_ids(self) -> np.ndarray:
         return self.records_b.id_array[self.b]
 
+    def defined(self) -> np.ndarray:
+        """Per pair, whether some attribute is present on both records: the
+        pairs that have a score at all."""
+        return (self.records_a.presence[self.a] & self.records_b.presence[self.b]).any(axis=1)
+
+    def chunks(self) -> Iterator["Candidates"]:
+        """These pairs ``PAIR_CHUNK`` at a time, in order: the tile of every
+        per-pair layer. Each chunk's rows are widened once to numpy's index
+        type, so that each of its gathers (value-pair keys, presence bits, the
+        writer's ids) skips a cast of its own."""
+        for part in pair_slices(len(self)):
+            chunk = self.take(part)
+            yield replace(chunk, a=chunk.a.astype(np.intp), b=chunk.b.astype(np.intp))
+
     def take(self, index) -> "Candidates":
         """The pairs picked by a slice, boolean mask or integer index array."""
 

@@ -45,8 +45,11 @@ class TextFormat:
     null_markers: tuple[str, ...] = DEFAULT_NULL_MARKERS
 
     def __post_init__(self):
-        if len(self.delimiter) != 1:
-            raise ConfigError(f"delimiter: must be one character, got {self.delimiter!r}")
+        # a line end would split every row, so no file could match its header
+        if len(self.delimiter) != 1 or self.delimiter in "\r\n":
+            raise ConfigError(
+                f"delimiter: must be one character other than CR or LF, got {self.delimiter!r}"
+            )
 
     @cached_property
     def standardized_nulls(self) -> frozenset[str]:
@@ -290,8 +293,7 @@ def _loadtxt_rows(path: Path, kind: str, fmt: TextFormat) -> IdRows | None:
                 path, dtype=columns, delimiter=fmt.delimiter, comments=None, skiprows=header,
                 usecols=usecols, ndmin=1, encoding="ascii",
             )
-        # TypeError: a delimiter loadtxt refuses, such as CR or LF
-        except (ValueError, TypeError, Warning):
+        except (ValueError, Warning):
             return None
     if len(table) != n_lines - header:  # loadtxt skipped blank lines
         return None

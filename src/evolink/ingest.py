@@ -294,6 +294,13 @@ class RecordSet:
             for entity_id, row in zip(self.id_array.tolist(), self.value_matrix.tolist())
         )
 
+    @cached_property
+    def presence(self) -> np.ndarray:
+        """Which attributes each record holds, one bit per attribute packed
+        into bytes (``np.packbits``), so that a pair gathers a byte per 8
+        attributes, not a bool each; packed once, for every reader."""
+        return np.packbits(self.value_matrix >= 0, axis=1)
+
     def __len__(self) -> int:
         return len(self.id_array)
 

@@ -73,35 +73,41 @@ def _fixed_terms(table: _ValuePairTable, v: np.ndarray, u: np.ndarray) -> np.nda
 
 
 class _ValuePairTable:
-    """One attribute's value ranks on each side, and, once dense, the term of
-    every (v, u) pair of ranks: v * width + u of ``terms``. ``make_dense``
-    sets ``terms`` to ``_fixed_terms`` over all the slots; their NaN slots,
-    the mismatches of trained values, are filled as pairs first need them."""
+    """One attribute's value ranks on each side, its known values' heads,
+    and, when dense, the term of every (v, u) pair of ranks: v * width + u of
+    ``terms``, ``_fixed_terms`` over all the slots, whose NaN slots, the
+    mismatches of trained values, are filled as pairs first need them. The
+    table is dense when its width² slots are at most
+    ``idfiles.TABLE_SLOTS_PER_KEY`` per pair of the ``n_pairs`` it is made
+    for; it keeps that form."""
 
-    def __init__(self, column_a: np.ndarray, column_b: np.ndarray, limit: int,
-                 unknown_term: float):
+    def __init__(self, attr: int, records_a: RecordSet, records_b: RecordSet,
+                 store: EmbeddingStore, p: int, n_pairs: int):
+        column_a, column_b = records_a.value_matrix[:, attr], records_b.value_matrix[:, attr]
         # rank each value among those present on either side (a missing
         # value's -1 counts in the bincount's dropped slot 0), so the d values
-        # below ``limit`` (those with a trained vector) rank first; a missing
-        # value ranks past them all
+        # with a trained vector rank first; a missing value ranks past them all
         both = np.concatenate((column_a, column_b))
         self.values = np.flatnonzero(np.bincount(both + 1)[1:])
         ranks, present = id_ranks(both, self.values)
-        self.d = int(np.searchsorted(self.values, limit))
+        self.d = int(np.searchsorted(self.values, store.value_vectors.shape[0]))
         self.missing = len(self.values)  # the rank of a missing value
         ranks[~present] = self.missing
         self.width = self.missing + 1
         # record row -> its part of a pair's key: keys_a[a] + keys_b[b]
         self.keys_a = ranks[: len(column_a)] * self.width
         self.keys_b = ranks[len(column_a) :]
-        self.unknown_term = unknown_term
-        self.heads = None  # each known value's vector plus the attribute's, once needed
+        # an untrained value's mismatch: the worst the unit-ball geometry allows
+        value_bound = math.sqrt(store.dim) if p == 1 else 1.0
+        attr_norm = float(_distances(store.attribute_vectors[attr][None, :], p)[0])
+        self.unknown_term = -(2.0 * value_bound + attr_norm)
+        # each known value's vector plus the attribute's, a distance's head
+        self.heads = store.value_vectors[self.values[: self.d]] + store.attribute_vectors[attr]
         self.terms = None
-
-    def make_dense(self) -> None:
-        # v down the rows, u across: no width² array of keys is made
-        rank = np.arange(self.width)
-        self.terms = _fixed_terms(self, rank[:, None], rank[None, :]).reshape(-1)
+        if dense_table(self.width * self.width, n_pairs):
+            # v down the rows, u across: no width² array of keys is made
+            rank = np.arange(self.width)
+            self.terms = _fixed_terms(self, rank[:, None], rank[None, :]).reshape(-1)
 
 
 class ValuePairTerms:
@@ -114,59 +120,26 @@ class ValuePairTerms:
     Each attribute keys its values on their ranks among its values present on
     either side (missing ranks last), so a pair of values is one integer,
     v * width + u; ``_fixed_terms``, the rule's one home, gives a key's term,
-    or NaN where a distance is due. While the width² slots are at most
-    ``idfiles.TABLE_SLOTS_PER_KEY`` per pair counted, the attribute keeps a
-    table of every key's term, filled when it turns dense except for the
-    mismatches of trained values, whose distances are computed as pairs first
-    need them; otherwise it takes each call's distinct keys (``np.unique``).
-    The pairs counted are ``n_pairs``: the most of one Candidates scored
-    through this object, those it was made for or more passed to
-    ``chunks``. A table is built at its first use, and turns dense at the
-    first use at which the count allows it.
+    or NaN where a distance is due. Every attribute's ``_ValuePairTable`` is
+    made here, for the pairs of the ``Candidates`` given, and keeps the form
+    that count gives it: a table of every key's term, or, past the table
+    rule, each call's distinct keys (``np.unique``).
     A value is trained if it has a row in the store's ``value_vectors``.
-    Distances come from a copy of the attribute's trained value vectors plus
-    its attribute vector, made once per table. Tables, and both record sets'
-    presence bits (packed once, for ``defined``), last as long as this
-    object, so consecutive chunks, and other pairs of the same records,
-    share them.
+    Tables last as long as this object, so consecutive chunks, and other
+    pairs of the same records, share them.
     """
 
     def __init__(self, cands: Candidates, store: EmbeddingStore, p: int = 2):
-        self.records_a, self.records_b = cands.records_a, cands.records_b
-        self.store, self.p, self.n_pairs = store, p, len(cands)
-        self._tables: dict[int, _ValuePairTable] = {}
-        # one bit per attribute, so a pair gathers a byte per 8 attributes, not a bool each
-        self._present_a = np.packbits(self.records_a.value_matrix >= 0, axis=1)
-        self._present_b = np.packbits(self.records_b.value_matrix >= 0, axis=1)
-
-    def defined(self, cands: Candidates) -> np.ndarray:
-        """Per pair of ``cands`` (pairs over this object's record sets),
-        whether some attribute is present on both records: ``feature_matrix``'s
-        ``defined``."""
-        return (self._present_a[cands.a] & self._present_b[cands.b]).any(axis=1)
-
-    def _table(self, attr: int) -> _ValuePairTable:
-        table = self._tables.get(attr)
-        if table is None:
-            # an untrained value's mismatch: the worst the unit-ball geometry allows
-            value_bound = math.sqrt(self.store.dim) if self.p == 1 else 1.0
-            attr_norm = float(_distances(self.store.attribute_vectors[attr][None, :], self.p)[0])
-            table = _ValuePairTable(
-                self.records_a.value_matrix[:, attr],
-                self.records_b.value_matrix[:, attr],
-                self.store.value_vectors.shape[0],
-                -(2.0 * value_bound + attr_norm),
-            )
-            self._tables[attr] = table
-        if table.terms is None and dense_table(table.width * table.width, self.n_pairs):
-            table.make_dense()
-        return table
+        self.store, self.p = store, p
+        self._tables = [
+            _ValuePairTable(attr, cands.records_a, cands.records_b, store, p, len(cands))
+            for attr in range(cands.records_a.value_matrix.shape[1])
+        ]
 
     def features(self, cands: Candidates) -> tuple[np.ndarray, np.ndarray]:
         """(features, defined) of ``feature_matrix`` for these candidates."""
-        features = np.zeros((len(cands), self.records_a.value_matrix.shape[1]))
-        for attr in range(features.shape[1]):
-            table = self._table(attr)
+        features = np.zeros((len(cands), len(self._tables)))
+        for attr, table in enumerate(self._tables):
             keys = table.keys_a[cands.a] + table.keys_b[cands.b]
             if table.terms is not None:
                 features[:, attr] = self._looked_up(attr, table, keys)
@@ -176,18 +149,7 @@ class ValuePairTerms:
                 fresh = np.isnan(terms)
                 terms[fresh] = -self._distances(attr, table, pairs[fresh])
                 features[:, attr] = terms[inverse]
-        return features, self.defined(cands)
-
-    def chunks(self, cands: Candidates) -> Iterator[Candidates]:
-        """``cands`` (pairs over these record sets) a ``PAIR_CHUNK`` of pairs
-        at a time, in order, to score through this object, whose tables are
-        sized for all of them. Each chunk's rows are widened once to numpy's
-        index type, so that each of its gathers (the tables' keys, presence
-        bits, the writer's ids) skips a cast of its own."""
-        self.n_pairs = max(self.n_pairs, len(cands))
-        for part in pair_slices(len(cands)):
-            chunk = cands.take(part)
-            yield replace(chunk, a=chunk.a.astype(np.intp), b=chunk.b.astype(np.intp))
+        return features, cands.defined()
 
     def _looked_up(self, attr: int, table: _ValuePairTable, keys: np.ndarray) -> np.ndarray:
         """The terms of pairs of ranks ``keys`` from the table, after
@@ -202,12 +164,9 @@ class ValuePairTerms:
         return terms
 
     def _distances(self, attr: int, table: _ValuePairTable, pairs: np.ndarray) -> np.ndarray:
-        """Distances of the known rank pairs ``pairs`` (keys), by
-        ``embed._distances`` DISTANCE_BLOCK rows at a time (a distance is
-        rowwise, so the bits do not depend on the block)."""
-        if table.heads is None:
-            known = table.values[: table.d]
-            table.heads = self.store.value_vectors[known] + self.store.attribute_vectors[attr]
+        """Distances of the known rank pairs ``pairs`` (keys) of attribute
+        ``attr``'s table, by ``embed._distances`` DISTANCE_BLOCK rows at a
+        time (a distance is rowwise, so the bits do not depend on the block)."""
         heads, tails = np.divmod(pairs, table.width)
         tails = table.values[tails]
         distances = np.empty(len(pairs))
@@ -270,7 +229,7 @@ def scored_chunks(
     on any host. The chunks share one ``ValuePairTerms``: a distance is
     computed once per call."""
     terms = ValuePairTerms(cands, store, p)
-    for chunk in terms.chunks(cands):
+    for chunk in cands.chunks():
         features, defined = feature_matrix(
             chunk, cands.records_a, cands.records_b, store, p, terms=terms
         )

@@ -20,7 +20,6 @@ from .candidates import (  # noqa: F401  (classify is re-exported)
     Candidates,
     Metrics,
     classify,
-    pair_slices,
 )
 from .embed import EmbeddingStore, GradientCheckResult, ea_score
 from .errors import ConfigError, TrainingError, UndefinedPairError
@@ -176,21 +175,27 @@ def _inert_negatives(hp: RLHyperparams) -> bool:
     return sign > 0 and offset + 0.5 <= 0
 
 
-def _scorable(chunk: Candidates, defined: np.ndarray) -> np.ndarray:
-    """Which of a chunk of negatives are scorable: ``defined`` (some
-    attribute present on both records) and not labelled True."""
-    return defined if chunk.label is None else defined & ~chunk.label
+def _scorable(chunk: Candidates, positive: bool) -> np.ndarray:
+    """Which pairs of a chunk are scorable: ``defined`` (some attribute
+    present on both records) and, for negatives, not labelled True."""
+    defined = chunk.defined()
+    return defined if positive or chunk.label is None else defined & ~chunk.label
 
 
-def _negative_features(terms: ValuePairTerms, neg: Candidates, n_neg: int) -> np.ndarray:
-    """The features of the ``n_neg`` scorable negatives of ``neg``, in
-    order, laid a chunk at a time into one matrix."""
-    feats = np.empty((n_neg, terms.records_a.value_matrix.shape[1]))
+def _scorable_features(
+    cands: Candidates, n_rows: int, positive: bool, store: EmbeddingStore, p: int
+) -> np.ndarray:
+    """The features of the ``n_rows`` scorable pairs of ``cands``, in order,
+    laid a chunk at a time into one matrix, through value-pair tables made
+    for ``cands``."""
+    terms = ValuePairTerms(cands, store, p)
+    feats = np.empty((n_rows, store.attribute_vectors.shape[0]))
     filled = 0
-    for chunk in terms.chunks(neg):
-        chunk = chunk.take(_scorable(chunk, terms.defined(chunk)))
+    for chunk in cands.chunks():
+        chunk = chunk.take(_scorable(chunk, positive))
+        # by this module's feature_matrix, which a trace times and counts rows of
         features, _ = feature_matrix(
-            chunk, terms.records_a, terms.records_b, terms.store, terms.p, terms=terms
+            chunk, cands.records_a, cands.records_b, store, p, terms=terms
         )
         feats[filled : filled + len(chunk)] = features
         filled += len(chunk)
@@ -234,34 +239,30 @@ def train_weights(
     An epoch in that state skips the negatives' draw, gather and
     products, which would add exactly 0 to the loss and the gradient; only
     their count enters the mean, taken from value presence a chunk of pairs
-    at a time. The negatives' features are built, a chunk at a time, the
-    first time an epoch needs them, which under the default settings is
-    never; until then the value-pair tables are sized for the positives
-    alone. An epoch that needs them draws its subset from its own
-    generator, ``default_rng([seed, epoch])``, so skipped epochs do not
-    shift the draws of later ones.
+    at a time. Each kind of pair's features are built a chunk at a time,
+    through value-pair tables made for that kind alone: the positives' at
+    once, the negatives' the first time an epoch needs them, which under the
+    default settings is never. An epoch that needs them draws its subset
+    from its own generator, ``default_rng([seed, epoch])``, so skipped
+    epochs do not shift the draws of later ones.
     """
     pos = Candidates.of(t_plus, records_a, records_b)
     neg = Candidates.of(t_minus, records_a, records_b)
-    # one set of tables and presence bits for both kinds of pair, sized for
-    # the positives until an epoch needs the negatives' features
-    terms = ValuePairTerms(pos, store, p)
-    feats_pos, defined_pos = feature_matrix(pos, records_a, records_b, store, p, terms=terms)
-    feats_pos = feats_pos[defined_pos]
-    n_neg = 0
-    for part in pair_slices(len(neg)):
-        chunk = neg.take(part)
-        n_neg += int(np.count_nonzero(_scorable(chunk, terms.defined(chunk))))
-    if not len(feats_pos) or not n_neg:
+    n_pos, n_neg = (
+        sum(int(np.count_nonzero(_scorable(chunk, positive))) for chunk in cands.chunks())
+        for cands, positive in ((pos, True), (neg, False))
+    )
+    if not n_pos or not n_neg:
         raise TrainingError("no scorable pairs (no shared present attributes)")
+    feats_pos = _scorable_features(pos, n_pos, True, store, p)
 
     seed = hp.seed or 0
     w = np.ones(store.attribute_vectors.shape[0])
     history: list[float] = []
     n_draw = n_neg
     if hp.negative_ratio is not None:
-        n_draw = min(n_draw, int(round(hp.negative_ratio * len(feats_pos))))
-    n_used = len(feats_pos) + n_draw
+        n_draw = min(n_draw, int(round(hp.negative_ratio * n_pos)))
+    n_used = n_pos + n_draw
     skippable = _inert_negatives(hp)
     no_negatives = np.zeros((0, len(w)))
     feats_neg = None
@@ -271,7 +272,7 @@ def train_weights(
             epoch_neg = no_negatives
         else:
             if feats_neg is None:
-                feats_neg = _negative_features(terms, neg, n_neg)
+                feats_neg = _scorable_features(neg, n_neg, False, store, p)
             if n_draw < n_neg:
                 rng = np.random.default_rng([seed, epoch])
                 idx = rng.choice(n_neg, size=n_draw, replace=False)

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from evolink.ekg import build_ekg
 from evolink.ingest import LinkedPairSet, Record, RecordSet, Schema, ValueDictionary
+
+# ``pytest --hypothesis-profile=deep``: five times Hypothesis's default number
+# of examples for every property that does not set its own
+settings.register_profile("deep", max_examples=500)
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
 """Lookups that only the tests need, kept here as oracles: an attribute's
 value domain, the tails observed from a head value, g summed in plain
-Python, the threshold sweep a pass per τ, and the synthetic generator and
-records writer a record at a time."""
+Python, the weight step over features built up front, the threshold sweep
+a pass per τ, and the synthetic generator and records writer a record at a
+time."""
 
 import numpy as np
 
@@ -30,6 +31,38 @@ def left_to_right_scores(features, w) -> np.ndarray:
             g += f * x
         scores.append(g)
     return np.array(scores, dtype=float)
+
+
+def eager_weight_loop(feats_pos, feats_neg, hp):
+    """``weights.train_weights`` over the scorable positives' and negatives'
+    features, given up front: a draw from ``default_rng([seed, epoch])`` in
+    every epoch, whether or not the negatives can bind. Returns the weights,
+    the loss history and how many negative hinges were active in all."""
+    from evolink.weights import _epoch_loss_and_gradient
+
+    n_draw = len(feats_neg)
+    if hp.negative_ratio is not None:
+        n_draw = min(n_draw, int(round(hp.negative_ratio * len(feats_pos))))
+    w = np.ones(feats_pos.shape[1])
+    history, active = [], 0
+    for epoch in range(hp.epochs):
+        idx = np.random.default_rng([hp.seed or 0, epoch]).choice(
+            len(feats_neg), size=n_draw, replace=False
+        )
+        epoch_neg = feats_neg[np.sort(idx)]
+        with np.errstate(over="ignore"):
+            p_neg = 1.0 / (1.0 + np.exp(-left_to_right_scores(epoch_neg, w)))
+        if hp.loss_sign == "corrected":
+            active += int((p_neg - (1.0 - hp.margin) > 0).sum())
+        else:
+            active += int((hp.margin - p_neg > 0).sum())
+        total, grad = _epoch_loss_and_gradient(feats_pos, epoch_neg, w, hp)
+        n_used = len(feats_pos) + len(epoch_neg)
+        history.append(total / n_used)
+        w -= hp.learning_rate * grad / n_used
+        if hp.nonnegative:
+            np.maximum(w, 0.0, out=w)
+    return w, history, active
 
 
 def reference_select_threshold(probabilities, labels) -> tuple[float, float]:

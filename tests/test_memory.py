@@ -10,6 +10,7 @@ whole input at once, exceeds it at the sizes used here.
 import gc
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from evolink.commands import write_predictions
 from evolink.embed import EmbeddingStore
 from evolink.idfiles import LinkedPairSet, read_id_rows
 from evolink.ingest import RecordSet, Schema, ValueDictionary
+from evolink import weights as weights_mod
 from evolink.pipeline import _pick_threshold
-from evolink.scoring import feature_matrix, scored_chunks
+from evolink.scoring import DISTANCE_BLOCK, feature_matrix, scored_chunks
 from evolink.weights import RLHyperparams, WeightVector, train_weights
 
 MB = 1 << 20
@@ -135,6 +137,47 @@ def test_train_weights_budget(shared_values):
     # the negatives are only counted, a chunk at a time, and the value-pair
     # tables are sized for the positives: twice the negatives, the same peak
     assert peak - half_peak <= 64 * 1024, (peak, half_peak)
+
+
+def test_binding_train_weights_budget(shared_values, monkeypatch):
+    records_a, records_b, store, pairs, truth = shared_values
+    labeled = label_pairs(pairs, truth).pairs
+    positives = labeled.take(labeled.label)
+    # the as-written hinge binds on every negative from the first epoch
+    hp = RLHyperparams(epochs=2, seed=0, loss_sign="as_written")
+    alive = []
+
+    class Scorer(weights_mod.ValuePairTerms):
+        def __init__(self, *args):
+            # the tables of the scorers made before are no longer held
+            assert all(ref() is None for ref in alive)
+            super().__init__(*args)
+            alive.append(weakref.ref(self))
+
+    monkeypatch.setattr(weights_mod, "ValuePairTerms", Scorer)
+
+    def train():
+        return train_weights(positives, labeled, records_a, records_b, store, hp)
+
+    train()  # numpy imports some of its modules on first use
+    alive.clear()
+    _, peak = peak_above_start(train)
+    assert len(alive) == 2  # one scorer for the positives, one for the negatives
+    n_neg = len(labeled) - len(positives)  # blocked pairs share attribute 0: all scorable
+    assert len(positives) > 100 and n_neg > 200_000
+    values = np.concatenate([records_a.value_matrix, records_b.value_matrix])
+    distinct = [len(np.unique(values[:, attr])) for attr in range(3)]
+    slots = sum((n + 1) ** 2 for n in distinct)
+    assert slots <= 4 * n_neg  # the negatives' scorer keeps every attribute's table
+    # the negatives' features, 8 bytes an attribute; their tables: a float a
+    # slot, each trained value's head vector and each record's key; about 128
+    # bytes a pair of one chunk (its rows, masks, keys and terms); three
+    # (rows x dim) arrays of one block of distances; a constant for the
+    # positives' features and an epoch's draw of 10 negatives each
+    features = 8 * 3 * n_neg
+    tables = 8 * slots + 8 * store.dim * sum(distinct) + 8 * 3 * len(values)
+    temporaries = 128 * PAIR_CHUNK + 3 * 8 * store.dim * DISTANCE_BLOCK
+    assert peak <= features + tables + temporaries + 1 * MB, (peak - features - tables)
 
 
 def test_pick_threshold_budget(shared_values):

@@ -311,6 +311,23 @@ class TestRunExperiment:
         assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("delimiter", ["\n", "\r"])
+    def test_a_line_end_delimiter_is_refused_before_any_file_is_opened(
+        self, tmp_path, capsys, delimiter
+    ):
+        # a line end splits every row, so the load stage would fail on the
+        # records' header, naming no key
+        source = {"kind": "files", "attributes": ["x", "y"], "a": "/nope/a.csv",
+                  "b": "/nope/b.csv", "truth": "/nope/t.csv",
+                  "format": {"delimiter": delimiter}}
+        message = f"source.format.delimiter: must be one character other than CR or LF, got {delimiter!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            small_config(source=source)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"source": source}), encoding="utf-8")
+        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     # an empty validation split leaves the threshold undefined, an empty test
     # split the test metrics; a config refuses a zero ratio, but a ratio too
     # small to draw one of the links makes either
@@ -810,12 +827,35 @@ class TestColumnarEquivalence:
         monkeypatch.setattr(candidates_mod, "PAIR_CHUNK", 7)
         pieces = list(scored_chunks(pairs, store, w))
         assert len(pieces) > 100
-        # one ValuePairTerms packs each record set's presence once
+        # a second scorer, over other pairs of the same records
+        others = list(scored_chunks(pairs.take(slice(None, None, 3)), store, w))
+        assert len(others) > 30
+        # each record set's presence is packed once, however many scorers read it
         assert packed == [a.value_matrix.shape, b.value_matrix.shape]
         undefined = [not set(a.get(p.a_entity).values) & set(b.get(p.b_entity).values)
                      for p in pairs]
         assert any(undefined)
         assert np.isnan(np.concatenate([p.score for p in pieces])).tolist() == undefined
+
+    def test_candidates_chunks_cover_the_pairs_in_order(self, monkeypatch):
+        import evolink.candidates as candidates_mod
+
+        rng = np.random.default_rng(2)
+        a, b = random_record_sets(rng, 12, 9, missing=0.3)
+        blocked = block_candidates(a, b, None)
+        some = [(p.a_entity, p.b_entity) for p in blocked][::5]
+        pairs = label_pairs(blocked, LinkedPairSet(some, "test")).pairs
+        assert pairs.a.dtype == pairs.b.dtype == np.int32 and len(pairs) % 7
+        monkeypatch.setattr(candidates_mod, "PAIR_CHUNK", 7)
+        chunks = list(pairs.chunks())
+        assert [len(chunk) for chunk in chunks] == [7] * (len(pairs) // 7) + [len(pairs) % 7]
+        for column in ("a", "b", "label"):
+            joined = np.concatenate([getattr(chunk, column) for chunk in chunks])
+            assert joined.tolist() == getattr(pairs, column).tolist(), column
+        for chunk in chunks:
+            assert chunk.a.dtype == chunk.b.dtype == np.intp
+            assert chunk.records_a is a and chunk.records_b is b
+        assert list(pairs.take(slice(0, 0)).chunks()) == []
 
     def test_exact_match_baseline_matches_scalar_rule(self):
         rng = np.random.default_rng(4)

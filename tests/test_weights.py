@@ -30,7 +30,7 @@ from evolink.weights import (
     train_weights,
     weight_gradient_check,
 )
-from oracles import left_to_right_scores, reference_select_threshold
+from oracles import eager_weight_loop, left_to_right_scores, reference_select_threshold
 
 # every τ of the grid, a float either side of it, 0.0, the clip floor and its
 # mirror, NaN (never a match), and any probability
@@ -305,35 +305,11 @@ class TestTrainWeights:
 
 
 def eager_train_weights(t_plus, t_minus, records_a, records_b, store, hp, p=2):
-    """Reference for ``train_weights``: every scorable negative's features
-    built up front, and a draw from ``default_rng([seed, epoch])`` in every
-    epoch. Also returns how many negative hinges were active in all."""
+    """Reference for ``train_weights``: ``oracles.eager_weight_loop`` over
+    the scorable pairs' ``feature_matrix`` rows."""
     feats_pos, defined_pos = feature_matrix(t_plus, records_a, records_b, store, p)
     feats_neg, defined_neg = feature_matrix(t_minus, records_a, records_b, store, p)
-    feats_pos, feats_neg = feats_pos[defined_pos], feats_neg[defined_neg]
-    n_draw = len(feats_neg)
-    if hp.negative_ratio is not None:
-        n_draw = min(n_draw, int(round(hp.negative_ratio * len(feats_pos))))
-    w = np.ones(store.attribute_vectors.shape[0])
-    history, active = [], 0
-    for epoch in range(hp.epochs):
-        idx = np.random.default_rng([hp.seed or 0, epoch]).choice(
-            len(feats_neg), size=n_draw, replace=False
-        )
-        epoch_neg = feats_neg[np.sort(idx)]
-        with np.errstate(over="ignore"):
-            p_neg = 1.0 / (1.0 + np.exp(-left_to_right_scores(epoch_neg, w)))
-        if hp.loss_sign == "corrected":
-            active += int((p_neg - (1.0 - hp.margin) > 0).sum())
-        else:
-            active += int((hp.margin - p_neg > 0).sum())
-        total, grad = _epoch_loss_and_gradient(feats_pos, epoch_neg, w, hp)
-        n_used = len(feats_pos) + len(epoch_neg)
-        history.append(total / n_used)
-        w -= hp.learning_rate * grad / n_used
-        if hp.nonnegative:
-            np.maximum(w, 0.0, out=w)
-    return w, history, active
+    return eager_weight_loop(feats_pos[defined_pos], feats_neg[defined_neg], hp)
 
 
 def with_near_duplicate_negatives(seed=0):
@@ -878,7 +854,7 @@ class TestValuePairTables:
         assert np.concatenate([f for f, _ in chunks]).tobytes() == features.tobytes()
         assert np.array_equal(np.concatenate([d for _, d in chunks]), defined)
         for attr in range(3):
-            dense = terms._table(attr).terms is not None
+            dense = terms._tables[attr].terms is not None
             event("table" if dense else "np.unique fallback")
             v, u = a.value_matrix[cands.a, attr], b.value_matrix[cands.b, attr]
             known = (v >= 0) & (u >= 0) & (v != u) & (v < n_known) & (u < n_known)
@@ -895,12 +871,18 @@ class TestValuePairTables:
         )
         trained = trained_rows(store, n_known)
         terms = weights_mod.ValuePairTerms(cands, trained, p)
-        assert terms._table(0).terms is None and terms._table(1).terms is None
-        assert terms._table(2).terms is not None
+        assert terms._tables[0].terms is None and terms._tables[1].terms is None
+        assert terms._tables[2].terms is not None
         features, defined = feature_matrix(
             cands, cands.records_a, cands.records_b, trained, p, terms=terms
         )
         assert_rows_are_pair_terms(features, defined, cands, store, p, n_known)
+        # a scorer made for one pair keeps the form that count gives its
+        # tables, however many pairs it then scores
+        few = weights_mod.ValuePairTerms(cands.take(slice(0, 1)), trained, p)
+        chunks = [few.features(chunk) for chunk in cands.chunks()]
+        assert all(table.terms is None for table in few._tables)
+        assert np.concatenate([f for f, _ in chunks]).tobytes() == features.tobytes()
 
 
 class TestOverflow:
