@@ -351,7 +351,3 @@ def main(argv: list[str] | None = None) -> int:
     except (EvolinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -144,6 +144,48 @@ def scatter_rows(index: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nd
     return distinct, summed.reshape(len(distinct), dim)
 
 
+def _hinge_gradients(
+    store: EmbeddingStore,
+    h: np.ndarray,
+    t: np.ndarray,
+    a: np.ndarray,
+    negs: np.ndarray,
+    margin: float,
+    p: int,
+) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
+    """The margin loss's subgradient over one batch: positives (h, t, a),
+    each with k corrupted tails ``negs``, k per positive, row by row.
+
+    Returns each hinge's margin + d_pos - d_neg, k per positive, and, when
+    some hinge is active, (moved values, their summed gradient rows, moved
+    attributes, theirs) from the active hinges alone; else None. Training
+    steps along it, and ``gradient_check`` checks it.
+    """
+    values, attributes = store.value_vectors, store.attribute_vectors
+    k, dim = len(negs) // len(h), store.dim
+    # each positive once, broadcast against its k negatives
+    base = values[h] + attributes[a]
+    r_pos = base - values[t]
+    r_neg = (base[:, None, :] - values[negs].reshape(-1, k, dim)).reshape(-1, dim)
+    d_pos = _distances(r_pos, p)
+    d_neg = _distances(r_neg, p)
+    violation = ((margin + d_pos)[:, None] - d_neg.reshape(-1, k)).ravel()
+    active = np.flatnonzero(violation > 0.0)
+    if not len(active):
+        return violation, None
+
+    pos = active // k  # the positive of each active hinge
+    g_pos = _unit_gradients(r_pos[pos], d_pos[pos], p)
+    g_neg = _unit_gradients(r_neg[active], d_neg[active], p)
+    diff = g_pos - g_neg
+
+    moved, value_grad = scatter_rows(
+        np.concatenate([h[pos], t[pos], negs[active]]),
+        np.concatenate([diff, -g_pos, g_neg]),
+    )
+    return violation, (moved, value_grad, *scatter_rows(a[pos], diff))
+
+
 def train_embeddings(
     ekg: EvolutionKG, hp: EmbedHyperparams
 ) -> tuple[EmbeddingStore, list[float]]:
@@ -176,7 +218,7 @@ def train_embeddings(
     attributes = store.attribute_vectors
 
     rng = np.random.default_rng([hp.seed or 0, 1])
-    n, k, dim = len(kept_rows), hp.negatives, hp.dim
+    n, k = len(kept_rows), hp.negatives
     history: list[float] = []
     # values whose norm may exceed 1: init normalises them all, to 1 within an ulp
     unsettled = np.ones(len(values), dtype=bool)
@@ -193,28 +235,11 @@ def train_embeddings(
                 h, t, a = epoch_heads[start:stop], epoch_tails[start:stop], epoch_attrs[start:stop]
                 negs = epoch_negs[start:stop].ravel()  # k per positive, row by row
 
-                # each positive once, broadcast against its k negatives
-                base = values[h] + attributes[a]
-                r_pos = base - values[t]
-                r_neg = (base[:, None, :] - values[negs].reshape(-1, k, dim)).reshape(-1, dim)
-                d_pos = _distances(r_pos, hp.norm)
-                d_neg = _distances(r_neg, hp.norm)
-                violation = ((hp.margin + d_pos)[:, None] - d_neg.reshape(-1, k)).ravel()
+                violation, step = _hinge_gradients(store, h, t, a, negs, hp.margin, hp.norm)
                 total += float(np.maximum(violation, 0.0).sum())
-                active = np.flatnonzero(violation > 0.0)
-                if not len(active):
+                if step is None:
                     continue
-
-                pos = active // k  # the positive of each active hinge
-                g_pos = _unit_gradients(r_pos[pos], d_pos[pos], hp.norm)
-                g_neg = _unit_gradients(r_neg[active], d_neg[active], hp.norm)
-                diff = g_pos - g_neg
-
-                moved, value_grad = scatter_rows(
-                    np.concatenate([h[pos], t[pos], negs[active]]),
-                    np.concatenate([diff, -g_pos, g_neg]),
-                )
-                moved_attrs, attr_grad = scatter_rows(a[pos], diff)
+                moved, value_grad, moved_attrs, attr_grad = step
                 values[moved] -= hp.learning_rate * value_grad
                 attributes[moved_attrs] -= hp.learning_rate * attr_grad
 
@@ -258,6 +283,36 @@ def margin_loss(
     return max(0.0, margin + d_pos - d_neg)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """Refuse a finite-difference step outside [1e-7, 1e-3]."""
+    if not 1e-7 <= epsilon <= 1e-3:
+        raise ConfigError("epsilon: must be in [1e-7, 1e-3]")
+
+
+def _central_differences(
+    loss: Callable[[], float], cells: list[tuple], epsilon: float, floor: float
+) -> tuple[float, int]:
+    """The largest relative error of analytic derivatives against central
+    differences of ``loss()``, and the number of cells checked.
+
+    Each cell is (array, index, analytic derivative): the array's entry at
+    index is moved by +epsilon and -epsilon, then put back. A derivative and
+    its difference both below ``floor`` in size agree.
+    """
+    max_err = 0.0
+    for array, index, analytic in cells:
+        original = array[index]
+        array[index] = original + epsilon
+        up = loss()
+        array[index] = original - epsilon
+        down = loss()
+        array[index] = original
+        numeric = (up - down) / (2.0 * epsilon)
+        scale = max(abs(analytic), abs(numeric))
+        max_err = max(max_err, 0.0 if scale < floor else abs(analytic - numeric) / scale)
+    return max_err, len(cells)
+
+
 def gradient_check(
     store: EmbeddingStore,
     positive: EvolutionTriple,
@@ -266,109 +321,60 @@ def gradient_check(
     p: int = 2,
     epsilon: float = 1e-5,
 ) -> GradientCheckResult:
-    """Compare the analytic margin-loss subgradient with central differences.
+    """Compare training's margin-loss subgradient (``_hinge_gradients`` on
+    this one pair) with central differences of ``margin_loss``.
 
-    Checks every coordinate of every distinct vector the pair touches.
-    Coordinates where the loss is not differentiable (hinge boundary, a
-    zero-norm residual under p=2, or a residual coordinate tie under p=1)
-    are skipped and counted rather than checked.
+    The negative corrupts the positive's tail alone, as training's do; one
+    with another head value or attribute is refused. Checks every coordinate
+    of every distinct vector the pair touches. Coordinates where the loss is
+    not differentiable (hinge boundary, a zero-norm residual under p=2, or a
+    residual coordinate tie under p=1) are skipped and counted rather than
+    checked.
     """
-    if not 1e-7 <= epsilon <= 1e-3:
-        raise ConfigError("epsilon: must be in [1e-7, 1e-3]")
-
-    variables: list[tuple[str, int]] = []
-    for kind, idx in (
-        ("value", positive.head_value),
-        ("value", positive.tail_value),
-        ("value", negative.head_value),
-        ("value", negative.tail_value),
-        ("attr", positive.attribute),
-        ("attr", negative.attribute),
-    ):
-        if (kind, idx) not in variables:
-            variables.append((kind, idx))
-
-    def loss() -> float:
-        return margin_loss(store, positive, negative, margin, p)
-
-    r_pos = (
-        store.value_vectors[positive.head_value]
-        + store.attribute_vectors[positive.attribute]
-        - store.value_vectors[positive.tail_value]
-    )
-    r_neg = (
-        store.value_vectors[negative.head_value]
-        + store.attribute_vectors[negative.attribute]
-        - store.value_vectors[negative.tail_value]
-    )
-    d_pos = float(_distances(r_pos[None, :], p)[0])
-    d_neg = float(_distances(r_neg[None, :], p)[0])
+    _check_epsilon(epsilon)
+    head, tail, attr = positive
+    if (negative.head_value, negative.attribute) != (head, attr):
+        raise ConfigError("negative: must keep the positive's head value and attribute")
+    values, attributes = store.value_vectors, store.attribute_vectors
+    base = values[head] + attributes[attr]
+    r_pos, r_neg = base - values[tail], base - values[negative.tail_value]
+    d_pos, d_neg = (float(_distances(r[None, :], p)[0]) for r in (r_pos, r_neg))
     activation = margin + d_pos - d_neg
     slack = 4.0 * epsilon
 
-    total_coords = len(variables) * store.dim
-    if abs(activation) <= slack:
+    # each distinct vector the pair touches -> its coordinates that sit at a
+    # tie, under p=1, of a residual the vector enters
+    tie_rule = p == 1 and activation > 0
+    near_pos, near_neg = ((np.abs(r) <= slack) & tie_rule for r in (r_pos, r_neg))
+    ties: dict[tuple[str, int], np.ndarray] = {}
+    for key, tie in (
+        (("value", head), near_pos | near_neg),
+        (("value", tail), near_pos),
+        (("value", negative.tail_value), near_neg),
+        (("attribute", attr), near_pos | near_neg),
+    ):
+        ties[key] = ties.get(key, False) | tie
+
+    total_coords = len(ties) * store.dim
+    if abs(activation) <= slack or (
+        p == 2 and activation > 0 and (d_pos <= slack or d_neg <= slack)
+    ):
         return GradientCheckResult(0.0, 0, total_coords)
-    if p == 2 and activation > 0 and (d_pos <= slack or d_neg <= slack):
-        return GradientCheckResult(0.0, 0, total_coords)
 
-    if activation <= 0:
-        g_pos = np.zeros(store.dim)
-        g_neg = np.zeros(store.dim)
-    else:
-        g_pos = _unit_gradients(r_pos[None, :], np.array([d_pos]), p)[0]
-        g_neg = _unit_gradients(r_neg[None, :], np.array([d_neg]), p)[0]
-
-    def analytic(kind: str, idx: int) -> np.ndarray:
-        grad = np.zeros(store.dim)
-        if kind == "value":
-            if idx == positive.head_value:
-                grad += g_pos
-            if idx == positive.tail_value:
-                grad -= g_pos
-            if idx == negative.head_value:
-                grad -= g_neg
-            if idx == negative.tail_value:
-                grad += g_neg
-        else:
-            if idx == positive.attribute:
-                grad += g_pos
-            if idx == negative.attribute:
-                grad -= g_neg
-        return grad
-
-    def involves(kind: str, idx: int, triple: EvolutionTriple) -> bool:
-        if kind == "value":
-            return idx in (triple.head_value, triple.tail_value)
-        return idx == triple.attribute
-
-    max_err = 0.0
-    checked = 0
-    skipped = 0
-    for kind, idx in variables:
-        grad = analytic(kind, idx)
-        matrix = store.value_vectors if kind == "value" else store.attribute_vectors
-        for coord in range(store.dim):
-            if p == 1 and activation > 0:
-                tie = (
-                    involves(kind, idx, positive) and abs(r_pos[coord]) <= slack
-                ) or (involves(kind, idx, negative) and abs(r_neg[coord]) <= slack)
-                if tie:
-                    skipped += 1
-                    continue
-            original = matrix[idx, coord]
-            matrix[idx, coord] = original + epsilon
-            up = loss()
-            matrix[idx, coord] = original - epsilon
-            down = loss()
-            matrix[idx, coord] = original
-            numeric = (up - down) / (2.0 * epsilon)
-            a = grad[coord]
-            if max(abs(a), abs(numeric)) < 1e-7:
-                err = 0.0
-            else:
-                err = abs(a - numeric) / max(abs(a), abs(numeric))
-            max_err = max(max_err, err)
-            checked += 1
-
-    return GradientCheckResult(max_err, checked, skipped)
+    # training's step on this one pair, laid into arrays shaped like the store's
+    matrices = {"value": values, "attribute": attributes}
+    grads = {kind: np.zeros_like(matrix) for kind, matrix in matrices.items()}
+    batch = (np.array([i]) for i in (head, tail, attr, negative.tail_value))
+    _, step = _hinge_gradients(store, *batch, margin, p)
+    if step is not None:
+        moved, value_grad, moved_attrs, attr_grad = step
+        grads["value"][moved], grads["attribute"][moved_attrs] = value_grad, attr_grad
+    cells = [
+        (matrices[kind], (idx, coord), grads[kind][idx, coord])
+        for (kind, idx), tie in ties.items()
+        for coord in np.flatnonzero(~tie)
+    ]
+    max_err, checked = _central_differences(
+        lambda: margin_loss(store, positive, negative, margin, p), cells, epsilon, 1e-7
+    )
+    return GradientCheckResult(max_err, checked, total_coords - checked)

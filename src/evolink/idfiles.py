@@ -335,10 +335,11 @@ def read_id_rows(
 
 
 def load_links(
-    path: str | Path, fmt: TextFormat = TextFormat(), provenance: str = "train"
+    path: str | Path, fmt: TextFormat = TextFormat(delimiter=","), provenance: str = "train"
 ) -> LinkedPairSet:
     """Read a two-column file of (a_entity_id, b_entity_id) pairs with
-    ``read_id_rows``; a non-numeric first row is a header and is skipped."""
+    ``read_id_rows``, comma-separated by default as ``write_links_csv``
+    writes them; a non-numeric first row is a header and is skipped."""
     rows = read_id_rows(path, "links", fmt)
     return LinkedPairSet(np.column_stack((rows.a_ids, rows.b_ids)), provenance)
 

@@ -16,12 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .candidates import (  # noqa: F401  (classify is re-exported)
-    Candidates,
-    Metrics,
-    classify,
-)
-from .embed import EmbeddingStore, GradientCheckResult, ea_score
+from .candidates import Candidates, Metrics
+from .embed import EmbeddingStore, GradientCheckResult, _central_differences, _check_epsilon, ea_score
 from .errors import ConfigError, TrainingError, UndefinedPairError
 from .ingest import Record, RecordSet
 from .scoring import ValuePairTerms, _logistic, feature_matrix, match_scores, sigmoid
@@ -306,34 +302,21 @@ def weight_gradient_check(
     hp: RLHyperparams,
     epsilon: float = 1e-5,
 ) -> GradientCheckResult:
-    """Compare the analytic weight subgradient with central differences."""
-    if not 1e-7 <= epsilon <= 1e-3:
-        raise ConfigError("epsilon: must be in [1e-7, 1e-3]")
+    """Compare training's weight subgradient (``_epoch_loss_and_gradient`` on
+    this one pair) with central differences of ``pair_loss``."""
+    _check_epsilon(epsilon)
     prob = sigmoid(float(match_scores(terms[None, :], w)[0]))
     slack = 10.0 * epsilon * max(1.0, float(np.abs(terms).max(initial=0.0)))
     offset, sign = hinge(hp, positive)
-    boundary = offset + sign * prob
-    if abs(boundary) <= slack:
+    if abs(offset + sign * prob) <= slack:
         return GradientCheckResult(0.0, 0, len(w))
 
-    grad = sign * prob * (1.0 - prob) * terms if boundary > 0 else np.zeros_like(terms)
-
-    max_err = 0.0
-    checked = 0
-    for i in range(len(w)):
-        saved = w[i]
-        w[i] = saved + epsilon
-        up = pair_loss(terms, positive, w, hp)
-        w[i] = saved - epsilon
-        down = pair_loss(terms, positive, w, hp)
-        w[i] = saved
-        numeric = (up - down) / (2.0 * epsilon)
-        if max(abs(grad[i]), abs(numeric)) < 1e-9:
-            err = 0.0
-        else:
-            err = abs(grad[i] - numeric) / max(abs(grad[i]), abs(numeric))
-        max_err = max(max_err, err)
-        checked += 1
+    row, none = terms[None, :], np.zeros((0, len(w)))
+    _, grad = _epoch_loss_and_gradient(*((row, none) if positive else (none, row)), w, hp)
+    cells = [(w, i, grad[i]) for i in range(len(w))]
+    max_err, checked = _central_differences(
+        lambda: pair_loss(terms, positive, w, hp), cells, epsilon, 1e-9
+    )
     return GradientCheckResult(max_err, checked, 0)
 
 

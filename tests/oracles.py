@@ -1,8 +1,11 @@
 """Lookups that only the tests need, kept here as oracles: an attribute's
-value domain, the tails observed from a head value, g summed in plain
-Python, the weight step over features built up front, the threshold sweep
-a pass per τ, and the synthetic generator and records writer a record at a
-time."""
+value domain, the tails observed from a head value, the evolution triples
+a link and an attribute at a time, the embedding loop as it was before it
+drew once per epoch, g summed in plain Python, the weight step over
+features built up front, the threshold sweep a pass per τ, and the
+synthetic generator and records writer a record at a time."""
+
+import math
 
 import numpy as np
 
@@ -17,6 +20,118 @@ def observed_tails(kg, attribute: int, head_value: int) -> frozenset[int]:
     the graph's columns, which are sorted by head."""
     lo, hi = np.searchsorted(kg.heads, [head_value, head_value + 1])
     return frozenset(kg.tails[lo:hi][kg.attributes[lo:hi] == attribute].tolist())
+
+
+def reference_evolution(records_a, records_b, links, identity, reverse):
+    """The per-link, per-attribute set loop that the matrix build must equal."""
+    from evolink.ekg import EvolutionTriple
+
+    evolution = set()
+    for a_id, b_id in links:
+        head, tail = records_a.get(a_id), records_b.get(b_id)
+        for attr, v_h in head.values.items():
+            v_t = tail.values.get(attr)
+            if v_t is None:
+                continue
+            if v_h == v_t:
+                if identity:
+                    evolution.add(EvolutionTriple(v_h, v_t, attr))
+                continue
+            evolution.add(EvolutionTriple(v_h, v_t, attr))
+            if reverse:
+                evolution.add(EvolutionTriple(v_t, v_h, attr))
+    return evolution
+
+
+def frozen_train(ekg, hp):
+    """The batch loop that train_embeddings ran before it drew once per epoch
+    and took gradients only from active hinges, kept as its oracle: per batch,
+    one rank draw per column from list pools, every row's gradient (zeroed
+    where the hinge is inactive), an ``np.unique`` scatter, then every
+    touched value projected with ``np.linalg.norm``."""
+    from evolink.embed import init_embeddings
+    from evolink.errors import TrainingError
+
+    def distances(residual):
+        if hp.norm == 1:
+            return np.abs(residual).sum(axis=1)
+        return np.sqrt((residual * residual).sum(axis=1))
+
+    def unit_gradients(residual, distance):
+        if hp.norm == 1:
+            return np.sign(residual)
+        grad = residual / np.maximum(distance, 1e-12)[:, None]
+        grad[distance < 1e-12] = 0.0
+        return grad
+
+    def scatter(index, rows):
+        distinct, inverse = np.unique(index, return_inverse=True)
+        summed = np.zeros((len(distinct), rows.shape[1]))
+        np.add.at(summed, inverse.ravel(), rows)
+        return distinct, summed
+
+    domains = [values_of(ekg.values, attr) for attr in range(ekg.values.n_attributes)]
+    columns = ekg.heads.tolist(), ekg.tails.tolist(), ekg.attributes.tolist()
+    pools = [
+        [v for v in domains[a] if v not in observed_tails(ekg, a, h)] for h, _, a in zip(*columns)
+    ]
+    kept = [row for row, pool in enumerate(pools) if pool]
+    if not kept:
+        raise TrainingError("every evolution triple has an empty negative pool")
+    pools = [pools[row] for row in kept]
+    heads, tails, attrs = ekg.heads[kept], ekg.tails[kept], ekg.attributes[kept]
+    store = init_embeddings(ekg, hp)
+    values, attributes = store.value_vectors, store.attribute_vectors
+    rng = np.random.default_rng([hp.seed or 0, 1])
+    n, k = len(kept), hp.negatives
+    history = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(hp.epochs):
+            perm = rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, hp.batch_size):
+                batch = perm[start : start + hp.batch_size]
+                sizes = np.array([len(pools[row]) for row in batch])
+                distinct = sizes >= k
+                ranks = np.empty((len(batch), k), dtype=np.int64)
+                for i in range(k):
+                    r = rng.integers(0, np.where(distinct, sizes - i, sizes))
+                    for c in np.sort(ranks[:, :i], axis=1).T:
+                        r += distinct & (r >= c)
+                    ranks[:, i] = r
+                neg_tails = np.array(
+                    [pools[row][r] for row, rs in zip(batch, ranks.tolist()) for r in rs]
+                )
+                reps = np.repeat(batch, k)
+                h, t, a = heads[reps], tails[reps], attrs[reps]
+
+                r_pos = values[h] + attributes[a] - values[t]
+                r_neg = values[h] + attributes[a] - values[neg_tails]
+                d_pos, d_neg = distances(r_pos), distances(r_neg)
+                violation = hp.margin + d_pos - d_neg
+                total += float(np.maximum(violation, 0.0).sum())
+                active = violation > 0.0
+                if not active.any():
+                    continue
+                g_pos, g_neg = unit_gradients(r_pos, d_pos), unit_gradients(r_neg, d_neg)
+                g_pos[~active] = 0.0
+                g_neg[~active] = 0.0
+                diff = g_pos - g_neg
+                touched, value_grad = scatter(
+                    np.concatenate([h, t, neg_tails]), np.concatenate([diff, -g_pos, g_neg])
+                )
+                touched_attrs, attr_grad = scatter(a, diff)
+                values[touched] -= hp.learning_rate * value_grad
+                attributes[touched_attrs] -= hp.learning_rate * attr_grad
+                norms = np.linalg.norm(values[touched], axis=1)
+                over = norms > 1.0
+                if over.any():
+                    values[touched[over]] /= norms[over, None]
+            mean_loss = total / (n * k)
+            if not math.isfinite(mean_loss):
+                raise TrainingError("non-finite embedding loss")
+            history.append(mean_loss)
+    return store, history
 
 
 def left_to_right_scores(features, w) -> np.ndarray:

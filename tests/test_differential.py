@@ -1,14 +1,16 @@
-"""The per-pair half of an experiment against a scalar pipeline.
+"""An experiment against a scalar pipeline.
 
-``run_experiment`` blocks, labels, scores and evaluates pairs as arrays, a
-chunk at a time. Here the same steps run a record, a pair and an attribute
-at a time, over the run's own splits and embeddings: blocking as a double
-loop over ``Record`` dicts, labels from a set of truth pairs, features from
-``weights.pair_terms``, the weights from ``oracles.eager_weight_loop``, the
-threshold from ``oracles.reference_select_threshold`` and the test counts in
-plain Python. Everything the run reports from those steps must be equal,
-bit for bit; a run that fails must fail at the stage the scalar pipeline
-says it must.
+``run_experiment`` builds its graph, trains its embeddings and blocks,
+labels, scores and evaluates pairs as arrays, a chunk at a time. Here the
+same steps run a record, a pair and an attribute at a time, over the run's
+own splits: the evolution triples from ``oracles.reference_evolution``, the
+embeddings from ``oracles.frozen_train`` on a graph of those triples,
+blocking as a double loop over ``Record`` dicts, labels from a set of truth
+pairs, features from ``weights.pair_terms`` over that store, the weights
+from ``oracles.eager_weight_loop``, the threshold from
+``oracles.reference_select_threshold`` and the test counts in plain Python.
+Everything the run reports from those steps must be equal, bit for bit; a
+run that fails must fail at the stage the scalar pipeline says it must.
 
 Run it deep with ``pytest tests/test_differential.py --hypothesis-profile=deep``.
 """
@@ -18,16 +20,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from evolink import candidates
-from evolink.errors import StageError
+from evolink.ekg import EvolutionKG
+from evolink.errors import StageError, TrainingError
 from evolink.ingest import partition
 from evolink.pipeline import BlockingDiagnostics, ExperimentConfig, run_experiment
 from evolink.synth import generate_synthetic
 from evolink.weights import pair_terms, sigmoid
-from oracles import eager_weight_loop, left_to_right_scores, reference_select_threshold
+from oracles import (
+    eager_weight_loop,
+    frozen_train,
+    left_to_right_scores,
+    reference_evolution,
+    reference_select_threshold,
+)
 
 
 @st.composite
@@ -65,7 +74,7 @@ def tiny_configs(draw):
         "mode": draw(st.sampled_from(["werl", "merl"])),
         "kg_variant": draw(st.sampled_from(["ekg", "er"])),
         "embed": {"dim": 4, "epochs": 5, "batch_size": 16, "learning_rate": 0.05,
-                  "negatives": draw(st.integers(1, 2)), "norm": draw(st.sampled_from([1, 2]))},
+                  "negatives": draw(st.integers(1, 3)), "norm": draw(st.sampled_from([1, 2]))},
         "rl": {
             "epochs": draw(st.integers(1, 25)),
             "loss_sign": draw(st.sampled_from(["corrected", "as_written"])),
@@ -129,25 +138,30 @@ def test_pair_pipeline_equals_the_scalar_pipeline(config, chunk):
         failed = None
     except StageError as exc:
         failed = exc.stage
-    # a graph without triples leaves nothing to embed: no pair is reached
-    assume(failed not in ("graph", "embed"))
     event(f"failed at {failed}" if failed else "ran")
+    seeds = config.stage_seeds
     if failed:
-        seeds = config.stage_seeds
         data = generate_synthetic(config.data_source, seeds["synthetic"])
         splits = partition(data.records_a, data.records_b, data.links, config.ratios,
                            seeds["partition"])
     else:
         splits = result.splits
+    train = splits[0]
+    er = config.kg_variant == "er"
+    triples = reference_evolution(train.records_a, train.records_b, train.links, er, er)
+    graph = EvolutionKG.from_triples(entities=(), values=train.records_a.dictionary,
+                                     attribute_triples=(), evolution=triples)
+    try:
+        store, embed_loss = frozen_train(graph, replace(config.embed, seed=seeds["embed"]))
+    except TrainingError:  # no triple with a nonempty pool, or a diverged loss
+        assert failed == "embed"
+        return
     blocking = config.data_source.to_schema().blocking_attribute
     blocked = {name: scalar_pairs(split, blocking)
                for name, split in zip(("train", "validation", "test"), splits)}
 
     def terms_of(name):
-        if failed:  # the presence of shared attributes alone decides the failure
-            return [True if set(a.values) & set(b.values) else None for a, b, _ in blocked[name][0]]
-        store, p = result.bundle.store, config.embed.norm
-        return [pair_terms(a, b, store, p) for a, b, _ in blocked[name][0]]
+        return [pair_terms(a, b, store, config.embed.norm) for a, b, _ in blocked[name][0]]
 
     def labels_of(name):
         return [label for _, _, label in blocked[name][0]]
@@ -160,13 +174,13 @@ def test_pair_pipeline_equals_the_scalar_pipeline(config, chunk):
         neg = [t for t, label in zip(terms, labels) if not label and t is not None]
         if not pos or not neg:
             expected = "weights"
-        elif not failed:
-            rl = replace(config.rl, seed=result.report.seeds["weights"])
+        else:
+            rl = replace(config.rl, seed=seeds["weights"])
             w, history, _ = eager_weight_loop(np.array(pos), np.array(neg), rl)
             if not all(map(math.isfinite, history)):
                 expected = "weights"
     else:
-        w, history = np.ones(len(splits[0].records_a.schema.attributes)), []
+        w, history = np.ones(len(train.records_a.schema.attributes)), []
     if expected is None and not any(labels_of("validation")):
         expected = "threshold"
     if expected is None and not len(splits[2].links):
@@ -176,6 +190,10 @@ def test_pair_pipeline_equals_the_scalar_pipeline(config, chunk):
         return
 
     report = result.report
+    assert report.graph_counts["evolution_triples"] == len(triples)
+    assert result.bundle.store.value_vectors.tobytes() == store.value_vectors.tobytes()
+    assert result.bundle.store.attribute_vectors.tobytes() == store.attribute_vectors.tobytes()
+    assert report.embed_loss == embed_loss
     assert report.blocking == {name: diagnostics for name, (_, diagnostics) in blocked.items()}
     assert np.array(list(report.weight_values.values())).tobytes() == w.tobytes()
     assert np.array(report.weights_loss).tobytes() == np.array(history).tobytes()

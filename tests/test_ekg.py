@@ -11,7 +11,7 @@ from evolink.ekg import (
 )
 from evolink.errors import DomainError, LoadError
 from evolink.ingest import LinkedPairSet, Record, RecordSet, Schema, ValueDictionary
-from oracles import observed_tails, values_of
+from oracles import observed_tails, reference_evolution, values_of
 
 
 def single_attribute_kg(n_values, evolution):
@@ -365,25 +365,6 @@ def random_linked_sets(rng, n_a=40, n_b=30, n_values=(4, 3, 6, 2), missing=0.25)
         for _ in range(int(rng.integers(0, 2 * n_b)))
     }
     return a, b, LinkedPairSet(tuple(sorted(pairs)), "train")
-
-
-def reference_evolution(records_a, records_b, links, identity, reverse):
-    """The per-link, per-attribute set loop that the matrix build must equal."""
-    evolution = set()
-    for a_id, b_id in links:
-        head, tail = records_a.get(a_id), records_b.get(b_id)
-        for attr, v_h in head.values.items():
-            v_t = tail.values.get(attr)
-            if v_t is None:
-                continue
-            if v_h == v_t:
-                if identity:
-                    evolution.add(EvolutionTriple(v_h, v_t, attr))
-                continue
-            evolution.add(EvolutionTriple(v_h, v_t, attr))
-            if reverse:
-                evolution.add(EvolutionTriple(v_t, v_h, attr))
-    return evolution
 
 
 def variant_triples(records_a, records_b, links, identity, reverse):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from evolink import embed
 from evolink.ekg import AttributeTriple, EvolutionKG, EvolutionTriple, NegativeSampler
 from evolink.embed import (
     EmbedHyperparams,
@@ -16,7 +17,7 @@ from evolink.embed import (
 )
 from evolink.errors import ConfigError, DomainError, TrainingError
 from evolink.ingest import ValueDictionary
-from oracles import observed_tails, values_of
+from oracles import frozen_train, values_of
 
 TOY_HP = EmbedHyperparams(
     dim=16, margin=0.5, learning_rate=0.1, epochs=300, batch_size=4, negatives=2, seed=0
@@ -262,6 +263,40 @@ class TestGradientCheck:
         with pytest.raises(ConfigError):
             gradient_check(store, pos, neg, margin=1.0, epsilon=1e-2)
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_checks_the_gradient_training_steps_along(self, rng, monkeypatch, p):
+        # the check compares training's own sums, so doubling them must show
+        store, pos, neg = active_pair(rng, p=p)
+        assert gradient_check(store, pos, neg, margin=1.0, p=p).max_relative_error <= 1e-4
+        scatter = embed.scatter_rows
+
+        def doubled(index, rows):
+            distinct, summed = scatter(index, rows)
+            return distinct, 2.0 * summed
+
+        monkeypatch.setattr(embed, "scatter_rows", doubled)
+        assert gradient_check(store, pos, neg, margin=1.0, p=p).max_relative_error >= 0.3
+
+    @pytest.mark.parametrize("field", ["head_value", "attribute"])
+    def test_negative_with_another_head_or_attribute_refused(self, rng, field):
+        store, pos, neg = active_pair(rng)
+        other = neg._replace(**{field: 1 if field == "attribute" else neg.tail_value})
+        with pytest.raises(ConfigError, match="negative"):
+            gradient_check(store, pos, other, margin=1.0)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_identity_positive_checks(self, rng, p):
+        # an er graph's (v, v, a): the head's row sums the head and tail terms
+        checked = 0
+        while checked < 10:
+            store, pos, neg = active_pair(rng, p=p)
+            identity = pos._replace(tail_value=pos.head_value)
+            if margin_loss(store, identity, neg, 1.0, p) <= 0.05:
+                continue
+            result = gradient_check(store, identity, neg, margin=1.0, p=p)
+            assert result.max_relative_error <= 1e-4
+            checked += result.checked > 0
+
 
 def random_graph(rng, identity=True):
     """60 evolution triples over three attributes with domains of 3, 6 and 25
@@ -322,94 +357,6 @@ class TestEpochDraw:
                 ]
                 np.testing.assert_array_equal(epoch, np.concatenate(batches))
                 assert one.bit_generator.state == many.bit_generator.state
-
-
-def frozen_train(ekg, hp):
-    """The batch loop that train_embeddings ran before it drew once per epoch
-    and took gradients only from active hinges, kept as its oracle: per batch,
-    one rank draw per column from list pools, every row's gradient (zeroed
-    where the hinge is inactive), an ``np.unique`` scatter, then every
-    touched value projected with ``np.linalg.norm``."""
-    def distances(residual):
-        if hp.norm == 1:
-            return np.abs(residual).sum(axis=1)
-        return np.sqrt((residual * residual).sum(axis=1))
-
-    def unit_gradients(residual, distance):
-        if hp.norm == 1:
-            return np.sign(residual)
-        grad = residual / np.maximum(distance, 1e-12)[:, None]
-        grad[distance < 1e-12] = 0.0
-        return grad
-
-    def scatter(index, rows):
-        distinct, inverse = np.unique(index, return_inverse=True)
-        summed = np.zeros((len(distinct), rows.shape[1]))
-        np.add.at(summed, inverse.ravel(), rows)
-        return distinct, summed
-
-    domains = [values_of(ekg.values, attr) for attr in range(ekg.values.n_attributes)]
-    columns = ekg.heads.tolist(), ekg.tails.tolist(), ekg.attributes.tolist()
-    pools = [
-        [v for v in domains[a] if v not in observed_tails(ekg, a, h)] for h, _, a in zip(*columns)
-    ]
-    kept = [row for row, pool in enumerate(pools) if pool]
-    if not kept:
-        raise TrainingError("every evolution triple has an empty negative pool")
-    pools = [pools[row] for row in kept]
-    heads, tails, attrs = ekg.heads[kept], ekg.tails[kept], ekg.attributes[kept]
-    store = init_embeddings(ekg, hp)
-    values, attributes = store.value_vectors, store.attribute_vectors
-    rng = np.random.default_rng([hp.seed or 0, 1])
-    n, k = len(kept), hp.negatives
-    history = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(hp.epochs):
-            perm = rng.permutation(n)
-            total = 0.0
-            for start in range(0, n, hp.batch_size):
-                batch = perm[start : start + hp.batch_size]
-                sizes = np.array([len(pools[row]) for row in batch])
-                distinct = sizes >= k
-                ranks = np.empty((len(batch), k), dtype=np.int64)
-                for i in range(k):
-                    r = rng.integers(0, np.where(distinct, sizes - i, sizes))
-                    for c in np.sort(ranks[:, :i], axis=1).T:
-                        r += distinct & (r >= c)
-                    ranks[:, i] = r
-                neg_tails = np.array(
-                    [pools[row][r] for row, rs in zip(batch, ranks.tolist()) for r in rs]
-                )
-                reps = np.repeat(batch, k)
-                h, t, a = heads[reps], tails[reps], attrs[reps]
-
-                r_pos = values[h] + attributes[a] - values[t]
-                r_neg = values[h] + attributes[a] - values[neg_tails]
-                d_pos, d_neg = distances(r_pos), distances(r_neg)
-                violation = hp.margin + d_pos - d_neg
-                total += float(np.maximum(violation, 0.0).sum())
-                active = violation > 0.0
-                if not active.any():
-                    continue
-                g_pos, g_neg = unit_gradients(r_pos, d_pos), unit_gradients(r_neg, d_neg)
-                g_pos[~active] = 0.0
-                g_neg[~active] = 0.0
-                diff = g_pos - g_neg
-                touched, value_grad = scatter(
-                    np.concatenate([h, t, neg_tails]), np.concatenate([diff, -g_pos, g_neg])
-                )
-                touched_attrs, attr_grad = scatter(a, diff)
-                values[touched] -= hp.learning_rate * value_grad
-                attributes[touched_attrs] -= hp.learning_rate * attr_grad
-                norms = np.linalg.norm(values[touched], axis=1)
-                over = norms > 1.0
-                if over.any():
-                    values[touched[over]] /= norms[over, None]
-            mean_loss = total / (n * k)
-            if not math.isfinite(mean_loss):
-                raise TrainingError("non-finite embedding loss")
-            history.append(mean_loss)
-    return store, history
 
 
 class TestTrainingOracle:

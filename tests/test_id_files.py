@@ -489,6 +489,14 @@ def test_repeated_link_names_both_lines(tmp_path):
         load_links(path, TextFormat(delimiter=","))
 
 
+def test_load_links_reads_what_write_links_csv_writes(tmp_path):
+    # both default to commas, so a written truth file reads back with no format given
+    links = LinkedPairSet(((0, 10), (1, 11), (-3, 12)), "generated")
+    path = tmp_path / "truth_links.csv"
+    idfiles.write_links_csv(links, path)
+    assert load_links(path).pairs == links.pairs
+
+
 def test_predict_refuses_repeated_pairs(model_dir, tmp_path):
     pairs = write(tmp_path, "pairs.csv", "a_id,b_id\n0,40\n0,40\n")
     code, err = predict_pairs(model_dir, pairs, tmp_path / "out.csv")

@@ -11,12 +11,11 @@ from evolink import weights as weights_mod
 from evolink.embed import EmbeddingStore
 from evolink.errors import ConfigError, TrainingError, UndefinedPairError
 from evolink.ingest import Record, RecordSet, Schema, ValueDictionary
-from evolink.candidates import PAIR_CHUNK, CandidatePair, Candidates
+from evolink.candidates import PAIR_CHUNK, CandidatePair, Candidates, classify
 from evolink.weights import (
     RLHyperparams,
     _epoch_loss_and_gradient,
     WeightVector,
-    classify,
     feature_matrix,
     g_score,
     link_probability,
@@ -602,6 +601,27 @@ class TestWeightGradientCheck:
         result = weight_gradient_check(terms, True, w, hp, epsilon=1e-5)
         assert result.checked == 3
         assert result.max_relative_error <= 1e-4
+
+    @pytest.mark.parametrize("positive", [True, False])
+    @pytest.mark.parametrize("loss_sign", ["corrected", "as_written"])
+    def test_checks_the_gradient_training_steps_along(self, monkeypatch, positive, loss_sign):
+        # the check compares training's own gradient, so doubling it must show
+        hp = RLHyperparams(margin=0.4, loss_sign=loss_sign)
+        terms, w = np.array([-1.0, -0.5, 0.0]), np.array([1.0, -0.5, 1.0])
+        # with g = -0.75 (P = 0.32) each of these hinges is active
+        active = {("corrected", True), ("as_written", True), ("as_written", False)}
+        if (loss_sign, positive) not in active:
+            w = np.array([-4.0, -4.0, 1.0])  # g = 6: P near 1, so the negative's hinge binds
+        result = weight_gradient_check(terms, positive, w, hp)
+        assert result.checked == 3 and result.max_relative_error <= 1e-4
+        epoch = weights_mod._epoch_loss_and_gradient
+
+        def doubled(*args):
+            loss, grad = epoch(*args)
+            return loss, 2.0 * grad
+
+        monkeypatch.setattr(weights_mod, "_epoch_loss_and_gradient", doubled)
+        assert weight_gradient_check(terms, positive, w, hp).max_relative_error >= 0.3
 
 
 class TestClassifyAndThreshold:
