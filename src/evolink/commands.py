@@ -19,37 +19,25 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, EvolinkError
 from .idfiles import (
-    DECISIONS,
-    PREDICTION_COLUMNS,
-    TextFormat,
-    _byte_columns,
-    _id_text,
+    CSV_FORMAT,
     load_links,
     read_id_rows,
     whole_file,
     write_csv,
     write_links_csv,
+    write_predictions,
 )
 
 if TYPE_CHECKING:
-    from .candidates import Candidates
-    from .ingest import RecordSet
     from .pipeline import ExperimentConfig, ExperimentResult
 
 # --loss-sign's values: weights.HINGES's modes, written with a hyphen; they
 # are spelled out so that the parser does not load the training layers
 LOSS_SIGNS = ("corrected", "as-written")
-CSV_FORMAT = TextFormat(delimiter=",")
-# One predictions row: ids, then g and P at full precision (repr), then the decision.
-PREDICTION_ROW = "%d,%d,%r,%r,%s\n"
-# a row's last field, with the comma before it, indexed by its decision
-DECISION_TEXT = np.array([f",{decision}\n".encode() for decision in DECISIONS])
 
 
 def _write_manifest(
@@ -167,7 +155,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         **dict(zip(pipeline.FILE_KEYS, map(str, required))),
         "kind": "files",
         # the base config was read, so a format it gives is an object
-        "format": {**given.get("format", {}), "delimiter": ","},
+        "format": {**given.get("format", {}), "delimiter": CSV_FORMAT.delimiter},
     }
     config = _with_flags(args, base, source=source)
     _run_and_persist(config, Path(args.out), "train", [Path(args.config), *required], args.config)
@@ -183,47 +171,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         inputs += config.data_source.files()
     _run_and_persist(config, Path(args.out), "experiment", inputs, args.config)
     return 0
-
-
-def write_predictions(
-    fh, chunks: Iterable[Candidates], records_a: RecordSet, records_b: RecordSet, tau: float
-) -> None:
-    """Write each scored chunk to the binary file ``fh``, one
-    ``PREDICTION_ROW`` line per pair.
-
-    Each chunk is laid into one byte matrix, a column block per field: the
-    ids, each record's formatted once as "<id>," and gathered by the pairs'
-    row arrays; g and P as ``floattext.repr_rows`` renders them; the
-    decision with its comma and newline. The fields' NUL padding is dropped
-    from the matrix's bytes in one ``bytes.translate``. No field ever needs
-    quoting, so these are the bytes csv.writer would write. The matrix is
-    made once, for the first chunk, and reused: a chunk then allocates only
-    its rendering's temporaries, few enough that glibc's heap keeps and
-    reuses their pages instead of returning and refaulting them every chunk.
-    """
-    from .candidates import classify
-    from .floattext import WIDTH, repr_rows
-
-    a_text, b_text = _id_text(records_a), _id_text(records_b)
-    widths = (a_text.dtype.itemsize, b_text.dtype.itemsize, WIDTH, 1, WIDTH,
-              DECISION_TEXT.dtype.itemsize)
-    a_ids, b_ids, g, comma, p, decision = (
-        slice(end - width, end) for width, end in zip(widths, np.cumsum(widths).tolist())
-    )
-    matrix = np.empty((0, sum(widths)), dtype=np.uint8)
-    for scored in chunks:
-        if len(scored) > len(matrix):
-            matrix = np.empty((len(scored), sum(widths)), dtype=np.uint8)
-            matrix[:, comma] = ord(",")
-        rows = matrix[: len(scored)]
-        rows[:, a_ids] = _byte_columns(a_text[scored.a])
-        rows[:, b_ids] = _byte_columns(b_text[scored.b])
-        rows[:, g] = repr_rows(scored.score)
-        rows[:, p] = repr_rows(scored.probability)
-        rows[:, decision] = _byte_columns(
-            DECISION_TEXT[classify(scored.probability, tau).view(np.uint8)]
-        )
-        fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -246,12 +193,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     )
 
     if args.pairs:
-        pairs = read_id_rows(args.pairs, "pairs", CSV_FORMAT)
+        pairs = read_id_rows(args.pairs, "pairs")
         a_rows, in_a = records_a.find(pairs.a_ids)
         b_rows, in_b = records_b.find(pairs.b_ids)
         known = in_a & in_b
         if not known.all():
-            i = int(np.argmin(known))
+            i = int(known.argmin())
             unknown = (pairs.b_ids if in_a[i] else pairs.a_ids)[i]
             raise EvolinkError(
                 f"{args.pairs}: line {pairs.first_line + i}: unknown entity id {unknown}"
@@ -269,7 +216,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     chunks = scoring.scored_chunks(cands, bundle.store, bundle.weights, bundle.embed_hp.norm)
     # a failed run leaves --out as it was
     with whole_file(args.out, "wb") as fh:
-        fh.write(",".join(PREDICTION_COLUMNS).encode() + b"\n")
         write_predictions(fh, chunks, records_a, records_b, tau)
     print(f"scored {len(cands)} pairs -> {Path(args.out)}")
     return 0
@@ -278,8 +224,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from .candidates import Metrics, truth_labels
 
-    predictions = read_id_rows(args.predictions, "predictions", CSV_FORMAT)
-    truth = load_links(args.truth, CSV_FORMAT, provenance="truth")
+    predictions = read_id_rows(args.predictions, "predictions")
+    truth = load_links(args.truth, provenance="truth")
     labels, lost, shared = truth_labels(predictions.a_ids, predictions.b_ids, truth)
     # each side's ids are looked up among the truth's own side, so swapped columns match none
     if len(labels) and len(truth) and not shared:

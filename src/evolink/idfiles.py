@@ -2,7 +2,8 @@
 share with the records file.
 
 An id file holds rows of two entity ids; a predictions row also holds its
-decision. ``read_id_rows`` reads all three kinds, and ``id_ranks`` looks ids
+decision. ``read_id_rows`` reads all three kinds, ``write_predictions``
+writes the predictions file, header and rows, and ``id_ranks`` looks ids
 up in a sorted set. Of the package this module imports only ``errors``, so
 ``evaluate`` runs on it and ``candidates`` alone.
 """
@@ -24,6 +25,7 @@ import numpy as np
 from .errors import ConfigError, LoadError
 
 if TYPE_CHECKING:
+    from .candidates import Candidates
     from .ingest import RecordSet
 
 DEFAULT_NULL_MARKERS = ("", "illegible", "NA")
@@ -54,6 +56,11 @@ class TextFormat:
     @cached_property
     def standardized_nulls(self) -> frozenset[str]:
         return frozenset(standardize(m) for m in self.null_markers)
+
+
+# the CLI's comma format: the id files' default, and that of the records
+# files ``predict`` reads
+CSV_FORMAT = TextFormat(delimiter=",")
 
 
 # A direct table over a range of keys is used while it has at most this many
@@ -176,10 +183,11 @@ class LinkedPairSet:
 
 
 def _text(raw: bytes, path: Path) -> str:
-    """The bytes of the file at ``path`` as text; bytes that are not
-    ``ENCODING`` text raise a LoadError naming their line."""
+    """The bytes of the file at ``path`` as text, less a leading byte-order
+    mark (U+FEFF), which is not data; bytes that are not ``ENCODING`` text
+    raise a LoadError naming their line."""
     try:
-        return raw.decode(ENCODING)
+        return raw.decode(ENCODING).removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = raw[: exc.start].count(b"\n") + 1
         raise LoadError(f"{path}: line {line}: not {ENCODING} text") from None
@@ -190,6 +198,10 @@ def _text(raw: bytes, path: Path) -> str:
 PREDICTION_COLUMNS = ("a_id", "b_id", "g", "P", "decision")
 DECISIONS = ("non-match", "match")
 DECISION_COLUMN = PREDICTION_COLUMNS.index("decision")
+# One predictions row: ids, then g and P at full precision (repr), then the decision.
+PREDICTION_ROW = "%d,%d,%r,%r,%s\n"
+# a row's last field, with the comma before it, indexed by its decision
+DECISION_TEXT = np.array([f",{decision}\n".encode() for decision in DECISIONS])
 # Per kind of id file: the fewest and most columns a row may have (None: no
 # limit), and the message for a row outside them.
 ID_FILES = {
@@ -305,9 +317,7 @@ def _loadtxt_rows(path: Path, kind: str, fmt: TextFormat) -> IdRows | None:
     return IdRows(table["a"].copy(), table["b"].copy(), matches, 1 + header)
 
 
-def read_id_rows(
-    path: str | Path, kind: str, fmt: TextFormat = TextFormat(delimiter=",")
-) -> IdRows:
+def read_id_rows(path: str | Path, kind: str, fmt: TextFormat = CSV_FORMAT) -> IdRows:
     """Read a links, pairs or predictions file (``kind``) whole.
 
     Each line is a row of ``fmt.delimiter``-separated fields, ended by LF or
@@ -335,7 +345,7 @@ def read_id_rows(
 
 
 def load_links(
-    path: str | Path, fmt: TextFormat = TextFormat(delimiter=","), provenance: str = "train"
+    path: str | Path, fmt: TextFormat = CSV_FORMAT, provenance: str = "train"
 ) -> LinkedPairSet:
     """Read a two-column file of (a_entity_id, b_entity_id) pairs with
     ``read_id_rows``, comma-separated by default as ``write_links_csv``
@@ -392,6 +402,49 @@ def _id_text(records: RecordSet) -> np.ndarray:
 def _byte_columns(text: np.ndarray) -> np.ndarray:
     """An ``S`` array as a (rows, itemsize) uint8 matrix."""
     return text.view(np.uint8).reshape(len(text), text.dtype.itemsize)
+
+
+def write_predictions(
+    fh, chunks: Iterable[Candidates], records_a: RecordSet, records_b: RecordSet, tau: float
+) -> None:
+    """Write the predictions file to the binary file ``fh``: the
+    ``PREDICTION_COLUMNS`` header, then each scored chunk, one
+    ``PREDICTION_ROW`` line per pair.
+
+    Each chunk is laid into one byte matrix, a column block per field: the
+    ids, each record's formatted once as "<id>," and gathered by the pairs'
+    row arrays; g and P as ``floattext.repr_rows`` renders them; the
+    decision with its comma and newline. The fields' NUL padding is dropped
+    from the matrix's bytes in one ``bytes.translate``. No field ever needs
+    quoting, so these are the bytes csv.writer would write. The matrix is
+    made once, for the first chunk, and reused: a chunk then allocates only
+    its rendering's temporaries, few enough that glibc's heap keeps and
+    reuses their pages instead of returning and refaulting them every chunk.
+    """
+    from .candidates import classify
+    from .floattext import WIDTH, repr_rows
+
+    fh.write(",".join(PREDICTION_COLUMNS).encode() + b"\n")
+    a_text, b_text = _id_text(records_a), _id_text(records_b)
+    widths = (a_text.dtype.itemsize, b_text.dtype.itemsize, WIDTH, 1, WIDTH,
+              DECISION_TEXT.dtype.itemsize)
+    a_ids, b_ids, g, comma, p, decision = (
+        slice(end - width, end) for width, end in zip(widths, np.cumsum(widths).tolist())
+    )
+    matrix = np.empty((0, sum(widths)), dtype=np.uint8)
+    for scored in chunks:
+        if len(scored) > len(matrix):
+            matrix = np.empty((len(scored), sum(widths)), dtype=np.uint8)
+            matrix[:, comma] = ord(",")
+        rows = matrix[: len(scored)]
+        rows[:, a_ids] = _byte_columns(a_text[scored.a])
+        rows[:, b_ids] = _byte_columns(b_text[scored.b])
+        rows[:, g] = repr_rows(scored.score)
+        rows[:, p] = repr_rows(scored.probability)
+        rows[:, decision] = _byte_columns(
+            DECISION_TEXT[classify(scored.probability, tau).view(np.uint8)]
+        )
+        fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:

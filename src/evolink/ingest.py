@@ -103,11 +103,31 @@ def read_fields(cls, raw, where: str, required: Iterable[str] = ()):
     return build(cls, where, **read_object(raw, where, types, required))
 
 
-def read_json(path: str | Path):
-    """The parsed contents of a JSON file; a file that is not JSON raises ConfigError."""
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a key given twice raises ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def parse_json(text: str):
+    """``json.loads(text)``, but a key repeated in an object, or nesting too
+    deep for the parser, raises ValueError as malformed JSON does."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not JSON, or not UTF-8
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+
+
+def read_json(path: str | Path):
+    """The parsed contents of a JSON file (``parse_json``); a file that is
+    not JSON raises ConfigError."""
+    try:
+        return parse_json(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, a repeated key, or too deep
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
 
 
@@ -363,7 +383,7 @@ def load_records(
 
     # decoded whole first, so that a byte that is not text is named by its line
     decoded = io.StringIO(_text(path.read_bytes(), path), newline="")
-    reader = csv.reader(decoded, delimiter=fmt.delimiter)
+    reader = _csv_rows(path, csv.reader(decoded, delimiter=fmt.delimiter))
     try:
         header = next(reader)
     except StopIteration:
@@ -430,6 +450,16 @@ def load_records(
     except RepeatedIdError as exc:  # row r is on line r + 2
         message = f"line {exc.row + 2}: entity id {exc.entity_id} repeats line {exc.earlier + 2}"
         raise LoadError(f"{path}: {message}") from None
+
+
+def _csv_rows(path: Path, reader) -> Iterator[list[str]]:
+    """The rows of the ``csv.reader`` of ``path``; the reader's own errors
+    (a cell past ``csv.field_size_limit()``, a NUL on Python 3.10) raise a
+    LoadError naming the file and line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise LoadError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 # about the bytes of cells that write_records_csv lays out at once

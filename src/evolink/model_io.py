@@ -19,7 +19,7 @@ from .candidates import check_threshold
 from .embed import EmbeddingStore, EmbedHyperparams
 from .errors import ConfigError, LoadError, TrainingError
 from .idfiles import whole_file
-from .ingest import Schema, ValueDictionary, json_fits, read_fields, read_object
+from .ingest import Schema, ValueDictionary, json_fits, parse_json, read_fields, read_object
 from .weights import WeightVector, check_loss_sign, check_margin
 
 FORMAT_TAG = "evolink-model/1"
@@ -78,8 +78,8 @@ def load_model(path: str | Path) -> ModelBundle:
     if newline < 0:
         raise LoadError(f"{path}: missing model header")
     try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        header = parse_json(raw[:newline].decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, a repeated key, or too deep
         raise LoadError(f"{path}: bad model header ({exc})") from None
     if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
         found = header.get("format") if isinstance(header, dict) else None

@@ -6,6 +6,7 @@ files of another kind. An exit of 2 prints exactly one ``error:`` line.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -235,4 +236,56 @@ def test_a_model_without_weights_exits_2_before_a_records_file_is_read(files, tm
                         files["b"], "--out", out])
     assert code == 2
     assert err == f"error: {files['weightless_model']}: model carries no attribute weights\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", [1, 3])
+def test_a_records_cell_past_the_field_limit_exits_2_naming_the_line(files, tmp_path, line):
+    lines = files["a"].read_text(encoding="utf-8").splitlines(keepends=True)
+    limit = csv.field_size_limit()
+    lines[line - 1] = lines[line - 1].replace(",", "," + "x" * (limit + 1), 1)
+    bad, out = tmp_path / "A.csv", tmp_path / "out.csv"
+    bad.write_text("".join(lines), encoding="utf-8")
+    code, _, err = run(["predict", "--model", files["model"], bad, files["b"], "--out", out])
+    assert code == 2
+    assert err == f"error: {bad}: line {line}: field larger than field limit ({limit})\n"
+    assert not out.exists()
+
+
+# JSON text nested past any recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def repeated(obj):
+    """The JSON text of ``obj`` with its first key given twice: null, then its value."""
+    first = next(iter(obj))
+    return "{" + json.dumps(first) + ": null, " + json.dumps(obj)[1:]
+
+
+@pytest.mark.parametrize("how", ["deep", "repeated"])
+@pytest.mark.parametrize("command", ["generate", "train", "experiment"])
+def test_a_config_nested_too_deep_or_with_a_repeated_key_exits_2(files, tmp_path, command, how):
+    name = {"generate": "synth", "train": "train_config", "experiment": "experiment_config"}
+    config = tmp_path / "config.json"
+    good = json.loads(files[name[command]].read_text(encoding="utf-8"))
+    config.write_text(DEEP if how == "deep" else repeated(good), encoding="utf-8")
+    data = [files["data"]] if command == "train" else []
+    code, _, err = run([command, *data, "--config", config, "--out", tmp_path / "out"])
+    reason = "nested too deeply" if how == "deep" else f"repeated key {next(iter(good))!r}"
+    assert code == 2
+    assert err == f"error: {config}: not valid JSON ({reason})\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("how", ["deep", "repeated"])
+def test_a_model_header_nested_too_deep_or_with_a_repeated_key_exits_2(files, tmp_path, how):
+    raw = files["model"].read_bytes()
+    newline = raw.index(b"\n")
+    header = json.loads(raw[:newline])
+    model, out = tmp_path / "model.bin", tmp_path / "out.csv"
+    model.write_bytes((DEEP if how == "deep" else repeated(header)).encode() + raw[newline:])
+    code, _, err = run(["predict", "--model", model, files["a"], files["b"], "--out", out])
+    reason = "nested too deeply" if how == "deep" else f"repeated key {next(iter(header))!r}"
+    assert code == 2
+    assert err == f"error: {model}: bad model header ({reason})\n"
     assert not out.exists()

@@ -536,3 +536,39 @@ def test_truth_labels_equal_set_membership(truth, pairs, shift):
     assert shared == any(
         a in {t[0] for t in truth} or b in {t[1] for t in truth} for a, b in pairs
     )
+
+
+# -- a byte-order mark ---------------------------------------------------------
+@pytest.mark.parametrize("kind", ID_KINDS)
+@pytest.mark.parametrize("header", [False, True])
+def test_a_byte_order_mark_is_not_data(tmp_path, kind, header):
+    # a headerless file keeps its first row, and a header stays a header
+    rows = [["0", "40", "0.0", "0.5", "match"], ["1", "41", "0.0", "0.25", "non-match"]]
+    rows = [cells if kind == "predictions" else cells[:2] for cells in rows]
+    text = file_text(kind, rows, (header, "\n", True))
+    plain = write(tmp_path, "plain.csv", text)
+    marked = write(tmp_path, "marked.csv", "\ufeff" + text)
+    assert outcome(marked, kind) == outcome(plain, kind)
+    assert read_id_rows(marked, kind).a_ids.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("header", [False, True])
+def test_evaluate_counts_the_first_link_of_a_truth_file_with_a_byte_order_mark(tmp_path, header):
+    preds = write(tmp_path, "preds.csv", PREDICTION + "1,41,0.0,0.5,match\n2,42,0.0,0.5,match\n")
+    truth = "a_id,b_id\n" * header + "0,40\n1,41\n"
+    out = []
+    for name, text in (("plain.csv", truth), ("marked.csv", "\ufeff" + truth)):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["evaluate", str(preds), str(write(tmp_path, name, text))]) == 0
+        out.append(stdout.getvalue())
+    assert out[1] == out[0]
+    assert "tp=2 fp=1" in out[1]
+
+
+def test_predict_scores_the_first_pair_of_a_pairs_file_with_a_byte_order_mark(model_dir, tmp_path):
+    pairs = write(tmp_path, "pairs.csv", "\ufeff0,40\n1,41\n")
+    code, err = predict_pairs(model_dir, pairs, tmp_path / "out.csv")
+    assert (code, err) == (0, "")
+    rows = read_id_rows(tmp_path / "out.csv", "predictions")
+    assert list(zip(rows.a_ids.tolist(), rows.b_ids.tolist())) == [(0, 40), (1, 41)]

@@ -104,6 +104,16 @@ class TestErrors:
         with pytest.raises(LoadError, match=re.escape(f": {key}: required")):
             load_model(path)
 
+    def test_repeated_key_in_a_nested_object_named(self, civil_toy, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(path, toy_bundle(civil_toy))
+        raw = path.read_bytes()
+        newline = raw.index(b"\n")
+        header = raw[:newline].replace(b'"embed":{', b'"embed":{"dim":1,', 1)
+        path.write_bytes(header + raw[newline:])
+        with pytest.raises(LoadError, match=re.escape("bad model header (repeated key 'dim')")):
+            load_model(path)
+
 
 def rewrite_header(path, key, value):
     """Set one header key, ``embed.dim`` style, of the model file at ``path``."""

@@ -1,12 +1,14 @@
 """Property tests at the records-CSV boundary: one bad line in a valid file.
 
 A records file that is valid but for one line (a wrong column count, an id
-that is not an integer, or an id an earlier line holds) makes ``load_records``
-raise a LoadError that names the file and that line, and makes CLI ``train``
-exit 2 with the same message.
+that is not an integer, an id an earlier line holds, or a cell longer than
+the csv module's field limit) makes ``load_records`` raise a LoadError that
+names the file and that line, and makes CLI ``train`` exit 2 with the same
+message.
 """
 
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -53,7 +55,7 @@ def one_bad_line(draw):
         rows.append(row)
 
     k = draw(st.integers(0, n_rows - 1))  # the row made bad, on line k + 2
-    kind = draw(st.sampled_from(["columns", "id", "repeat"]))
+    kind = draw(st.sampled_from(["columns", "id", "repeat", "oversized"]))
     if kind == "repeat" and k == 0:
         k = 1
     bad = list(rows[k])
@@ -64,6 +66,10 @@ def one_bad_line(draw):
     elif kind == "id":
         bad[id_col] = draw(NOT_AN_ID)
         message = f"bad entity id {bad[id_col]!r}"
+    elif kind == "oversized":
+        limit = csv.field_size_limit()
+        bad[draw(st.integers(0, len(bad) - 1))] = "x" * (limit + 1)
+        message = f"field larger than field limit ({limit})"
     else:
         earlier = draw(st.integers(0, k - 1))
         bad[id_col] = str(ids[earlier])
@@ -150,3 +156,18 @@ def test_records_not_in_utf8_name_the_line(tmp_path, bad_line):
     with pytest.raises(LoadError) as exc:
         load_records(path, SCHEMA, CSV)
     assert str(exc.value) == f"{path}: line {bad_line}: not utf-8 text"
+
+
+@pytest.mark.parametrize("id_column", [True, False])
+def test_a_byte_order_mark_is_not_data(tmp_path, id_column):
+    rows = [["entity_id", *ATTRIBUTES]] + [[str(10 + i), f"a{i}", "b", "c"] for i in range(3)]
+    if not id_column:
+        rows = [row[1:] for row in rows]
+    text = "".join(",".join(row) + "\n" for row in rows)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    expected, _ = load_records(plain, SCHEMA, CSV)
+    records, _ = load_records(marked, SCHEMA, CSV)
+    assert records.id_array.tolist() == expected.id_array.tolist()
+    assert records.value_matrix.tolist() == expected.value_matrix.tolist()
